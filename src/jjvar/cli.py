@@ -51,7 +51,7 @@ def _json_ready(obj):
         return [_json_ready(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
-        return None if math.isnan(value) else value
+        return value if math.isfinite(value) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj

@@ -7,7 +7,7 @@ Grammar (one entry per line):
     transport.barrier_sites = 12
     stats.m = fixed=40
 
-Values parse as int, float, true/false or bare string.  Unknown keys are
+Values parse as int, float or bare string, by the key's type.  Unknown keys are
 rejected.  CLI flags override file values.
 """
 
@@ -140,8 +140,6 @@ def _parse_value(field_name: str, raw: str):
     ftype = _FIELD_TYPES[field_name]
     if "str" in ftype:
         return raw
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
     if "int" in ftype and "float" not in ftype:
         try:
             return int(raw)

@@ -177,19 +177,19 @@ def classify_h(
             label, host_o = "Al-OH", [o]
         return _record(h, label, host_o, host_al, surface)
 
-    # No covalently bonded O: hydride-like branches, using the longer bridge
-    # cutoff to find an O partner.
+    # No covalently bonded O: hydride-like branches.  The O partner is the
+    # nearest O (lowest index on ties, as o_all ascends) if it lies within the
+    # longer bridge cutoff.
     o_all = structure.indices_of("O")
-    far_o: list[tuple[int, float]] = []
+    bridge_o: int | None = None
     if o_all.size:
         dists = mic_distances(structure, h, o_all)
-        far_o = sorted(
-            ((int(j), float(d)) for j, d in zip(o_all, dists) if d <= bridge_cutoff),
-            key=lambda p: (p[1], p[0]),
-        )
-    if al_bonded and far_o:
+        nearest = int(np.argmin(dists))
+        if dists[nearest] <= bridge_cutoff:
+            bridge_o = int(o_all[nearest])
+    if al_bonded and bridge_o is not None:
         label = "Al-H-O"
-        host_o = [far_o[0][0]]
+        host_o = [bridge_o]
         host_al = _by_distance(al_bonded)[:1]
     elif len(al_bonded) == 1:
         label, host_al = "Al-H", _by_distance(al_bonded)[:1]

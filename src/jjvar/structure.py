@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -103,8 +104,12 @@ class AtomicStructure:
         off = self.cell - np.diag(np.diag(self.cell))
         return bool(np.all(np.abs(off) < 1e-9 * max(1.0, np.abs(self.cell).max())))
 
+    @cached_property
+    def _species_array(self) -> np.ndarray:
+        return np.array(self.species, dtype=str)
+
     def indices_of(self, species: str) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.species) if s == species], dtype=int)
+        return np.flatnonzero(self._species_array == species)
 
 
 def parse_xyz(text: str) -> AtomicStructure:
@@ -238,39 +243,60 @@ def _normalize_cutoffs(cutoffs: Mapping | None) -> dict[tuple[str, str], float]:
 
 
 class BondGraph:
-    """Symmetric distance-cutoff adjacency under the minimum-image convention."""
+    """Symmetric distance-cutoff adjacency under the minimum-image convention.
+
+    Stored as CSR arrays: the neighbours of atom i are
+    `indices[indptr[i]:indptr[i + 1]]`, ascending, at `distances` in the same
+    slots.  Per-atom lists are built on demand.
+    """
 
     def __init__(
         self,
         structure: AtomicStructure,
-        neighbors: list[list[tuple[int, float]]],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        distances: np.ndarray,
         cutoffs: dict[tuple[str, str], float],
     ):
         self.structure = structure
         self.cutoffs = cutoffs
-        self._neighbors = neighbors
+        self.indptr = indptr
+        self.indices = indices
+        self.distances = distances
 
     def __len__(self) -> int:
-        return len(self._neighbors)
+        return len(self.indptr) - 1
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """(index, distance) pairs sorted by atom index."""
-        return self._neighbors[i]
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return list(zip(self.indices[lo:hi].tolist(), self.distances[lo:hi].tolist()))
 
     def neighbors_of_species(self, i: int, species: str) -> list[tuple[int, float]]:
         kinds = self.structure.species
-        return [(j, d) for j, d in self._neighbors[i] if kinds[j] == species]
+        return [(j, d) for j, d in self.neighbors(i) if kinds[j] == species]
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, nbrs in enumerate(self._neighbors) for j, _ in nbrs if i < j}
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        upper = rows < self.indices
+        return set(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
 def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -> BondGraph:
     """Build the bond graph; deterministic, ordered by atom index.
 
+    A k-d tree (periodic on the periodic axes) proposes every pair within the
+    largest cutoff; each pair's minimum-image distance is then recomputed
+    with the same arithmetic as `mic_distances` and kept iff it is within its
+    species-pair cutoff, so the result does not depend on the tree's own
+    rounding.
+
     Raises ConfigurationError when a cutoff reaches half the cell length on a
     periodic axis (the minimum-image distance would be ambiguous).
     """
+    # Imported here: the CLI stages that build no graph skip its load cost.
+    from scipy.spatial import cKDTree
+
     _require_mic_cell(structure)
     cut = _normalize_cutoffs(cutoffs)
     rmax = max(cut.values())
@@ -282,29 +308,37 @@ def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -
             )
 
     n = len(structure)
-    kind = np.array([SPECIES.index(s) for s in structure.species])
+    kind = np.array([SPECIES.index(s) for s in structure.species], dtype=int)
     cut_matrix = np.zeros((len(SPECIES), len(SPECIES)))
     for (a, b), r in cut.items():
         ia, ib = SPECIES.index(a), SPECIES.index(b)
         cut_matrix[ia, ib] = cut_matrix[ib, ia] = r
 
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    # The tree needs periodic coordinates in [0, L); np.mod can round a tiny
+    # negative value up to exactly L.
     pos = structure.positions
-    chunk = 256
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        delta = pos[start:stop, None, :] - pos[None, :, :]
-        for ax in range(3):
-            if structure.pbc[ax]:
-                delta[:, :, ax] -= lengths[ax] * np.round(delta[:, :, ax] / lengths[ax])
-        dist = np.sqrt(np.sum(delta * delta, axis=2))
-        thresh = cut_matrix[kind[start:stop][:, None], kind[None, :]]
-        mask = dist <= thresh
-        mask[np.arange(stop - start), np.arange(start, stop)] = False
-        for row in range(stop - start):
-            js = np.nonzero(mask[row])[0]
-            neighbors[start + row] = [(int(j), float(dist[row, j])) for j in js]
-    return BondGraph(structure, neighbors, cut)
+    wrapped = pos.copy()
+    periodic = np.array(structure.pbc)
+    for ax in np.nonzero(periodic)[0]:
+        wrapped[:, ax] = np.mod(pos[:, ax], lengths[ax])
+        wrapped[wrapped[:, ax] == lengths[ax], ax] = 0.0
+    boxsize = np.where(periodic, lengths, 0.0) if periodic.any() else None
+    tree = cKDTree(wrapped, boxsize=boxsize)
+    # The margin covers the tree's rounding; the exact test below decides.
+    pairs = tree.query_pairs(rmax * (1 + 1e-9) + 1e-9, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+
+    dist = np.linalg.norm(_mic_vectors(structure, pos[i], pos[j]), axis=1)
+    keep = dist <= cut_matrix[kind[i], kind[j]]
+    i, j, dist = i[keep], j[keep], dist[keep]
+
+    # Both directions of every bond, ordered by (row, column).
+    rows = np.concatenate([i, j])
+    cols = np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return BondGraph(structure, indptr, cols[order], np.concatenate([dist, dist])[order], cut)
 
 
 @dataclass(frozen=True)
@@ -393,18 +427,12 @@ def surface_sites(
         nbins = max(1, int(math.ceil(span / bin_width))) if span > 0 else 1
         keys[:, axis] = np.minimum((wrapped / bin_width).astype(int), nbins - 1)
 
-    heights: dict[tuple[int, int], float] = {}
-    for (kx, ky), z in zip(map(tuple, keys), pos[:, 2]):
-        key = (int(kx), int(ky))
-        if key not in heights or z > heights[key]:
-            heights[key] = float(z)
-
-    sites = [
-        int(atom)
-        for atom, (kx, ky), z in zip(members, map(tuple, keys), pos[:, 2])
-        if z >= heights[(int(kx), int(ky))] - depth
-    ]
-    return frozenset(sites)
+    _, cell_of = np.unique(keys, axis=0, return_inverse=True)
+    cell_of = cell_of.reshape(-1)
+    z = pos[:, 2]
+    heights = np.full(cell_of.max() + 1, -np.inf)
+    np.maximum.at(heights, cell_of, z)
+    return frozenset(members[z >= heights[cell_of] - depth].tolist())
 
 
 def effective_time(n_sim: float, n_ref: float, t_sim: float) -> float:

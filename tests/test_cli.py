@@ -1,12 +1,16 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jjvar.cli import main
+import jjvar
+from jjvar.cli import _write_json, main
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import BetaBinomial
 
@@ -246,3 +250,30 @@ class TestConfigHandling:
         monkeypatch.setenv("JJVAR_THREADS", "2")
         out = tmp_path / "out"
         assert main(["--out", str(out), "ej"]) == 0
+
+    def test_boolean_for_integer_key_exits_2(self, tmp_path):
+        config = tmp_path / "cfg.txt"
+        config.write_text("threads = true\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_non_finite_floats_written_as_null(tmp_path):
+    path = tmp_path / "report.json"
+    _write_json(path, {"inf": float("inf"), "ninf": -np.inf, "nan": np.nan, "x": [1.5, np.inf]})
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload == {"inf": None, "ninf": None, "nan": None, "x": [1.5, None]}
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    src = str(Path(jjvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, jjvar.cli; print('scipy.spatial' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -140,6 +140,32 @@ class TestNeighborGraph:
         g = neighbor_graph(s)
         assert g.edge_set() == brute_force_edges(s)
 
+    def test_against_brute_force_wrapped_mixed_pbc(self):
+        # Atoms up to a quarter cell outside [0, L) on the periodic axes (the
+        # 27-image reference stays exact while pair offsets are < 1.5 L), one
+        # at exactly -0.0, one at exactly L, and one that np.mod rounds up to L.
+        rng = np.random.default_rng(8)
+        lengths = np.array([9.0, 10.0, 11.0])
+        pos = rng.uniform(-0.25, 1.25, size=(120, 3)) * lengths
+        pos[:, 2] -= 0.5 * lengths[2]
+        pos[0, 0] = -0.0
+        pos[1, 2] = lengths[2]
+        pos[2, 0] = -1e-17
+        s = AtomicStructure(
+            cell=np.diag(lengths),
+            pbc=(True, False, True),
+            species=tuple(rng.choice(["Al", "O", "H"], size=120)),
+            positions=pos,
+        )
+        g = neighbor_graph(s)
+        assert g.edge_set() == brute_force_edges(s)
+        for i in range(len(s)):
+            for j, d in g.neighbors(i):
+                delta = [float(c) for c in pos[j] - pos[i]]
+                for ax in (0, 2):
+                    delta[ax] -= lengths[ax] * round(delta[ax] / lengths[ax])
+                assert d == math.sqrt(delta[0] ** 2 + delta[1] ** 2 + delta[2] ** 2)
+
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         s = AtomicStructure(
