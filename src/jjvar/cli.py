@@ -70,6 +70,25 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_json(path: Path, what: str):
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _json_number(payload, path: Path, *keys: str) -> float:
+    """The finite number at payload[keys[0]][keys[1]]...; anything else is an input error."""
+    value = payload
+    for key in keys:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{path}: {'.'.join(keys)} is missing or not a finite number")
+    return float(value)
+
+
 def _ordered_map(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -227,7 +246,6 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
         barrier_sites=cfg.barrier_sites,
         lead_onsite=cfg.lead_onsite,
         lead_hopping=cfg.lead_hopping,
-        eta=cfg.eta,
     )
     bounds = (cfg.bounds_lo, cfg.bounds_hi)
     cal_jj = transport.calibrate_barrier(cfg.target_jj, bounds=bounds, base=base)
@@ -238,18 +256,8 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     e_f = model_jj.fermi_energy
     grid = np.linspace(e_f - cfg.grid_halfwidth, e_f + cfg.grid_halfwidth, cfg.grid_points)
-
-    def curve_for(model):
-        chunks = np.array_split(grid, max(cfg.threads, 1))
-        parts = _ordered_map(lambda c: transport.transmission(model, c), [c for c in chunks if c.size], cfg.threads)
-        return transport.TransmissionCurve(
-            energies=np.concatenate([p.energies for p in parts]),
-            values=np.concatenate([p.values for p in parts]),
-            channels=np.concatenate([p.channels for p in parts]),
-        )
-
-    curve_jj = curve_for(model_jj)
-    curve_jjh = curve_for(model_jjh)
+    curve_jj = transport.transmission(model_jj, grid)
+    curve_jjh = transport.transmission(model_jjh, grid)
     shift = transport.fit_transmission_shift(
         curve_jj, curve_jjh, window=(e_f - 2.0, e_f + 2.0), shift_bounds=(-1.0, 1.0)
     )
@@ -294,20 +302,23 @@ def cmd_ej(
     calibration: Path | None = None,
 ) -> list[Path]:
     if fit_report is not None:
-        if not fit_report.exists():
-            raise FileNotFoundError(f"fit report not found: {fit_report}")
-        payload = json.loads(fit_report.read_text())
-        dist = stats.BetaBinomial(payload["alpha"], payload["beta"], int(payload["M"]))
+        payload = _read_json(fit_report, "fit report")
+        trials = _json_number(payload, fit_report, "M")
+        if not trials.is_integer():
+            raise ValueError(f"{fit_report}: M must be an integer, got {trials}")
+        dist = stats.BetaBinomial(
+            _json_number(payload, fit_report, "alpha"),
+            _json_number(payload, fit_report, "beta"),
+            int(trials),
+        )
     else:
         dist = stats.BetaBinomial(cfg.alpha, cfg.beta, cfg.trials)
 
     t_jj, t_jjh = cfg.target_jj, cfg.target_jjh
     if calibration is not None:
-        if not calibration.exists():
-            raise FileNotFoundError(f"calibration sidecar not found: {calibration}")
-        payload = json.loads(calibration.read_text())
-        t_jj = payload["jj"]["transmission"]
-        t_jjh = payload["jj_h"]["transmission"]
+        payload = _read_json(calibration, "calibration sidecar")
+        t_jj = _json_number(payload, calibration, "jj", "transmission")
+        t_jjh = _json_number(payload, calibration, "jj_h", "transmission")
 
     params = josephson.JunctionParams(
         gap_mev=cfg.gap_mev, area=cfg.area, patch_area=cfg.patch_area, md_area=cfg.md_area
@@ -391,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        help="worker threads for ensemble/grid maps (env JJVAR_THREADS overrides the default)",
+        help="worker threads for the analyze ensemble map (env JJVAR_THREADS overrides the default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

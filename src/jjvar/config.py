@@ -50,7 +50,6 @@ class PipelineConfig:
     lead_onsite: float = 0.0
     lead_hopping: float = 3.0
     barrier_sites: int = 12
-    eta: float = 1e-6
     bounds_lo: float = 0.0
     bounds_hi: float = 30.0
     grid_points: int = 2001
@@ -88,7 +87,7 @@ class PipelineConfig:
             raise ConfigError("barrier needs at least one site")
         if not self.bounds_lo < self.bounds_hi:
             raise ConfigError(f"bad calibration bounds [{self.bounds_lo}, {self.bounds_hi}]")
-        for name in ("target_jj", "target_jjh", "gap_mev", "area", "patch_area", "md_area", "eta"):
+        for name in ("target_jj", "target_jjh", "gap_mev", "area", "patch_area", "md_area"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("structures", "counts"):
@@ -119,7 +118,6 @@ _KEY_MAP = {
     "transport.lead_onsite": "lead_onsite",
     "transport.lead_hopping": "lead_hopping",
     "transport.barrier_sites": "barrier_sites",
-    "transport.eta": "eta",
     "transport.bounds_lo": "bounds_lo",
     "transport.bounds_hi": "bounds_hi",
     "transport.grid_points": "grid_points",

@@ -9,9 +9,10 @@ Landauer picture,
 
 with lead self-energies from the surface Green's function.  For the
 single-orbital lead the surface Green's function has a closed form, and
-`transmission` evaluates the exact retarded (eta -> 0+) limit with it; the
-model's `eta` regularizes the iterative block decimation
-(`surface_green_function`) and any explicitly broadened evaluation.
+`transmission` evaluates the exact retarded (eta -> 0+) limit with it over
+the whole energy grid at once, by a forward recursive-Green's-function sweep
+along the tridiagonal barrier.  Block leads go through the iterative
+decimation of `surface_green_function`.
 
 An independent transfer-matrix solver (Bloch-wave matching, computed via the
 numerically stable backward recurrence) cross-checks the NEGF results, and a
@@ -79,9 +80,6 @@ class JunctionModel:
     barrier_hopping: float = DEFAULT_LEAD_HOPPING
     coupling: float = DEFAULT_LEAD_HOPPING
     fermi_energy: float = 0.0
-    eta: float = 1e-6
-    orbitals_per_cell: int = 1
-    defect: tuple[int, float] | None = None  # (barrier site, extra on-site shift)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "barrier_onsite", tuple(float(e) for e in self.barrier_onsite))
@@ -97,31 +95,14 @@ class JunctionModel:
             raise ValueError("all model energies must be finite")
         if len(self.barrier_onsite) < 1:
             raise ValueError("barrier must contain at least one site")
-        if not self.eta > 0:
-            raise ValueError(f"broadening eta must be positive, got {self.eta}")
-        if self.orbitals_per_cell != 1:
-            raise ValueError(
-                "the junction stand-in is single-orbital; block leads are "
-                "supported by surface_green_function directly"
-            )
-        if self.defect is not None:
-            site, shift = self.defect
-            if not 0 <= site < len(self.barrier_onsite):
-                raise ValueError(f"defect site {site} outside barrier of length {len(self.barrier_onsite)}")
-            if not math.isfinite(shift):
-                raise ValueError("defect shift must be finite")
 
     @property
     def barrier_length(self) -> int:
         return len(self.barrier_onsite)
 
     def onsite_profile(self) -> np.ndarray:
-        """Barrier on-site energies with the optional single-site defect applied."""
-        profile = np.array(self.barrier_onsite, dtype=float)
-        if self.defect is not None:
-            site, shift = self.defect
-            profile[site] += shift
-        return profile
+        """Barrier on-site energies as an array."""
+        return np.array(self.barrier_onsite, dtype=float)
 
     def band_halfwidth(self) -> float:
         return 2.0 * abs(self.lead_hopping)
@@ -173,10 +154,6 @@ class TransmissionCurve:
         if np.any(t < -1e-12) or np.any(t > c + 1e-9):
             raise ValueError("transmission must satisfy 0 <= T <= open channel count")
 
-    def at(self, energy: float) -> float:
-        """Linear interpolation of T at `energy` (grid-bounded)."""
-        return float(np.interp(energy, self.energies, self.values))
-
 
 def _decimate_np(h00, h01, z, tol, max_iter):
     """Decimation in Green's-function-normalized variables (complex128)."""
@@ -205,51 +182,30 @@ def _decimate_np(h00, h01, z, tol, max_iter):
     return None
 
 
-def _decimate_mp(h00, h01, energy, eta, tol, max_iter, dps):
-    """Same recursion in `dps`-digit arithmetic for precision-critical seeds."""
-    import mpmath as mp
-
-    n = h00.shape[0]
-    with mp.workdps(dps):
-        z = mp.mpc(energy, eta)
-        h00m = mp.matrix(n)
-        h01m = mp.matrix(n)
-        h10m = mp.matrix(n)
-        for i in range(n):
-            for j in range(n):
-                h00m[i, j] = mp.mpc(h00[i, j])
-                h01m[i, j] = mp.mpc(h01[i, j])
-                h10m[i, j] = mp.mpc(np.conj(h01[j, i]))
-        ident = mp.eye(n)
-        g_bulk = (z * ident - h00m) ** -1
-        g_surf = g_bulk.copy()
-        a = g_bulk * h01m
-        b = g_bulk * h10m
-        w = a.copy()
-        for _ in range(max_iter):
-            denom_s = (ident - w * b) ** -1
-            g_new = denom_s * g_surf
-            w_new = denom_s * (w * a)
-            denom_b = (ident - a * b - b * a) ** -1
-            g_bulk = denom_b * g_bulk
-            a_new = denom_b * (a * a)
-            b_new = denom_b * (b * b)
-            update = max(abs(g_new[i, j] - g_surf[i, j]) for i in range(n) for j in range(n))
-            g_surf, w, a, b = g_new, w_new, a_new, b_new
-            if update < tol:
-                out = np.empty((n, n), dtype=complex)
-                for i in range(n):
-                    for j in range(n):
-                        out[i, j] = complex(g_surf[i, j])
-                return out
-    return None
-
-
 def _fixed_point_residual(g, h00, h01, z):
     n = h00.shape[0]
     sigma = h01 @ g @ h01.conj().T
     closure = np.linalg.solve(z * np.eye(n) - h00 - sigma, np.eye(n, dtype=complex))
     return np.linalg.norm(g - closure, ord="fro")
+
+
+def _newton_polish(g, h00, h01, z, tol, max_iter):
+    """Newton iteration on the fixed point g = (z - h00 - h01 g h01^+)^-1.
+
+    With X the bracketed inverse, the derivative of g - X is
+    I - (X h01) (x) (h01^+ X)^T on row-major vec(g).
+    """
+    n = h00.shape[0]
+    ident = np.eye(n, dtype=complex)
+    h10 = h01.conj().T
+    for _ in range(max_iter):
+        x = np.linalg.solve(z * ident - h00 - h01 @ g @ h10, ident)
+        residual = g - x
+        if np.linalg.norm(residual, ord="fro") <= tol * (1.0 + np.linalg.norm(g, ord="fro")):
+            break
+        jacobian = np.eye(n * n) - np.kron(x @ h01, (h10 @ x).T)
+        g = g - np.linalg.solve(jacobian, residual.ravel()).reshape(n, n)
+    return g
 
 
 def surface_green_function(
@@ -270,8 +226,10 @@ def surface_green_function(
     multiplicative and well scaled.  At a band-center resonance
     (|E - eps| << eta << 1) the branch selection is encoded at a relative
     scale ~ eta^2 in the seed, below double precision; such calls are
-    detected by a fixed-point residual check and rerun in arbitrary
-    precision.  Raises NumericalError on non-convergence.
+    detected by a fixed-point residual check and redone by Newton iteration
+    on the fixed point, seeded by the decimation at broadening
+    max(eta, 1e-3), where the retarded branch is resolved.  Raises
+    NumericalError on non-convergence.
     """
     h00 = np.atleast_2d(np.asarray(h00, dtype=complex))
     h01 = np.atleast_2d(np.asarray(h01, dtype=complex))
@@ -281,91 +239,86 @@ def surface_green_function(
         raise ValueError(f"eta must be positive, got {eta}")
 
     z = complex(energy, eta)
+
+    def converged(g) -> bool:
+        scale = 1.0 + np.linalg.norm(g, ord="fro")
+        return _fixed_point_residual(g, h00, h01, z) <= max(100.0 * tol, 1e-10) * scale
+
     try:
         g_surf = _decimate_np(h00, h01, z, tol, max_iter)
-    except np.linalg.LinAlgError:
-        g_surf = None
-    if g_surf is not None:
-        scale = 1.0 + np.linalg.norm(g_surf, ord="fro")
-        if _fixed_point_residual(g_surf, h00, h01, z) <= max(100.0 * tol, 1e-10) * scale:
+        if g_surf is not None and converged(g_surf):
             return g_surf
-
-    # Precision-limited seed: redo with digits matched to the amplification
-    # |(z - h00)^{-1} h01| that buries the branch information.
-    seed = np.linalg.solve(z * np.eye(h00.shape[0]) - h00, h01)
-    amplification = max(np.max(np.abs(seed)), 1.0)
-    dps = int(30 + 2 * math.log10(amplification))
-    g_surf = _decimate_mp(h00, h01, energy, eta, tol, max_iter, dps)
-    if g_surf is None:
-        raise NumericalError(
-            f"surface Green's function decimation did not converge within {max_iter} iterations"
-        )
-    return g_surf
+        seed = _decimate_np(h00, h01, complex(energy, max(eta, 1e-3)), tol, max_iter)
+        if seed is not None:
+            g_surf = _newton_polish(seed, h00, h01, z, tol, max_iter)
+            if np.all(np.isfinite(g_surf)) and converged(g_surf):
+                return g_surf
+    except np.linalg.LinAlgError:
+        pass
+    raise NumericalError(
+        f"surface Green's function decimation did not converge within {max_iter} iterations"
+    )
 
 
-def lead_surface_gf(onsite: float, hopping: float, energy: float, eta: float = 0.0) -> complex:
+def lead_surface_gf(onsite: float, hopping: float, energy, eta: float = 0.0):
     """Closed-form surface Green's function of the single-orbital chain.
 
     Retarded branch: Im g <= 0 in the band; outside the band (eta = 0) the
     decaying real root.  eta = 0 evaluates the exact retarded limit.
+    `energy` may be a scalar or an array; the result has its shape.
     """
-    z = complex(energy, eta) - onsite
+    z = np.asarray(energy, dtype=float) - onsite + 1j * eta
     t2 = hopping * hopping
     if t2 == 0.0:
-        return 1.0 / z
-    sq = np.sqrt(complex(z * z - 4.0 * t2))
+        return (1.0 / z)[()]
+    sq = np.sqrt(z * z - 4.0 * t2)
     g_minus = (z - sq) / (2.0 * t2)
     g_plus = (z + sq) / (2.0 * t2)
-    if abs(g_minus.imag - g_plus.imag) > 1e-300:
-        return g_minus if g_minus.imag < g_plus.imag else g_plus
-    return g_minus if abs(g_minus) <= abs(g_plus) else g_plus
+    pick_minus = np.where(
+        np.abs(g_minus.imag - g_plus.imag) > 1e-300,
+        g_minus.imag < g_plus.imag,
+        np.abs(g_minus) <= np.abs(g_plus),
+    )
+    return np.where(pick_minus, g_minus, g_plus)[()]
 
 
-def _transmission_at(model: JunctionModel, energy: float, eta: float) -> float:
-    g_lead = lead_surface_gf(model.lead_onsite, model.lead_hopping, energy, eta)
-    sigma = model.coupling**2 * g_lead
-    gamma = -2.0 * sigma.imag
-    if gamma <= 0.0:
-        return 0.0
-    onsite = model.onsite_profile()
-    n = onsite.size
-    a = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(a, energy - onsite)
-    if n > 1:
-        idx = np.arange(n - 1)
-        a[idx, idx + 1] = -model.barrier_hopping
-        a[idx + 1, idx] = -model.barrier_hopping
-    a[0, 0] -= sigma
-    a[-1, -1] -= sigma
-    rhs = np.zeros(n, dtype=complex)
-    rhs[-1] = 1.0
-    try:
-        col = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"singular device Green's function solve at E = {energy} eV") from None
-    return float(gamma * gamma * abs(col[0]) ** 2)
+def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -> TransmissionCurve:
+    """Landauer transmission on an energy grid, in the exact retarded limit.
 
-
-def transmission(
-    model: JunctionModel, energies: Sequence[float] | np.ndarray, *, eta: float | None = None
-) -> TransmissionCurve:
-    """Landauer transmission on an energy grid.
-
-    `eta = None` (default) evaluates the exact retarded limit through the
-    closed-form lead Green's function; pass a positive value for explicitly
-    broadened curves.  The grid must stay within +-20 eV of the lead band
-    center.
+    T = Gamma_L Gamma_R |G_1N|^2, with G_1N from one forward recursion over
+    the barrier sites evaluated on the whole grid at once:
+    g_j = 1 / (E - eps_j - t_b^2 g_{j-1}), the lead self-energy added on the
+    first and last sites, and G_1N = g_1 prod_{j>1} t_b g_j.  Energies
+    without an open lead channel have T = 0.  The grid must stay within
+    +-20 eV of the lead band center.  Raises NumericalError if the device
+    Green's function is singular at an open-channel energy.
     """
     grid = np.asarray(energies, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("energies must form a strictly increasing 1-D grid")
     if np.any(np.abs(grid - model.lead_onsite) > 20.0):
         raise ValueError("energy grid extends beyond 20 eV from the lead band center")
-    eta_eff = 0.0 if eta is None else float(eta)
-    if eta_eff < 0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
-    values = np.array([_transmission_at(model, float(e), eta_eff) for e in grid])
-    return TransmissionCurve(energies=grid, values=values, channels=model.open_channels(grid))
+    sigma = model.coupling**2 * lead_surface_gf(model.lead_onsite, model.lead_hopping, grid)
+    gamma = -2.0 * sigma.imag
+    is_open = gamma > 0.0
+    energy, sigma, gamma = grid[is_open], sigma[is_open], gamma[is_open]
+
+    onsite = model.onsite_profile()
+    t_b = model.barrier_hopping
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j, eps in enumerate(onsite):
+            pivot = energy - eps - (sigma if j == 0 else t_b * t_b * g)
+            if j == onsite.size - 1:
+                pivot = pivot - sigma
+            g = 1.0 / pivot
+            g_1n = g if j == 0 else g_1n * (t_b * g)
+        values = gamma * gamma * np.abs(g_1n) ** 2
+    singular = ~np.isfinite(values)
+    if np.any(singular):
+        raise NumericalError(f"singular device Green's function at E = {energy[singular][0]} eV")
+    full = np.zeros(grid.shape)
+    full[is_open] = values
+    return TransmissionCurve(energies=grid, values=full, channels=model.open_channels(grid))
 
 
 def transfer_matrix_transmission(model: JunctionModel, energy: float) -> float:
@@ -453,7 +406,7 @@ def calibrate_barrier(
     e_fermi = probe.fermi_energy if energy is None else float(energy)
 
     def evaluate(height: float) -> float:
-        return _transmission_at(build(height), e_fermi, 0.0)
+        return float(transmission(build(height), [e_fermi]).values[0])
 
     t_lo = evaluate(lo)
     t_hi = evaluate(hi)

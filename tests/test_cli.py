@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import jjvar
+from jjvar import cli
 from jjvar.cli import _write_json, main
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import BetaBinomial
@@ -161,6 +162,41 @@ class TestEjCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"alpha": 17.69, "M": 40},
+            {"alpha": 17.69, "beta": "15.36", "M": 40},
+            {"alpha": 17.69, "beta": None, "M": 40},
+            {"alpha": 17.69, "beta": 15.36, "M": 40.5},
+            [17.69, 15.36, 40],
+        ],
+        ids=["missing-beta", "string-beta", "null-beta", "fractional-M", "not-an-object"],
+    )
+    def test_malformed_fit_report_exits_2(self, tmp_path, capsys, payload):
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps(payload))
+        code = main(["--out", str(tmp_path / "o"), "ej", "--fit-report", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"jj": {"transmission": 1.6e-5}}',
+            '{"jj": {"transmission": 1.6e-5}, "jj_h": {"transmission": "high"}}',
+            "not json",
+        ],
+        ids=["missing-jj_h", "string-transmission", "not-json"],
+    )
+    def test_malformed_calibration_exits_2(self, tmp_path, capsys, text):
+        sidecar = tmp_path / "calibration.json"
+        sidecar.write_text(text)
+        code = main(["--out", str(tmp_path / "o"), "ej", "--calibration", str(sidecar)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_consumes_upstream_artifacts(self, tmp_path):
         counts = write_counts_file(tmp_path / "counts.txt")
         out = tmp_path / "out"
@@ -220,6 +256,22 @@ class TestPipeline:
         assert statuses["analyze"] == "failed"
         assert statuses["ej"] == "skipped"
 
+    def test_malformed_fit_report_marks_ej_failed(self, tmp_path, monkeypatch):
+        def fit_stats_without_beta(cfg, out):
+            path = out / "fit_report.json"
+            path.write_text(json.dumps({"alpha": 17.69, "M": 40}))
+            return [path]
+
+        monkeypatch.setattr(cli, "cmd_fit_stats", fit_stats_without_beta)
+        config = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "pipeline"]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        stages = {s["name"]: s for s in manifest["stages"]}
+        assert stages["transmission"]["status"] == "completed"
+        assert stages["ej"]["status"] == "failed"
+        assert "beta" in stages["ej"]["error"]
+
     def test_rerun_and_thread_count_byte_identical(self, tmp_path):
         config = self._write_config(tmp_path)
         outs = [tmp_path / f"out{i}" for i in range(3)]
@@ -250,6 +302,12 @@ class TestConfigHandling:
         monkeypatch.setenv("JJVAR_THREADS", "2")
         out = tmp_path / "out"
         assert main(["--out", str(out), "ej"]) == 0
+
+    def test_removed_eta_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("transport.eta = 0.5\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+        assert "unknown key 'transport.eta'" in capsys.readouterr().err
 
     def test_boolean_for_integer_key_exits_2(self, tmp_path):
         config = tmp_path / "cfg.txt"

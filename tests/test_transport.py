@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jjvar.transport import (
     CalibrationError,
@@ -173,15 +175,47 @@ class TestTransmission:
         with pytest.raises(NumericalError, match="singular"):
             transmission(model, np.array([0.0]))
 
+    def test_singular_energy_inside_grid_reported(self):
+        model = JunctionModel(barrier_onsite=(1.0, 0.0, 1.0), barrier_hopping=0.0, coupling=1.0)
+        grid = np.linspace(-1.0, 1.0, 9)  # E = 0 is the fifth point
+        with pytest.raises(NumericalError, match="singular"):
+            transmission(model, grid)
+        np.testing.assert_array_equal(transmission(model, grid[:4]).values, 0.0)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             JunctionModel(barrier_onsite=())
-        with pytest.raises(ValueError):
-            JunctionModel(eta=0.0)
-        with pytest.raises(ValueError):
-            JunctionModel(orbitals_per_cell=2)
-        with pytest.raises(ValueError):
-            JunctionModel(defect=(40, -0.5))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_chains(draw):
+    """A random lead/barrier/lead chain and in-band energies."""
+    sites = draw(st.integers(1, 16))
+    model = JunctionModel(
+        lead_onsite=draw(_floats(-1.0, 1.0)),
+        lead_hopping=draw(_floats(1.0, 4.0)),
+        barrier_onsite=tuple(draw(st.lists(_floats(-6.0, 8.0), min_size=sites, max_size=sites))),
+        barrier_hopping=draw(_floats(0.5, 4.0)),
+        coupling=draw(_floats(0.5, 4.0)),
+    )
+    fractions = draw(st.lists(_floats(-0.9, 0.9), min_size=1, max_size=12))
+    energies = np.unique(model.lead_onsite + np.array(fractions) * model.band_halfwidth())
+    return model, energies
+
+
+class TestTransmissionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(random_chains())
+    def test_grid_recursion_matches_transfer_matrix(self, chain):
+        model, energies = chain
+        curve = transmission(model, energies)
+        for energy, t_negf in zip(energies, curve.values):
+            t_tm = transfer_matrix_transmission(model, float(energy))
+            assert abs(t_negf - t_tm) <= 1e-10 * t_tm
 
 
 class TestTransferMatrix:
@@ -250,17 +284,6 @@ class TestDefects:
         shifted = apply_defect(model, -1.0, sites=2)
         assert shifted.barrier_onsite[2] == pytest.approx(model.barrier_onsite[2] - 1.0)
         assert shifted.barrier_onsite[0] == model.barrier_onsite[0]
-
-    def test_defect_field_matches_apply_defect(self):
-        import dataclasses
-
-        base = default_model(barrier_sites=4, height=6.0)
-        via_field = dataclasses.replace(base, defect=(2, -0.8))
-        via_apply = apply_defect(base, -0.8, sites=2)
-        grid = np.linspace(-3, 3, 51)
-        np.testing.assert_array_equal(
-            transmission(via_field, grid).values, transmission(via_apply, grid).values
-        )
 
     def test_fitted_shift_tracks_applied_shift(self):
         model = calibrate_barrier(1.61e-5).model
