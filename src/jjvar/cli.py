@@ -1,8 +1,9 @@
 """Command-line pipeline: fit-stats, analyze, transmission, ej, pipeline.
 
 Exit codes: 0 success, 2 input error, 3 numerical/convergence error.
-All emitted files are deterministic for a given (config, seed); floats are
-written with 12 significant digits.
+All emitted files are deterministic for a given (config, seed).  JSON floats
+are written as their shortest round-trip repr; CSV floats carry 12
+significant digits.
 """
 
 from __future__ import annotations
@@ -107,22 +108,36 @@ def _parse_m_strategy(strategy: str) -> dict:
     raise ConfigError(f"bad m strategy {strategy!r}; use 'scan', 'scan=LO:HI' or 'fixed=M'")
 
 
-def _structure_files(directory: str | Path) -> list[Path]:
+def _map_structures(fn, directory: str | Path, threads: int = 1) -> tuple[list, list[dict]]:
+    """fn(path) over the directory's structure files, in name order.
+
+    A file that fails to parse or is rejected (ParseError, ValueError) is
+    skipped with a warning and listed as {"file", "error"}; if every file
+    fails, that is an input error.  Returns ([(file stem, result)], skipped).
+    """
     files = sorted(
         p for p in Path(directory).iterdir() if p.suffix.lower() in (".xyz", ".extxyz")
     )
     if not files:
         raise FileNotFoundError(f"no .xyz structures in {directory}")
-    return files
 
+    def attempt(path: Path):
+        try:
+            return path, fn(path), None
+        except (structure.ParseError, ValueError) as exc:
+            return path, None, str(exc)
 
-def _counts_from_structures(directory: str | Path, cfg: PipelineConfig) -> stats.CountSample:
-    """Per-structure hydrogen census inside the oxide region."""
-    counts = []
-    for path in _structure_files(directory):
-        s = structure.read_structure(path)
-        counts.append(structure.oxide_region(s).n_h)
-    return stats.CountSample(counts=tuple(counts), area=cfg.md_area)
+    results = []
+    skipped = []
+    for path, outcome, error in _ordered_map(attempt, files, threads):
+        if error is None:
+            results.append((path.stem, outcome))
+        else:
+            skipped.append({"file": path.name, "error": error})
+            print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
+    if not results:
+        raise FileNotFoundError(f"all {len(files)} structure files failed to parse")
+    return results, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +145,15 @@ def _counts_from_structures(directory: str | Path, cfg: PipelineConfig) -> stats
 
 
 def cmd_fit_stats(cfg: PipelineConfig, out: Path) -> list[Path]:
+    skipped = []
     if cfg.counts is not None:
         sample = stats.read_counts(cfg.counts, area=cfg.md_area)
     elif cfg.structures is not None:
-        sample = _counts_from_structures(cfg.structures, cfg)
+        # Per-structure hydrogen census inside the oxide region.
+        census, skipped = _map_structures(
+            lambda path: structure.oxide_region(structure.read_structure(path)).n_h, cfg.structures
+        )
+        sample = stats.CountSample(counts=tuple(n for _, n in census), area=cfg.md_area)
     else:
         raise FileNotFoundError("fit-stats needs a counts file or a structure directory")
 
@@ -146,6 +166,7 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path) -> list[Path]:
             "n_samples": len(sample.counts),
             "m_strategy": cfg.m_strategy,
             "reference_area_a2": sample.area,
+            "skipped": skipped,
         }
     )
     report_path = out / "fit_report.json"
@@ -170,7 +191,6 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path) -> list[Path]:
 def cmd_analyze(cfg: PipelineConfig, out: Path) -> list[Path]:
     if cfg.structures is None:
         raise FileNotFoundError("analyze needs a structure directory")
-    files = _structure_files(cfg.structures)
     overrides = cfg.cutoff_overrides()
 
     def process(path: Path):
@@ -183,22 +203,7 @@ def cmd_analyze(cfg: PipelineConfig, out: Path) -> list[Path]:
         )
         return region, x, h_pct, records
 
-    def attempt(path: Path):
-        try:
-            return path, process(path), None
-        except (structure.ParseError, ValueError) as exc:
-            return path, None, str(exc)
-
-    results = []
-    failures = []
-    for path, outcome, error in _ordered_map(attempt, files, cfg.threads):
-        if error is None:
-            results.append((path.stem, outcome))
-        else:
-            failures.append((path.name, error))
-            print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
-    if not results:
-        raise FileNotFoundError(f"all {len(files)} structure files failed to parse")
+    results, failures = _map_structures(process, cfg.structures, cfg.threads)
 
     stoich_rows = []
     per_sample_records = []
@@ -219,7 +224,7 @@ def cmd_analyze(cfg: PipelineConfig, out: Path) -> list[Path]:
         summary_path,
         {
             "samples": len(results),
-            "failures": [{"file": f, "error": e} for f, e in failures],
+            "failures": failures,
             "x": {"mean": xs.mean(), "std": xs.std()},
             "h_atpct": {"mean": hs.mean(), "std": hs.std()},
         },

@@ -9,6 +9,17 @@ beta-binomial,
 captures that overdispersion.  This module provides the distribution
 (PMF/moments/sampling), maximum-likelihood fitting with either a fixed trial
 count M or a likelihood scan over M, and count-file ingestion.
+
+Everything is evaluated through rising-factorial (Pochhammer) sums,
+ln Gamma(x + k) - ln Gamma(x) = sum_{j<k} ln(x + j), so no special functions
+are needed.  The fit works on the count histogram (Minka, "Estimating a
+Dirichlet distribution", 2000): with the tail counts A_j = #{c > j} and
+B_j = #{M - c > j} of n samples, the log-likelihood is
+
+    l = const + sum_{j<M} [A_j ln(alpha + j) + B_j ln(beta + j) - n ln(alpha + beta + j)],
+
+so each evaluation costs O(M) whatever the sample count.  The Newton
+iteration stops once every log-parameter gradient is within `tol` per sample.
 """
 
 from __future__ import annotations
@@ -16,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import betaln, gammaln, polygamma, psi
 
 __all__ = [
+    "MAX_TRIALS",
     "MD_REFERENCE_AREA",
     "BetaBinomial",
     "CountSample",
@@ -37,6 +48,10 @@ __all__ = [
 # the count samples refer to.
 MD_REFERENCE_AREA = 34.17 * 34.17
 
+# Largest trial number M accepted anywhere (fit, scan bound, distribution):
+# the PMF and the fit's sums hold O(M) floats.
+MAX_TRIALS = 100_000
+
 
 class DegenerateDataError(ValueError):
     """The counts carry no spread, so the overdispersion is unidentifiable."""
@@ -49,12 +64,35 @@ class FitConvergenceError(RuntimeError):
 def log_beta(x: float, y: float) -> float:
     """Return ln B(x, y).
 
-    Evaluated through log-gamma, accurate to ~1e-13 relative for arguments
-    in [1e-3, 1e4].  Raises ValueError for non-positive arguments.
+    Evaluated through math.lgamma, so the absolute error is a few ulp of the
+    largest ln Gamma term: ~1e-13 relative for arguments in [1e-3, 1e4],
+    except where ln B nearly cancels (one argument near 1e4, the other
+    small), where it reaches ~1e-9.  Raises ValueError for non-positive
+    arguments.
     """
     if not (x > 0 and y > 0):
         raise ValueError(f"log_beta requires positive arguments, got ({x}, {y})")
-    return float(betaln(x, y))
+    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+
+def _check_trials(m: int, what: str) -> None:
+    if m > MAX_TRIALS:
+        raise ValueError(f"{what} {m} exceeds the largest supported trial number {MAX_TRIALS}")
+
+
+def _two_sum(a, b):
+    """Rounded sum and its exact rounding error (Knuth's TwoSum), elementwise."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _log_rising(x: float, m: int) -> np.ndarray:
+    """Rows (hi, lo) with hi + lo = sum_{j<k} ln(x + j) for k = 0..m, compensated."""
+    terms = np.log(x + np.arange(m, dtype=float))
+    hi = np.concatenate(([0.0], np.cumsum(terms)))
+    _, err = _two_sum(hi[:-1], terms)  # cumsum adds in order, so hi[1:] is each rounded sum
+    return np.stack([hi, np.concatenate(([0.0], np.cumsum(err)))])
 
 
 @dataclass(frozen=True)
@@ -72,20 +110,30 @@ class BetaBinomial:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.trials < 0 or self.trials != int(self.trials):
             raise ValueError(f"trials must be a non-negative integer, got {self.trials}")
+        _check_trials(self.trials, "trials")
 
     def log_pmf(self, n):
         """log P(n); `n` may be a scalar or an integer array within [0, trials]."""
         n = np.asarray(n)
-        if np.any(n < 0) or np.any(n > self.trials):
-            raise ValueError(f"count outside support [0, {self.trials}]")
+        if np.any(n < 0) or np.any(n > self.trials) or np.any(n != np.floor(n)):
+            raise ValueError(f"count outside support {{0, ..., {self.trials}}}")
+        n = n.astype(np.int64)
         m = self.trials
-        out = (
-            gammaln(m + 1.0)
-            - gammaln(n + 1.0)
-            - gammaln(m - n + 1.0)
-            + betaln(n + self.alpha, m - n + self.beta)
-            - betaln(self.alpha, self.beta)
+        fact = _log_rising(1.0, m)
+        parts = (
+            fact[:, m],
+            -fact[:, n],
+            -fact[:, m - n],
+            _log_rising(self.alpha, m)[:, n],
+            _log_rising(self.beta, m)[:, m - n],
+            -_log_rising(self.alpha + self.beta, m)[:, m],
         )
+        # The parts reach ~M ln(M + alpha + beta) and cancel; sum them exactly.
+        total, err = 0.0, 0.0
+        for hi, lo in parts:
+            total, e = _two_sum(total, hi)
+            err = err + e + lo
+        out = np.asarray(total + err)
         return float(out) if out.ndim == 0 else out
 
     def pmf(self, n):
@@ -191,37 +239,50 @@ class FitResult:
         }
 
 
-def _log_likelihood(counts: np.ndarray, m: int, alpha: float, beta: float) -> float:
-    const = np.sum(gammaln(m + 1.0) - gammaln(counts + 1.0) - gammaln(m - counts + 1.0))
+class _Tails(NamedTuple):
+    """Sufficient statistics of n counts for one trial number M."""
+
+    j: np.ndarray  # 0..M-1
+    a: np.ndarray  # A_j = #{c > j}
+    b: np.ndarray  # B_j = #{M - c > j}
+    n: int
+    const: float  # sum over samples of ln C(M, c)
+
+
+def _tails(hist: np.ndarray, m: int) -> _Tails:
+    """Tail counts for trial number m >= max count, from the histogram `hist`."""
+    n = int(hist.sum())
+    cdf = np.full(m, float(n))  # cdf[k] = #{c <= k}
+    k = min(m, hist.size)
+    cdf[:k] = np.cumsum(hist)[:k]
+    log_fact = _log_rising(1.0, m).sum(axis=0)
+    c = np.arange(hist.size)
+    const = n * log_fact[m] - float(hist @ (log_fact[c] + log_fact[m - c]))
+    return _Tails(np.arange(m, dtype=float), n - cdf, cdf[::-1].copy(), n, const)
+
+
+def _log_likelihood(t: _Tails, alpha: float, beta: float) -> float:
     return float(
-        const
-        + np.sum(betaln(counts + alpha, m - counts + beta))
-        - counts.size * betaln(alpha, beta)
+        t.const
+        + t.a @ np.log(alpha + t.j)
+        + t.b @ np.log(beta + t.j)
+        - t.n * np.sum(np.log(alpha + beta + t.j))
     )
 
 
-def _gradient(counts: np.ndarray, m: int, alpha: float, beta: float) -> np.ndarray:
-    n = counts.size
-    s = alpha + beta
-    ga = np.sum(psi(counts + alpha)) - n * psi(m + s) - n * psi(alpha) + n * psi(s)
-    gb = np.sum(psi(m - counts + beta)) - n * psi(m + s) - n * psi(beta) + n * psi(s)
-    return np.array([ga, gb])
+def _gradient(t: _Tails, alpha: float, beta: float) -> np.ndarray:
+    common = t.n * np.sum(1.0 / (alpha + beta + t.j))
+    return np.array([t.a @ (1.0 / (alpha + t.j)) - common, t.b @ (1.0 / (beta + t.j)) - common])
 
 
-def _hessian(counts: np.ndarray, m: int, alpha: float, beta: float) -> np.ndarray:
-    n = counts.size
-    s = alpha + beta
-    t_ms = polygamma(1, m + s)
-    t_s = polygamma(1, s)
-    haa = np.sum(polygamma(1, counts + alpha)) - n * t_ms - n * polygamma(1, alpha) + n * t_s
-    hbb = np.sum(polygamma(1, m - counts + beta)) - n * t_ms - n * polygamma(1, beta) + n * t_s
-    hab = n * (t_s - t_ms)
-    return np.array([[haa, hab], [hab, hbb]])
+def _hessian(t: _Tails, alpha: float, beta: float) -> np.ndarray:
+    common = t.n * np.sum((alpha + beta + t.j) ** -2.0)
+    haa = common - t.a @ (alpha + t.j) ** -2.0
+    hbb = common - t.b @ (beta + t.j) ** -2.0
+    return np.array([[haa, common], [common, hbb]])
 
 
-def _moment_estimate(counts: np.ndarray, m: int) -> tuple[float, float]:
-    mbar = counts.mean()
-    var = counts.var()
+def _moment_estimate(mbar: float, var: float, m: int) -> tuple[float, float]:
     eps = 1e-9
     p = min(max(mbar / m, eps), 1.0 - eps)
     if m > 1 and var > 0:
@@ -281,11 +342,13 @@ def _bisect_coordinate(f, x0: float, lo: float = -30.0, hi: float = 30.0) -> flo
 
 
 def _mle_fixed_m(
-    counts: np.ndarray, m: int, tol: float, max_iter: int
+    t: _Tails, m: int, start: tuple[float, float], tol: float, max_iter: int
 ) -> tuple[BetaBinomial, float, bool, int, BetaBinomial, float]:
-    a, b = _moment_estimate(counts, m)
+    a, b = start
     initial = BetaBinomial(a, b, m)
-    ll0 = _log_likelihood(counts, m, a, b)
+    ll0 = _log_likelihood(t, a, b)
+    # Per-sample tolerance: the gradient sums n per-sample terms.
+    gtol = tol * t.n
 
     # Damped Newton on (ln alpha, ln beta); positivity comes for free.
     u, v = math.log(a), math.log(b)
@@ -293,17 +356,19 @@ def _mle_fixed_m(
     converged = False
     iterations = 0
     # Near the optimum the likelihood changes fall below float resolution
-    # while the gradient is still shrinking; accept likelihood-neutral steps
-    # so Newton can finish quadratically.
+    # while the gradient is still shrinking; accept likelihood-neutral full
+    # steps so Newton can finish quadratically.  A damped step must raise the
+    # likelihood, or rounding noise could keep it wandering (as it does at
+    # the ln alpha, ln beta = 30 box edge for large M).
     ll_slack = 1e-10 * max(1.0, abs(ll0))
     for iterations in range(1, max_iter + 1):
         a, b = math.exp(u), math.exp(v)
-        g_nat = _gradient(counts, m, a, b)
+        g_nat = _gradient(t, a, b)
         g = np.array([a * g_nat[0], b * g_nat[1]])
-        if np.max(np.abs(g)) < tol:
+        if np.max(np.abs(g)) <= gtol:
             converged = True
             break
-        h_nat = _hessian(counts, m, a, b)
+        h_nat = _hessian(t, a, b)
         h = np.array(
             [
                 [a * a * h_nat[0, 0] + a * g_nat[0], a * b * h_nat[0, 1]],
@@ -314,15 +379,16 @@ def _mle_fixed_m(
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
             step = np.array([np.nan, np.nan])
-        ll_here = _log_likelihood(counts, m, a, b)
+        ll_here = _log_likelihood(t, a, b)
         moved = False
         if np.all(np.isfinite(step)):
             lam = 1.0
             for _ in range(40):
                 u_new = min(max(u + lam * step[0], -30.0), 30.0)
                 v_new = min(max(v + lam * step[1], -30.0), 30.0)
-                ll_new = _log_likelihood(counts, m, math.exp(u_new), math.exp(v_new))
-                if math.isfinite(ll_new) and ll_new >= ll_here - ll_slack and (u_new, v_new) != (u, v):
+                ll_new = _log_likelihood(t, math.exp(u_new), math.exp(v_new))
+                neutral_ok = lam == 1.0 and ll_new >= ll_here - ll_slack
+                if math.isfinite(ll_new) and (ll_new > ll_here or neutral_ok) and (u_new, v_new) != (u, v):
                     u, v = u_new, v_new
                     moved = True
                     break
@@ -331,19 +397,19 @@ def _mle_fixed_m(
             # Non-finite or unproductive Newton step: fall back to bisecting
             # each log-coordinate on the sign of its partial derivative.
             u = _bisect_coordinate(
-                lambda uu: math.exp(uu) * _gradient(counts, m, math.exp(uu), math.exp(v))[0], u
+                lambda uu: math.exp(uu) * _gradient(t, math.exp(uu), math.exp(v))[0], u
             )
             v = _bisect_coordinate(
-                lambda vv: math.exp(vv) * _gradient(counts, m, math.exp(u), math.exp(vv))[1], v
+                lambda vv: math.exp(vv) * _gradient(t, math.exp(u), math.exp(vv))[1], v
             )
-            ll_new = _log_likelihood(counts, m, math.exp(u), math.exp(v))
+            ll_new = _log_likelihood(t, math.exp(u), math.exp(v))
             if not math.isfinite(ll_new) or ll_new <= ll_here + 1e-12:
                 break
-        ll_cur = _log_likelihood(counts, m, math.exp(u), math.exp(v))
+        ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
         if ll_cur >= best[0]:
             best = (ll_cur, u, v)
 
-    ll_cur = _log_likelihood(counts, m, math.exp(u), math.exp(v))
+    ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
     if ll_cur >= best[0]:
         best = (ll_cur, u, v)
     # Never report a likelihood below the initializer's.
@@ -351,8 +417,8 @@ def _mle_fixed_m(
         best = (ll0, math.log(initial.alpha), math.log(initial.beta))
     if not converged:
         a, b = math.exp(best[1]), math.exp(best[2])
-        g_nat = _gradient(counts, m, a, b)
-        converged = float(max(abs(a * g_nat[0]), abs(b * g_nat[1]))) < tol
+        g_nat = _gradient(t, a, b)
+        converged = float(max(abs(a * g_nat[0]), abs(b * g_nat[1]))) <= gtol
     dist = BetaBinomial(math.exp(best[1]), math.exp(best[2]), m)
     return dist, best[0], converged, iterations, initial, ll0
 
@@ -368,32 +434,43 @@ def fit(
     """Maximum-likelihood beta-binomial fit.
 
     With `trials` given, M is fixed; otherwise every M in `scan_range`
-    (default: [max(counts), max(counts) + 60]) is fitted and the best
-    likelihood wins.  Raises DegenerateDataError when all counts are equal
-    and ValueError when a count exceeds a fixed M.
+    (default: [max(counts), max(counts) + 60], capped at MAX_TRIALS) is
+    fitted and the best likelihood wins.  `tol` bounds the log-parameter
+    gradient per sample.  Raises DegenerateDataError when all counts are
+    equal and ValueError when a count exceeds a fixed M or any M exceeds
+    MAX_TRIALS.
     """
-    counts = np.asarray(sample.counts if isinstance(sample, CountSample) else sample, dtype=float)
-    if counts.size < 2 or np.unique(counts).size < 2:
+    if not isinstance(sample, CountSample):
+        sample = CountSample(tuple(sample))
+    cmax = int(max(sample.counts))
+    _check_trials(cmax, "count")
+    counts = np.asarray(sample.counts, dtype=np.int64)
+    hist = np.bincount(counts)
+    if counts.size < 2 or np.count_nonzero(hist) < 2:
         raise DegenerateDataError("need at least two distinct count values to fit")
+    moments = (float(counts.mean()), float(counts.var()))
 
-    cmax = int(counts.max())
+    def fit_m(m: int):
+        t = _tails(hist, m)
+        return _mle_fixed_m(t, m, _moment_estimate(*moments, m), tol, max_iter)
+
     if trials is not None:
         if cmax > trials:
             raise ValueError(f"count {cmax} exceeds fixed trial number {trials}")
-        dist, ll, conv, it, init, ll0 = _mle_fixed_m(counts, int(trials), tol, max_iter)
-        return FitResult(dist, ll, conv, it, init, ll0)
+        _check_trials(int(trials), "trial number")
+        return FitResult(*fit_m(int(trials)))
 
-    lo, hi = scan_range if scan_range is not None else (cmax, cmax + 60)
+    lo, hi = scan_range if scan_range is not None else (cmax, min(cmax + 60, MAX_TRIALS))
     lo = max(int(lo), cmax, 1)
     hi = int(hi)
+    _check_trials(hi, "scan bound")
     if hi < lo:
         raise ValueError(f"empty scan range [{lo}, {hi}]")
     best = None
     table = []
     for m in range(lo, hi + 1):
-        dist, ll, conv, it, init, ll0 = _mle_fixed_m(counts, m, tol, max_iter)
-        table.append((m, ll))
-        if best is None or ll > best[1]:
-            best = (dist, ll, conv, it, init, ll0)
-    dist, ll, conv, it, init, ll0 = best
-    return FitResult(dist, ll, conv, it, init, ll0, scan=tuple(table))
+        result = fit_m(m)
+        table.append((m, result[1]))
+        if best is None or result[1] > best[1]:
+            best = result
+    return FitResult(*best, scan=tuple(table))

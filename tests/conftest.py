@@ -6,8 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jjvar.structure import AtomicStructure, to_xyz
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 run repeats exactly.
+settings.register_profile("jjvar", derandomize=True, database=None)
+settings.load_profile("jjvar")
 
 
 def make_molecule(species, positions):

@@ -61,6 +61,43 @@ class TestFitStats:
         report = json.loads((out / "fit_report.json").read_text())
         assert report["n_samples"] == 8
 
+    def test_census_skips_unparsable_file(self, tmp_path, capsys):
+        directory = write_structure_dir(tmp_path, h_counts=(0, 0, 1, 2, 3, 5, 6, 6), corrupt=1)
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "fit-stats", "--structures", str(directory), "--m", "fixed=8"])
+        assert code == 0
+        assert "warning: skipping corrupt_000.xyz" in capsys.readouterr().err
+        report = json.loads((out / "fit_report.json").read_text())
+        assert report["n_samples"] == 8
+        assert [entry["file"] for entry in report["skipped"]] == ["corrupt_000.xyz"]
+        assert report["skipped"][0]["error"]
+
+    def test_census_all_unparsable_exits_2(self, tmp_path):
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        (directory / "bad.xyz").write_text("not a structure\n")
+        code = main(["--out", str(tmp_path / "o"), "fit-stats", "--structures", str(directory)])
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "counts,strategy",
+        [
+            ("1\n2\n1000000000000\n", "scan"),
+            ("1\n2\n3\n", "fixed=1000000000000"),
+            ("1\n2\n3\n", "scan=1:1000000000000"),
+        ],
+        ids=["count", "fixed", "scan-bound"],
+    )
+    def test_trial_number_above_bound_exits_2(self, tmp_path, capsys, counts, strategy):
+        # Rejected before any array of M entries exists: at M = 10**12 the
+        # histogram alone would need 8 TB.
+        path = tmp_path / "counts.txt"
+        path.write_text(counts)
+        code = main(["--out", str(tmp_path / "o"), "fit-stats", "--counts", str(path), "--m", strategy])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "largest supported trial number" in err
+
 
 class TestAnalyze:
     def test_three_fixtures(self, tmp_path):
@@ -169,9 +206,10 @@ class TestEjCommand:
             {"alpha": 17.69, "beta": "15.36", "M": 40},
             {"alpha": 17.69, "beta": None, "M": 40},
             {"alpha": 17.69, "beta": 15.36, "M": 40.5},
+            {"alpha": 17.69, "beta": 15.36, "M": 10**12},
             [17.69, 15.36, 40],
         ],
-        ids=["missing-beta", "string-beta", "null-beta", "fractional-M", "not-an-object"],
+        ids=["missing-beta", "string-beta", "null-beta", "fractional-M", "huge-M", "not-an-object"],
     )
     def test_malformed_fit_report_exits_2(self, tmp_path, capsys, payload):
         report = tmp_path / "fit_report.json"
@@ -326,12 +364,21 @@ def test_non_finite_floats_written_as_null(tmp_path):
     assert payload == {"inf": None, "ninf": None, "nan": None, "x": [1.5, None]}
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import jjvar.cli` loads `module`."""
     src = str(Path(jjvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, jjvar.cli; print('scipy.spatial' in sys.modules)"
+    probe = f"import sys, jjvar.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    assert not _loaded_by_cli_import("scipy.spatial")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    assert not _loaded_by_cli_import("scipy.special")

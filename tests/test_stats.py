@@ -1,12 +1,18 @@
 """Beta-binomial engine: PMF/moments/fit/sampling against independent oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betaln, gammaln, polygamma, psi
 
+from jjvar import stats
 from jjvar.stats import (
+    MAX_TRIALS,
     BetaBinomial,
     CountSample,
     DegenerateDataError,
@@ -47,6 +53,18 @@ def oracle_pmf_by_recurrence(alpha: float, beta: float, m: int) -> np.ndarray:
         ratio = ((m - n) / (n + 1.0)) * ((n + alpha) / (m - n - 1.0 + beta))
         out.append(out[-1] * ratio)
     return np.array(out)
+
+
+def oracle_log_pmf_by_recurrence(alpha: float, beta: float, m: int) -> np.ndarray:
+    """oracle_pmf_by_recurrence in log space, where P(0) cannot underflow."""
+    out = [math.fsum(math.log((beta + j) / (alpha + beta + j)) for j in range(m))]
+    for n in range(m):
+        out.append(out[-1] + math.log((m - n) / (n + 1.0)) + math.log((n + alpha) / (m - n - 1.0 + beta)))
+    return np.array(out)
+
+
+def headline_counts(seed: int, k: int) -> CountSample:
+    return CountSample(tuple(int(x) for x in BetaBinomial(17.69, 15.36, 40).sample(seed=seed, k=k)))
 
 
 class TestLogBeta:
@@ -99,6 +117,36 @@ class TestPmf:
             BetaBinomial(1.0, -2.0, 5)
         with pytest.raises(ValueError):
             BetaBinomial(1.0, 1.0, -1)
+
+
+# Shape parameters from 1e-2 to 1e10, log-uniform: from strong overdispersion
+# to the binomial limit.
+shape = st.floats(min_value=-2.0, max_value=10.0).map(lambda e: 10.0**e)
+
+
+class TestPmfProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=shape, beta=shape, m=st.integers(0, 200))
+    def test_normalized(self, alpha, beta, m):
+        assert abs(BetaBinomial(alpha, beta, m).pmf_vector().sum() - 1.0) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=shape, beta=shape, m=st.integers(0, 200))
+    def test_matches_recurrence_oracle(self, alpha, beta, m):
+        # A log difference d is a relative PMF difference of exp(d) - 1.
+        log_pmf = BetaBinomial(alpha, beta, m).log_pmf(np.arange(m + 1))
+        assert np.max(np.abs(log_pmf - oracle_log_pmf_by_recurrence(alpha, beta, m))) <= 1e-9
+
+    # The oracle walks its arguments down to [1, 2) one step at a time and
+    # adds up a rounding error per step: near 1e4 that reaches 1e-10, more
+    # than the tolerance where ln B is small, so the range stops at 1e2.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0**e),
+        y=st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0**e),
+    )
+    def test_log_beta_matches_oracle(self, x, y):
+        assert log_beta(x, y) == pytest.approx(oracle_log_beta(x, y), rel=1e-9, abs=1e-11)
 
 
 class TestMoments:
@@ -195,11 +243,106 @@ class TestFit:
         assert scanned[0] == cmax and scanned[-1] == cmax + 60
         assert result.log_likelihood == max(ll for _, ll in result.scan)
 
+    def test_log_likelihood_is_sum_of_log_pmf(self):
+        sample = headline_counts(seed=19, k=400)
+        result = fit(sample, trials=40)
+        direct = math.fsum(result.dist.log_pmf(np.array(sample.counts)))
+        assert result.log_likelihood == pytest.approx(direct, rel=1e-12)
+
+    def test_optimum_is_a_local_maximum(self):
+        sample = headline_counts(seed=23, k=400)
+        result = fit(sample, trials=40)
+        a, b = result.dist.alpha, result.dist.beta
+        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+            nearby = BetaBinomial(a * (1 + 1e-4 * da), b * (1 + 1e-4 * db), 40)
+            assert math.fsum(nearby.log_pmf(np.array(sample.counts))) < result.log_likelihood
+
+    @pytest.mark.parametrize("kwargs", [{"trials": 60}, {}], ids=["fixed-60", "scan"])
+    def test_large_sample_converges_quickly(self, kwargs):
+        # The cost of an evaluation depends on M, not on the number of samples,
+        # and the stopping rule is per sample.
+        sample = headline_counts(seed=4000, k=40_000)
+        start = time.perf_counter()
+        result = fit(sample, **kwargs)
+        elapsed = time.perf_counter() - start
+        assert result.converged
+        assert elapsed < 10.0
+
+    def test_binomial_limit_winner_converges(self):
+        # 64 headline counts whose M scan is won by the binomial limit.
+        result = fit(headline_counts(seed=302, k=64))
+        assert result.converged
+        assert result.dist.alpha + result.dist.beta > 1e6
+
+    def test_underdispersed_counts_reach_binomial_limit(self):
+        # No interior optimum: the fit stops on the binomial-limit plateau,
+        # with the binomial's mean.
+        counts = CountSample((20, 21) * 50)
+        result = fit(counts, trials=40)
+        assert result.converged
+        assert result.dist.alpha + result.dist.beta > 1e8
+        assert result.dist.mean() == pytest.approx(20.5, rel=1e-6)
+
+    def test_plateau_beyond_parameter_box_stops_unconverged(self):
+        # At M = MAX_TRIALS the plateau's gradient still exceeds the tolerance
+        # at the ln alpha, ln beta <= 30 box edge, where the likelihood is
+        # flat to rounding: the fit must give up promptly, not wander there.
+        start = time.perf_counter()
+        result = fit(CountSample((50000, 50001) * 50), trials=MAX_TRIALS)
+        assert not result.converged
+        assert time.perf_counter() - start < 20.0
+
+    def test_trial_number_bound(self):
+        counts = CountSample((1, 2, 3))
+        with pytest.raises(ValueError, match="largest supported"):
+            fit(counts, trials=MAX_TRIALS + 1)
+        with pytest.raises(ValueError, match="largest supported"):
+            fit(counts, scan_range=(1, MAX_TRIALS + 1))
+        with pytest.raises(ValueError, match="largest supported"):
+            fit(CountSample((1, 10**12)))
+        with pytest.raises(ValueError, match="largest supported"):
+            BetaBinomial(1.0, 1.0, MAX_TRIALS + 1)
+
     def test_report_fields(self):
         gen = BetaBinomial(6.0, 3.0, 20)
         draws = gen.sample(seed=8, k=200)
         report = fit(CountSample(tuple(int(x) for x in draws)), trials=20).report()
         assert set(report) == {"alpha", "beta", "M", "log_likelihood", "mean", "std"}
+
+
+class TestHistogramEvaluators:
+    """The tail-count sums against per-sample special-function formulas."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_match_per_sample_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 80))
+        counts = rng.integers(0, m + 1, size=int(rng.integers(2, 500)))
+        alpha, beta = 10.0 ** rng.uniform(-1.5, 3, size=2)
+        t = stats._tails(np.bincount(counts), m)
+        n, s, c = counts.size, alpha + beta, counts.astype(float)
+
+        ll = np.sum(
+            gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
+            + betaln(c + alpha, m - c + beta)
+        ) - n * betaln(alpha, beta)
+        ga = np.sum(psi(c + alpha)) - n * psi(m + s) - n * psi(alpha) + n * psi(s)
+        gb = np.sum(psi(m - c + beta)) - n * psi(m + s) - n * psi(beta) + n * psi(s)
+        t_ms, t_s = polygamma(1, m + s), polygamma(1, s)
+        haa = np.sum(polygamma(1, c + alpha)) - n * t_ms - n * polygamma(1, alpha) + n * t_s
+        hbb = np.sum(polygamma(1, m - c + beta)) - n * t_ms - n * polygamma(1, beta) + n * t_s
+        hab = n * (t_s - t_ms)
+
+        # Both sides sum O(n M) terms of size up to |ln Gamma| in float64.
+        scale = n * (abs(gammaln(m + s)) + abs(gammaln(alpha)) + abs(gammaln(beta)) + m)
+        assert stats._log_likelihood(t, alpha, beta) == pytest.approx(ll, abs=1e-13 * scale)
+        g = stats._gradient(t, alpha, beta)
+        h = stats._hessian(t, alpha, beta)
+        gscale = n * m * (1.0 / alpha + 1.0 / beta + 1.0)
+        np.testing.assert_allclose(g, [ga, gb], rtol=0, atol=1e-12 * gscale)
+        np.testing.assert_allclose(
+            h, [[haa, hab], [hab, hbb]], rtol=0, atol=1e-12 * gscale * (1.0 / alpha + 1.0 / beta + 1.0)
+        )
 
 
 class TestCountIO:
