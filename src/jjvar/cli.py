@@ -196,7 +196,7 @@ def cmd_analyze(cfg: PipelineConfig, out: Path) -> list[Path]:
     def process(path: Path):
         s = structure.read_structure(path)
         graph = structure.neighbor_graph(s, overrides or None)
-        region = structure.oxide_region(s, graph)
+        region = structure.oxide_region(s)
         x, h_pct = structure.stoichiometry(region)
         records = motifs.classify_structure(
             s, graph, surface_depth=cfg.surface_depth, surface_bin=cfg.surface_bin

@@ -16,7 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-__all__ = ["ConfigError", "PipelineConfig", "parse_config_text"]
+__all__ = [
+    "MAX_BARRIER_SITES",
+    "MAX_GRID_POINTS",
+    "ConfigError",
+    "PipelineConfig",
+    "parse_config_text",
+]
+
+# Largest transport sizes accepted: the transmission arrays grow with both,
+# and past these a run would end in a memory error, not a result.
+MAX_GRID_POINTS = 10**7
+MAX_BARRIER_SITES = 10**4
 
 
 class ConfigError(ValueError):
@@ -79,12 +90,16 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.grid_points < 2:
-            raise ConfigError(f"grid must have >= 2 points, got {self.grid_points}")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid must have 2 to {MAX_GRID_POINTS} points, got {self.grid_points}"
+            )
         if not self.grid_halfwidth > 0:
             raise ConfigError("grid halfwidth must be positive")
-        if self.barrier_sites < 1:
-            raise ConfigError("barrier needs at least one site")
+        if not 1 <= self.barrier_sites <= MAX_BARRIER_SITES:
+            raise ConfigError(
+                f"barrier needs 1 to {MAX_BARRIER_SITES} sites, got {self.barrier_sites}"
+            )
         if not self.bounds_lo < self.bounds_hi:
             raise ConfigError(f"bad calibration bounds [{self.bounds_lo}, {self.bounds_hi}]")
         for name in ("target_jj", "target_jjh", "gap_mev", "area", "patch_area", "md_area"):

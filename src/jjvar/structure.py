@@ -11,6 +11,7 @@ periodic cells are rejected.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -282,21 +283,98 @@ class BondGraph:
         return set(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
+# Most bins per axis: the cell key of three axes stays inside int64, and on a
+# wide axis the bins stay wide enough that coordinate rounding (about 1e-16 of
+# the axis extent) cannot part two atoms within the search reach.
+_MAX_BINS = 2**20
+
+
+def _axis_bins(x: np.ndarray, length: float, periodic: bool, reach: float):
+    """Cell-list bins on one axis: (bin of each coordinate, bin count, stencil).
+
+    Every pair within `reach` on this axis (under the minimum image on a
+    periodic axis) lands in bins that differ by a stencil offset.
+    """
+    if periodic:
+        m = max(1, min(int(length // reach), _MAX_BINS))
+        # np.mod can round a tiny negative value up to exactly L.
+        bins = np.minimum((np.mod(x, length) / (length / m)).astype(np.int64), m - 1)
+        # With 2 bins, +1 and -1 name the same neighbour; with 1, only itself.
+        return bins, m, (0, 1, -1)[: min(m, 3)]
+    lo = x.min()
+    bins = 1 + ((x - lo) / max(reach, (x.max() - lo) / _MAX_BINS)).astype(np.int64)
+    # Bins 0 and count - 1 stay empty, so a stencil offset never leaves the axis.
+    return bins, int(bins.max()) + 2, (0, 1, -1)
+
+
+def _candidate_pairs(structure: AtomicStructure, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (i, j) from a cell list: every pair within `reach`
+    under the minimum image, once, among farther pairs of neighbouring cells."""
+    n = len(structure)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    lengths = _cell_lengths(structure)
+    bins, dims, stencils = zip(
+        *(
+            _axis_bins(structure.positions[:, ax], lengths[ax], structure.pbc[ax], reach)
+            for ax in range(3)
+        )
+    )
+
+    def key(b):
+        return (b[0] * dims[1] + b[1]) * dims[2] + b[2]
+
+    # Occupied cells only, as sorted keys with the run of atoms in each.
+    atom_key = key(bins)
+    order = np.argsort(atom_key, kind="stable")
+    cells, start, count = np.unique(atom_key[order], return_index=True, return_counts=True)
+
+    # The neighbour cells of every occupied cell, looked up in one pass.
+    offsets = np.array(list(itertools.product(*stencils)))
+    first = order[start]
+    near = []
+    for ax in range(3):
+        b = bins[ax][first][:, None] + offsets[:, ax]
+        near.append(b % dims[ax] if structure.pbc[ax] else b)
+    near_key = key(near)
+    dst = np.minimum(np.searchsorted(cells, near_key), len(cells) - 1)
+    src = np.broadcast_to(np.arange(len(cells))[:, None], dst.shape)
+    # The stencil is symmetric, so each unordered cell pair shows up from both
+    # ends; keep it once.
+    hit = (cells[dst] == near_key) & (src <= dst)
+    src, dst = src[hit], dst[hit]
+
+    # Atom pairs of each cell pair, as slots in `order`.  Cells ascend with
+    # their slots, so i < j holds across cells and, inside one cell, keeps
+    # each pair once.
+    sizes = count[src] * count[dst]
+    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    a, b = np.divmod(local, np.repeat(count[dst], sizes))
+    i = np.repeat(start[src], sizes) + a
+    j = np.repeat(start[dst], sizes) + b
+    keep = i < j
+    return order[i[keep]], order[j[keep]]
+
+
 def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -> BondGraph:
     """Build the bond graph; deterministic, ordered by atom index.
 
-    A k-d tree (periodic on the periodic axes) proposes every pair within the
-    largest cutoff; each pair's minimum-image distance is then recomputed
-    with the same arithmetic as `mic_distances` and kept iff it is within its
-    species-pair cutoff, so the result does not depend on the tree's own
-    rounding.
+    A cell list proposes every pair within the largest cutoff (plus a 1e-9
+    relative and absolute margin, the reach).  A periodic axis of length L
+    gets m = floor(L / reach) bins of width L / m on the wrapped coordinates;
+    a non-periodic axis gets bins of width reach from its lowest coordinate.
+    An axis holds at most 2**20 bins; past that they widen.  Neighbour cells
+    differ by -1, 0 or +1 bins per axis, wrapping on periodic axes; with 2
+    bins the stencil is {0, +1}, so no cell is listed twice.  Only occupied
+    cells are stored, as sorted integer keys, so memory is O(N) for any cell
+    size and any spread of the atoms.
+    Each candidate's minimum-image distance is then recomputed with the same
+    arithmetic as `mic_distances` and kept iff it is within its species-pair
+    cutoff, so the result equals an all-pairs evaluation of that formula.
 
     Raises ConfigurationError when a cutoff reaches half the cell length on a
     periodic axis (the minimum-image distance would be ambiguous).
     """
-    # Imported here: the CLI stages that build no graph skip its load cost.
-    from scipy.spatial import cKDTree
-
     _require_mic_cell(structure)
     cut = _normalize_cutoffs(cutoffs)
     rmax = max(cut.values())
@@ -308,26 +386,16 @@ def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -
             )
 
     n = len(structure)
-    kind = np.array([SPECIES.index(s) for s in structure.species], dtype=int)
-    cut_matrix = np.zeros((len(SPECIES), len(SPECIES)))
+    kind = np.argmax(structure._species_array[:, None] == np.array(SPECIES), axis=1)
+    # Unlisted pairs stay unbonded even at distance 0 (coincident atoms).
+    cut_matrix = np.full((len(SPECIES), len(SPECIES)), -np.inf)
     for (a, b), r in cut.items():
         ia, ib = SPECIES.index(a), SPECIES.index(b)
         cut_matrix[ia, ib] = cut_matrix[ib, ia] = r
 
-    # The tree needs periodic coordinates in [0, L); np.mod can round a tiny
-    # negative value up to exactly L.
+    # The margin covers the binning's rounding; the exact test below decides.
+    i, j = _candidate_pairs(structure, rmax * (1 + 1e-9) + 1e-9)
     pos = structure.positions
-    wrapped = pos.copy()
-    periodic = np.array(structure.pbc)
-    for ax in np.nonzero(periodic)[0]:
-        wrapped[:, ax] = np.mod(pos[:, ax], lengths[ax])
-        wrapped[wrapped[:, ax] == lengths[ax], ax] = 0.0
-    boxsize = np.where(periodic, lengths, 0.0) if periodic.any() else None
-    tree = cKDTree(wrapped, boxsize=boxsize)
-    # The margin covers the tree's rounding; the exact test below decides.
-    pairs = tree.query_pairs(rmax * (1 + 1e-9) + 1e-9, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-
     dist = np.linalg.norm(_mic_vectors(structure, pos[i], pos[j]), axis=1)
     keep = dist <= cut_matrix[kind[i], kind[j]]
     i, j, dist = i[keep], j[keep], dist[keep]
@@ -357,15 +425,12 @@ class OxideRegion:
             raise ValueError(f"empty z-interval [{self.z_lo}, {self.z_hi}]")
 
 
-def oxide_region(
-    structure: AtomicStructure, graph: BondGraph | None = None, padding: float = 0.5
-) -> OxideRegion:
+def oxide_region(structure: AtomicStructure, padding: float = 0.5) -> OxideRegion:
     """Locate the oxide as the z-interval spanning all O atoms plus padding.
 
     Membership is interval-based (robust against under-coordinated amorphous
-    edges); `graph` is accepted for interface parity and unused.
+    edges).
     """
-    del graph
     z = structure.positions[:, 2]
     o_idx = structure.indices_of("O")
     if o_idx.size == 0:

@@ -12,6 +12,7 @@ import pytest
 import jjvar
 from jjvar import cli
 from jjvar.cli import _write_json, main
+from jjvar.config import MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import BetaBinomial
 
@@ -159,6 +160,29 @@ class TestTransmissionCommand:
         assert main(["--out", str(out1), "transmission", "--grid", "101"]) == 0
         assert main(["--out", str(out2), "transmission", "--grid", "101"]) == 0
         assert read_dir_bytes(out1) == read_dir_bytes(out2)
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--grid", "1000000000000"], ""),
+            ([], "transport.barrier_sites = 1000000000000\n"),
+        ],
+    )
+    def test_oversized_transport_exits_2_before_allocating(
+        self, tmp_path, monkeypatch, capsys, flags, config
+    ):
+        def unreachable(*args):
+            raise AssertionError("transmission ran on an oversized config")
+
+        monkeypatch.setattr(cli, "cmd_transmission", unreachable)
+        path = tmp_path / "cfg.txt"
+        path.write_text(config)
+        argv = ["--config", str(path), "--out", str(tmp_path / "o"), "transmission", *flags]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_largest_transport_sizes_accepted(self):
+        PipelineConfig(grid_points=MAX_GRID_POINTS, barrier_sites=MAX_BARRIER_SITES).validate()
 
     def test_unreachable_target_exits_3(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -364,16 +388,20 @@ def test_non_finite_floats_written_as_null(tmp_path):
     assert payload == {"inf": None, "ninf": None, "nan": None, "x": [1.5, None]}
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh `import jjvar.cli` loads `module`."""
+def _run_fresh(probe: str) -> str:
+    """Standard output of `probe` run by a fresh interpreter that imports this jjvar."""
     src = str(Path(jjvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = f"import sys, jjvar.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return result.stdout.strip()
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import jjvar.cli` loads `module`."""
+    return _run_fresh(f"import sys, jjvar.cli; print({module!r} in sys.modules)") == "True"
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
@@ -382,3 +410,13 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 def test_cli_import_leaves_scipy_special_unloaded():
     assert not _loaded_by_cli_import("scipy.special")
+
+
+def test_analyze_run_loads_no_scipy(tmp_path):
+    directory = write_structure_dir(tmp_path, h_counts=(1, 2))
+    argv = ["--out", str(tmp_path / "out"), "analyze", "--structures", str(directory)]
+    probe = (
+        f"import sys, jjvar.cli; code = jjvar.cli.main({argv!r}); "
+        "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert _run_fresh(probe) == "0 []"

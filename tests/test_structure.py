@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jjvar.constants import BOLTZMANN_KB
 from jjvar.structure import (
     DEFAULT_CUTOFFS,
+    SPECIES,
     AtomicStructure,
     ConfigurationError,
     ParseError,
@@ -47,6 +50,53 @@ def brute_force_edges(structure, cutoffs=None):
             if d <= cut[pair]:
                 edges.add((i, j))
     return edges
+
+
+def all_pairs_csr(structure, cutoffs=None):
+    """Vectorised all-pairs reference in CSR form: every i < j pair under the
+    minimum image, with the arithmetic of `mic_distances`."""
+    cut = {tuple(sorted(k)): v for k, v in DEFAULT_CUTOFFS.items()}
+    if cutoffs:
+        cut.update({tuple(sorted(k)): v for k, v in cutoffs.items()})
+    n = len(structure)
+    i, j = np.triu_indices(n, k=1)
+    delta = structure.positions[j] - structure.positions[i]
+    lengths = np.abs(np.diag(structure.cell))
+    for ax in range(3):
+        if structure.pbc[ax]:
+            delta[:, ax] -= lengths[ax] * np.round(delta[:, ax] / lengths[ax])
+    dist = np.full((n, n), np.inf)
+    dist[i, j] = dist[j, i] = np.linalg.norm(delta, axis=1)
+    limit = np.array(
+        [[cut.get(tuple(sorted((a, b))), -1.0) for b in structure.species] for a in structure.species]
+    ).reshape(n, n)
+    bonded = dist <= limit
+    return np.concatenate([[0], np.cumsum(bonded.sum(axis=1))]), np.nonzero(bonded)[1], dist[bonded]
+
+
+@st.composite
+def cells_and_cutoffs(draw):
+    """Up to 40 atoms in an orthorhombic cell with mixed pbc, and cutoff
+    overrides.  A periodic length of 2 to 3 times the largest cutoff gives the
+    cell list 2 bins on that axis, a longer one 3 or more.  Atoms reach 0.3 L
+    outside [0, L), some sit at exactly 0, L or -1e-17 L, and some coincide."""
+    pairs = list(itertools.combinations_with_replacement(SPECIES, 2))
+    overrides = draw(st.dictionaries(st.sampled_from(pairs), st.floats(0.3, 3.5), max_size=3))
+    cut = {tuple(sorted(k)): v for k, v in {**DEFAULT_CUTOFFS, **overrides}.items()}
+    rmax = max(cut.values())
+    pbc = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    ratio = st.one_of(st.floats(2.01, 2.99), st.floats(3.0, 6.0))
+    lengths = np.array([rmax * draw(ratio) if p else draw(st.floats(1.0, 20.0)) for p in pbc])
+    n = draw(st.integers(0, 40))
+    frac = st.one_of(st.floats(-0.3, 1.3), st.sampled_from([0.0, 1.0, -1e-17]))
+    pos = np.array(draw(st.lists(st.tuples(frac, frac, frac), min_size=n, max_size=n)))
+    pos = pos.reshape(n, 3) * lengths
+    if n:
+        for src, dst in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2), max_size=5)):
+            pos[dst] = pos[src]
+    species = tuple(draw(st.lists(st.sampled_from(SPECIES), min_size=n, max_size=n)))
+    s = AtomicStructure(cell=np.diag(lengths), pbc=pbc, species=species, positions=pos)
+    return s, overrides
 
 
 class TestParseXyz:
@@ -200,6 +250,55 @@ class TestNeighborGraph:
         s = make_molecule(["O", "H"], [(0, 0, 0), (1.5, 0, 0)])
         g = neighbor_graph(s, {("O", "H"): 1.8})
         assert g.neighbors(0) == [(1, pytest.approx(1.5))]
+
+    @given(cells_and_cutoffs())
+    def test_csr_equals_all_pairs_reference(self, case):
+        s, overrides = case
+        g = neighbor_graph(s, overrides)
+        indptr, indices, distances = all_pairs_csr(s, overrides)
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert np.array_equal(g.distances, distances)
+
+    @pytest.mark.parametrize("pbc", list(itertools.product((False, True), repeat=3)))
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_atoms_give_empty_graph(self, pbc, n):
+        s = AtomicStructure(
+            cell=np.diag([10.0, 11.0, 12.0]),
+            pbc=pbc,
+            species=("Al",) * n,
+            positions=np.full((n, 3), 1.0),
+        )
+        g = neighbor_graph(s)
+        assert g.indptr.tolist() == [0] * (n + 1)
+        assert g.indices.size == 0 and g.distances.size == 0
+
+    @pytest.mark.parametrize("span", [1e12, 1e20])
+    def test_wide_non_periodic_span(self, span):
+        pos = [[0, 0, 0], [1.0, 0, 0], [span, 0, 0], [span, 1.0, 0], [span / 2, 0, span]]
+        s = make_molecule(["Al", "Al", "O", "H", "Al"], pos)
+        # No bin index may overflow its integer type on the way.
+        with np.errstate(all="raise"):
+            g = neighbor_graph(s)
+        assert g.indptr.tolist() == [0, 1, 2, 3, 4, 4]
+        assert g.edge_set() == brute_force_edges(s) == {(0, 1), (2, 3)}
+
+    @pytest.mark.parametrize("length", [1e9, 1e100])
+    def test_huge_periodic_cell(self, length):
+        # At 1e100, L - 0.5 and L - 1 both round to L, so the minimum-image
+        # formula puts atom 2 at distance 0 from atoms 0 and 1; the unlisted
+        # H-H pair 1-2 must stay unbonded all the same.
+        s = AtomicStructure(
+            cell=np.diag([length] * 3),
+            pbc=(True, True, True),
+            species=("O", "H", "H", "Al"),
+            positions=[[0, 0, 0], [1, 0, 0], [length - 0.5, 0, 0], [length / 2] * 3],
+        )
+        g = neighbor_graph(s)
+        assert g.indptr.tolist() == [0, 2, 3, 4, 4]
+        assert g.indices.tolist() == [1, 2, 0, 0]
+        half = 0.5 if length == 1e9 else 0.0
+        assert g.distances.tolist() == [1.0, half, 1.0, half]
 
 
 class TestOxideRegion:
