@@ -11,14 +11,11 @@ from .josephson import (
     EjTransform,
     JunctionParams,
     convert_energy,
-    critical_current,
     ej_distribution,
     ej_single,
-    mixed_ej,
-    normal_resistance,
 )
 from .motifs import MOTIF_CLASSES, MotifRecord, classify_h, classify_structure, motif_statistics
-from .stats import BetaBinomial, CountSample, FitResult, fit, log_beta, read_counts
+from .stats import BetaBinomial, CountSample, FitResult, fit, read_counts
 from .structure import (
     AtomicStructure,
     BondGraph,
@@ -36,7 +33,6 @@ from .transport import (
     TransmissionCurve,
     apply_defect,
     calibrate_barrier,
-    surface_green_function,
     transfer_matrix_transmission,
     transmission,
 )

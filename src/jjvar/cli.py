@@ -12,9 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +88,6 @@ def _json_number(payload, path: Path, *keys: str) -> float:
     return float(value)
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_m_strategy(strategy: str) -> dict:
     if strategy == "scan":
         return {}
@@ -108,7 +99,7 @@ def _parse_m_strategy(strategy: str) -> dict:
     raise ConfigError(f"bad m strategy {strategy!r}; use 'scan', 'scan=LO:HI' or 'fixed=M'")
 
 
-def _map_structures(fn, directory: str | Path, threads: int = 1) -> tuple[list, list[dict]]:
+def _map_structures(fn, directory: str | Path) -> tuple[list, list[dict]]:
     """fn(path) over the directory's structure files, in name order.
 
     A file that fails to parse or is rejected (ParseError, ValueError) is
@@ -121,20 +112,14 @@ def _map_structures(fn, directory: str | Path, threads: int = 1) -> tuple[list, 
     if not files:
         raise FileNotFoundError(f"no .xyz structures in {directory}")
 
-    def attempt(path: Path):
-        try:
-            return path, fn(path), None
-        except (structure.ParseError, ValueError) as exc:
-            return path, None, str(exc)
-
     results = []
     skipped = []
-    for path, outcome, error in _ordered_map(attempt, files, threads):
-        if error is None:
-            results.append((path.stem, outcome))
-        else:
-            skipped.append({"file": path.name, "error": error})
-            print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
+    for path in files:
+        try:
+            results.append((path.stem, fn(path)))
+        except (structure.ParseError, ValueError) as exc:
+            skipped.append({"file": path.name, "error": str(exc)})
+            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
     if not results:
         raise FileNotFoundError(f"all {len(files)} structure files failed to parse")
     return results, skipped
@@ -203,7 +188,7 @@ def cmd_analyze(cfg: PipelineConfig, out: Path) -> list[Path]:
         )
         return region, x, h_pct, records
 
-    results, failures = _map_structures(process, cfg.structures, cfg.threads)
+    results, failures = _map_structures(process, cfg.structures)
 
     stoich_rows = []
     per_sample_records = []
@@ -404,11 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, help="base RNG seed recorded in the manifest")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads for the analyze ensemble map (env JJVAR_THREADS overrides the default)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit-stats", help="fit the hydrogen-count distribution")
@@ -436,11 +416,6 @@ def _apply_cli_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> Pipel
         updates["out"] = args.out
     if args.seed is not None:
         updates["seed"] = args.seed
-    threads = args.threads
-    if threads is None and os.environ.get("JJVAR_THREADS"):
-        threads = int(os.environ["JJVAR_THREADS"])
-    if threads is not None:
-        updates["threads"] = threads
     for name in ("counts", "structures", "m_strategy"):
         value = getattr(args, name, None)
         if value is not None:

@@ -8,11 +8,14 @@ Grammar (one entry per line):
     stats.m = fixed=40
 
 Values parse as int, float or bare string, by the key's type.  Unknown keys are
-rejected.  CLI flags override file values.
+rejected.  CLI flags override file values.  `PipelineConfig.validate` then
+rejects non-finite numbers and non-positive lengths, areas and targets,
+naming the offending key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -42,7 +45,6 @@ class PipelineConfig:
     out: str = "out"
     # top level
     seed: int = 0
-    threads: int = 1
     # stats.*
     m_strategy: str = "scan"
     alpha: float = 17.69
@@ -88,23 +90,24 @@ class PipelineConfig:
         }
 
     def validate(self) -> None:
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{_FIELD_KEYS[f.name]} must be finite, got {value}")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{_FIELD_KEYS[name]} must be positive, got {value}")
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(
                 f"grid must have 2 to {MAX_GRID_POINTS} points, got {self.grid_points}"
             )
-        if not self.grid_halfwidth > 0:
-            raise ConfigError("grid halfwidth must be positive")
         if not 1 <= self.barrier_sites <= MAX_BARRIER_SITES:
             raise ConfigError(
                 f"barrier needs 1 to {MAX_BARRIER_SITES} sites, got {self.barrier_sites}"
             )
         if not self.bounds_lo < self.bounds_hi:
             raise ConfigError(f"bad calibration bounds [{self.bounds_lo}, {self.bounds_hi}]")
-        for name in ("target_jj", "target_jjh", "gap_mev", "area", "patch_area", "md_area"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("structures", "counts"):
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
@@ -118,7 +121,6 @@ _KEY_MAP = {
     "paths.counts": "counts",
     "paths.out": "out",
     "seed": "seed",
-    "threads": "threads",
     "stats.m": "m_strategy",
     "stats.alpha": "alpha",
     "stats.beta": "beta",
@@ -145,7 +147,27 @@ _KEY_MAP = {
     "junction.md_area": "md_area",
 }
 
+_FIELD_KEYS = {field: key for key, field in _KEY_MAP.items()}
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+
+# Lengths, areas, energies and transmissions that only make sense above zero;
+# an unset cutoff override (None) is skipped.
+_POSITIVE_FIELDS = (
+    "cutoff_al_al",
+    "cutoff_al_o",
+    "cutoff_al_h",
+    "cutoff_o_o",
+    "cutoff_o_h",
+    "surface_depth",
+    "surface_bin",
+    "grid_halfwidth",
+    "target_jj",
+    "target_jjh",
+    "gap_mev",
+    "area",
+    "patch_area",
+    "md_area",
+)
 
 
 def _parse_value(field_name: str, raw: str):

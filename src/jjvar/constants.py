@@ -11,8 +11,5 @@ HBAR = PLANCK_H / (2.0 * math.pi)  # J s
 ELEMENTARY_CHARGE = 1.602176634e-19  # C, exact
 BOLTZMANN_KB = 1.380649e-23  # J / K, exact
 
-# h / (2 e^2): resistance of a single spin-degenerate channel at T = 1.
-RESISTANCE_QUANTUM = PLANCK_H / (2.0 * ELEMENTARY_CHARGE**2)  # ohm
-
 MEV_TO_JOULE = 1e-3 * ELEMENTARY_CHARGE
 GHZ_TO_JOULE = 1e9 * PLANCK_H

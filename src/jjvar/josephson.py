@@ -6,15 +6,16 @@ The chain from transmission to Josephson energy:
     I_c = pi Delta / (2 e R_N)       (Ambegaokar-Baratoff, tunneling limit)
     R_N = 1 / G,  G = (2 e^2 / h) T(E_F)
 
-which collapses to E_J = (Delta / 4) T(E_F); for a per-patch transmission
-T0 over patch area A0, a junction of area A carries T = T0 * A / A0.  A
-junction with N contaminated patches mixes the clean and contaminated
-energies linearly (parallel resistors):
+which collapses to E_J = (Delta / 4) T(E_F), the form `ej_single`
+evaluates; for a per-patch transmission T0 over patch area A0, a junction
+of area A carries T = T0 * A / A0.  A junction with N contaminated patches
+mixes the clean and contaminated energies linearly (parallel resistors):
 
     E_J(N) = (A - N A0) E_clean / A + N A0 E_contaminated / A
 
-and a count distribution over n (per reference area A1, with N = (A/A1) n)
-therefore induces a closed-form distribution over E_J via the linear map
+(linear as written, so N A0 may exceed A; see README), and a count
+distribution over n (per reference area A1, with N = (A/A1) n) therefore
+induces a closed-form distribution over E_J via the linear map
 E_J = offset + slope * n, slope = (A0/A1)(E_contaminated - E_clean).
 
 Energies quoted in GHz always mean E/h.
@@ -27,26 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    ELEMENTARY_CHARGE,
-    GHZ_TO_JOULE,
-    HBAR,
-    MEV_TO_JOULE,
-    RESISTANCE_QUANTUM,
-)
+from .constants import GHZ_TO_JOULE, MEV_TO_JOULE
 from .stats import BetaBinomial
 
 __all__ = [
     "EjDistribution",
     "EjTransform",
     "JunctionParams",
-    "ambegaokar_baratoff_ic",
     "convert_energy",
-    "critical_current",
     "ej_distribution",
     "ej_single",
-    "mixed_ej",
-    "normal_resistance",
 ]
 
 _TO_JOULE = {"meV": MEV_TO_JOULE, "GHz": GHZ_TO_JOULE, "J": 1.0}
@@ -77,64 +68,15 @@ class JunctionParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-def ej_single(
-    transmission: float,
-    gap_mev: float,
-    area: float | None = None,
-    patch_area: float | None = None,
-    *,
-    per_patch_area: bool = True,
-) -> float:
-    """Josephson energy in GHz from the Fermi-level transmission.
+def ej_single(transmission: float, gap_mev: float, area: float, patch_area: float) -> float:
+    """Josephson energy in GHz from the per-patch Fermi-level transmission.
 
-    With `per_patch_area` the transmission is a per-patch value scaled by
-    area / patch_area; otherwise it is the junction total.
+    The junction total is the per-patch value scaled by area / patch_area.
     """
     if transmission < 0:
         raise ValueError(f"transmission must be non-negative, got {transmission}")
-    total = transmission
-    if per_patch_area:
-        if area is None or patch_area is None:
-            raise ValueError("per-patch conversion requires area and patch_area")
-        total = transmission * area / patch_area
-    ej_mev = 0.25 * gap_mev * total
+    ej_mev = 0.25 * gap_mev * (transmission * area / patch_area)
     return convert_energy(ej_mev, "meV", "GHz")
-
-
-def critical_current(ej_ghz: float) -> float:
-    """I_c in A from E_J (GHz): I_c = (2e / hbar) E_J."""
-    if ej_ghz < 0:
-        raise ValueError(f"Josephson energy must be non-negative, got {ej_ghz}")
-    return 2.0 * ELEMENTARY_CHARGE * convert_energy(ej_ghz, "GHz", "J") / HBAR
-
-
-def normal_resistance(transmission: float) -> float:
-    """Normal-state resistance R_N = h / (2 e^2 T) in ohm."""
-    if transmission < 0:
-        raise ValueError(f"transmission must be non-negative, got {transmission}")
-    if transmission == 0:
-        raise ValueError("zero transmission: normal resistance is infinite")
-    return RESISTANCE_QUANTUM / transmission
-
-
-def ambegaokar_baratoff_ic(gap_mev: float, resistance: float) -> float:
-    """Critical current I_c = pi Delta / (2 e R_N) in A."""
-    if not resistance > 0:
-        raise ValueError(f"resistance must be positive, got {resistance}")
-    gap_j = convert_energy(gap_mev, "meV", "J")
-    return math.pi * gap_j / (2.0 * ELEMENTARY_CHARGE * resistance)
-
-
-def mixed_ej(n_patches: float, params: JunctionParams, ej_clean: float, ej_contaminated: float) -> float:
-    """Parallel-resistor mixture of clean and contaminated patches.
-
-    The weights follow the linear form as written, so n_patches * patch_area
-    may exceed the junction area (linear extrapolation; see README).
-    """
-    if n_patches < 0:
-        raise ValueError(f"patch count must be non-negative, got {n_patches}")
-    w = n_patches * params.patch_area / params.area
-    return (1.0 - w) * ej_clean + w * ej_contaminated
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ __all__ = [
     "FitConvergenceError",
     "FitResult",
     "fit",
-    "log_beta",
     "read_counts",
 ]
 
@@ -59,20 +58,6 @@ class DegenerateDataError(ValueError):
 
 class FitConvergenceError(RuntimeError):
     """A consumer required convergence and the optimizer reported none."""
-
-
-def log_beta(x: float, y: float) -> float:
-    """Return ln B(x, y).
-
-    Evaluated through math.lgamma, so the absolute error is a few ulp of the
-    largest ln Gamma term: ~1e-13 relative for arguments in [1e-3, 1e4],
-    except where ln B nearly cancels (one argument near 1e4, the other
-    small), where it reaches ~1e-9.  Raises ValueError for non-positive
-    arguments.
-    """
-    if not (x > 0 and y > 0):
-        raise ValueError(f"log_beta requires positive arguments, got ({x}, {y})")
-    return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
 def _check_trials(m: int, what: str) -> None:
@@ -217,14 +202,12 @@ def read_counts(path: str | Path, area: float = MD_REFERENCE_AREA) -> CountSampl
 
 @dataclass(frozen=True)
 class FitResult:
-    """Maximum-likelihood fit outcome, with its method-of-moments starting point."""
+    """Maximum-likelihood fit outcome."""
 
     dist: BetaBinomial
     log_likelihood: float
     converged: bool
     iterations: int
-    initial: BetaBinomial
-    initial_log_likelihood: float
     scan: tuple[tuple[int, float], ...] = ()
 
     def report(self) -> dict:
@@ -343,9 +326,8 @@ def _bisect_coordinate(f, x0: float, lo: float = -30.0, hi: float = 30.0) -> flo
 
 def _mle_fixed_m(
     t: _Tails, m: int, start: tuple[float, float], tol: float, max_iter: int
-) -> tuple[BetaBinomial, float, bool, int, BetaBinomial, float]:
+) -> tuple[BetaBinomial, float, bool, int]:
     a, b = start
-    initial = BetaBinomial(a, b, m)
     ll0 = _log_likelihood(t, a, b)
     # Per-sample tolerance: the gradient sums n per-sample terms.
     gtol = tol * t.n
@@ -414,13 +396,13 @@ def _mle_fixed_m(
         best = (ll_cur, u, v)
     # Never report a likelihood below the initializer's.
     if best[0] < ll0:
-        best = (ll0, math.log(initial.alpha), math.log(initial.beta))
+        best = (ll0, math.log(start[0]), math.log(start[1]))
     if not converged:
         a, b = math.exp(best[1]), math.exp(best[2])
         g_nat = _gradient(t, a, b)
         converged = float(max(abs(a * g_nat[0]), abs(b * g_nat[1]))) <= gtol
     dist = BetaBinomial(math.exp(best[1]), math.exp(best[2]), m)
-    return dist, best[0], converged, iterations, initial, ll0
+    return dist, best[0], converged, iterations
 
 
 def fit(

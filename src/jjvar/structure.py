@@ -40,7 +40,6 @@ __all__ = [
     "read_structure",
     "stoichiometry",
     "surface_sites",
-    "to_xyz",
 ]
 
 SPECIES = ("Al", "O", "H")
@@ -176,21 +175,6 @@ def parse_xyz(text: str) -> AtomicStructure:
         cell = np.diag(extent + 10.0)
         pbc = (False, False, False)
     return AtomicStructure(cell=cell, pbc=pbc, species=tuple(species), positions=positions)
-
-
-def to_xyz(structure: AtomicStructure, comment: str = "") -> str:
-    """Extended-XYZ serialization; inverse of parse_xyz for periodic cells."""
-    parts = [str(len(structure))]
-    lattice = " ".join(f"{x:.10f}" for x in structure.cell.reshape(-1))
-    tags = []
-    if any(structure.pbc):
-        tags.append(f'Lattice="{lattice}"')
-    if comment:
-        tags.append(comment)
-    parts.append(" ".join(tags))
-    for s, p in zip(structure.species, structure.positions):
-        parts.append(f"{s} {p[0]:.10f} {p[1]:.10f} {p[2]:.10f}")
-    return "\n".join(parts) + "\n"
 
 
 def read_structure(path: str | Path) -> AtomicStructure:

@@ -11,8 +11,7 @@ with lead self-energies from the surface Green's function.  For the
 single-orbital lead the surface Green's function has a closed form, and
 `transmission` evaluates the exact retarded (eta -> 0+) limit with it over
 the whole energy grid at once, by a forward recursive-Green's-function sweep
-along the tridiagonal barrier.  Block leads go through the iterative
-decimation of `surface_green_function`.
+along the tridiagonal barrier.
 
 An independent transfer-matrix solver (Bloch-wave matching, computed via the
 numerically stable backward recurrence) cross-checks the NEGF results, and a
@@ -44,7 +43,6 @@ __all__ = [
     "default_model",
     "fit_transmission_shift",
     "lead_surface_gf",
-    "surface_green_function",
     "transfer_matrix_transmission",
     "transmission",
 ]
@@ -155,119 +153,14 @@ class TransmissionCurve:
             raise ValueError("transmission must satisfy 0 <= T <= open channel count")
 
 
-def _decimate_np(h00, h01, z, tol, max_iter):
-    """Decimation in Green's-function-normalized variables (complex128)."""
-    n = h00.shape[0]
-    ident = np.eye(n, dtype=complex)
-    zmat = z * ident
-    g_bulk = np.linalg.solve(zmat - h00, ident)
-    g_surf = g_bulk.copy()
-    a = g_bulk @ h01
-    b = g_bulk @ h01.conj().T
-    w = a.copy()
-    for _ in range(max_iter):
-        denom_s = ident - w @ b
-        g_new = np.linalg.solve(denom_s, g_surf)
-        w_new = np.linalg.solve(denom_s, w @ a)
-        denom_b = ident - a @ b - b @ a
-        g_bulk = np.linalg.solve(denom_b, g_bulk)
-        a_new = np.linalg.solve(denom_b, a @ a)
-        b_new = np.linalg.solve(denom_b, b @ b)
-        update = np.linalg.norm(g_new - g_surf, ord="fro")
-        g_surf, w, a, b = g_new, w_new, a_new, b_new
-        if update < tol:
-            return g_surf
-        if not np.all(np.isfinite(g_surf)):
-            break
-    return None
-
-
-def _fixed_point_residual(g, h00, h01, z):
-    n = h00.shape[0]
-    sigma = h01 @ g @ h01.conj().T
-    closure = np.linalg.solve(z * np.eye(n) - h00 - sigma, np.eye(n, dtype=complex))
-    return np.linalg.norm(g - closure, ord="fro")
-
-
-def _newton_polish(g, h00, h01, z, tol, max_iter):
-    """Newton iteration on the fixed point g = (z - h00 - h01 g h01^+)^-1.
-
-    With X the bracketed inverse, the derivative of g - X is
-    I - (X h01) (x) (h01^+ X)^T on row-major vec(g).
-    """
-    n = h00.shape[0]
-    ident = np.eye(n, dtype=complex)
-    h10 = h01.conj().T
-    for _ in range(max_iter):
-        x = np.linalg.solve(z * ident - h00 - h01 @ g @ h10, ident)
-        residual = g - x
-        if np.linalg.norm(residual, ord="fro") <= tol * (1.0 + np.linalg.norm(g, ord="fro")):
-            break
-        jacobian = np.eye(n * n) - np.kron(x @ h01, (h10 @ x).T)
-        g = g - np.linalg.solve(jacobian, residual.ravel()).reshape(n, n)
-    return g
-
-
-def surface_green_function(
-    h00: np.ndarray,
-    h01: np.ndarray,
-    energy: float,
-    eta: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Retarded surface Green's function of a semi-infinite periodic lead.
-
-    Iterative decimation: each step doubles the effective chain depth, so
-    convergence (surface-block update norm < tol) takes O(log) iterations.
-    The recursion runs on Green's-function-normalized variables
-    (A = G_b h01, B = G_b h01^+, W = G_s h01), whose updates are
-    multiplicative and well scaled.  At a band-center resonance
-    (|E - eps| << eta << 1) the branch selection is encoded at a relative
-    scale ~ eta^2 in the seed, below double precision; such calls are
-    detected by a fixed-point residual check and redone by Newton iteration
-    on the fixed point, seeded by the decimation at broadening
-    max(eta, 1e-3), where the retarded branch is resolved.  Raises
-    NumericalError on non-convergence.
-    """
-    h00 = np.atleast_2d(np.asarray(h00, dtype=complex))
-    h01 = np.atleast_2d(np.asarray(h01, dtype=complex))
-    if h00.shape[0] != h00.shape[1] or h00.shape != h01.shape:
-        raise ValueError("h00 and h01 must be square blocks of equal size")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-
-    z = complex(energy, eta)
-
-    def converged(g) -> bool:
-        scale = 1.0 + np.linalg.norm(g, ord="fro")
-        return _fixed_point_residual(g, h00, h01, z) <= max(100.0 * tol, 1e-10) * scale
-
-    try:
-        g_surf = _decimate_np(h00, h01, z, tol, max_iter)
-        if g_surf is not None and converged(g_surf):
-            return g_surf
-        seed = _decimate_np(h00, h01, complex(energy, max(eta, 1e-3)), tol, max_iter)
-        if seed is not None:
-            g_surf = _newton_polish(seed, h00, h01, z, tol, max_iter)
-            if np.all(np.isfinite(g_surf)) and converged(g_surf):
-                return g_surf
-    except np.linalg.LinAlgError:
-        pass
-    raise NumericalError(
-        f"surface Green's function decimation did not converge within {max_iter} iterations"
-    )
-
-
-def lead_surface_gf(onsite: float, hopping: float, energy, eta: float = 0.0):
+def lead_surface_gf(onsite: float, hopping: float, energy):
     """Closed-form surface Green's function of the single-orbital chain.
 
-    Retarded branch: Im g <= 0 in the band; outside the band (eta = 0) the
-    decaying real root.  eta = 0 evaluates the exact retarded limit.
-    `energy` may be a scalar or an array; the result has its shape.
+    Exact retarded (eta -> 0+) limit: Im g <= 0 in the band, and the
+    decaying real root outside it.  `energy` may be a scalar or an array;
+    the result has its shape.
     """
-    z = np.asarray(energy, dtype=float) - onsite + 1j * eta
+    z = np.asarray(energy, dtype=float) - onsite + 0j
     t2 = hopping * hopping
     if t2 == 0.0:
         return (1.0 / z)[()]
@@ -377,7 +270,6 @@ def calibrate_barrier(
     target: float,
     barrier_sites: int = DEFAULT_BARRIER_SITES,
     *,
-    energy: float | None = None,
     bounds: tuple[float, float] = (0.0, 30.0),
     rel_tol: float = 1e-3,
     max_iter: int = 200,
@@ -402,8 +294,7 @@ def calibrate_barrier(
             )
         return default_model(barrier_sites=barrier_sites, height=height)
 
-    probe = build(lo)
-    e_fermi = probe.fermi_energy if energy is None else float(energy)
+    e_fermi = build(lo).fermi_energy
 
     def evaluate(height: float) -> float:
         return float(transmission(build(height), [e_fermi]).values[0])
@@ -463,25 +354,19 @@ def fit_transmission_shift(
     reference: TransmissionCurve,
     shifted: TransmissionCurve,
     *,
-    window: tuple[float, float] | None = None,
+    window: tuple[float, float],
     shift_bounds: tuple[float, float] = (-2.0, 2.0),
 ) -> float:
     """Energy shift s minimizing || ln T_shifted(E) - ln T_reference(E + s) ||.
 
     Quantifies by how much the shifted curve is a translated copy of the
     reference: T_shifted(E) ~= T_reference(E + s).  Least squares on log
-    curves over `window` (default: the common grid trimmed by the maximum
-    probed shift), scanned then refined by golden section.
+    curves over the energy `window`, scanned then refined by golden section.
     """
     s_lo, s_hi = shift_bounds
     if not s_lo < s_hi:
         raise ValueError(f"invalid shift bounds {shift_bounds}")
-    pad = max(abs(s_lo), abs(s_hi))
-    if window is None:
-        lo = max(reference.energies[0], shifted.energies[0]) + pad
-        hi = min(reference.energies[-1], shifted.energies[-1]) - pad
-    else:
-        lo, hi = window
+    lo, hi = window
     mask = (shifted.energies >= lo) & (shifted.energies <= hi) & (shifted.values > 0)
     if mask.sum() < 3:
         raise ValueError("window leaves fewer than 3 usable points for the shift fit")

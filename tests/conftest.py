@@ -1,4 +1,4 @@
-"""Shared fixture builders: molecules, oxide slabs, structure directories."""
+"""Shared fixture builders: molecules, oxide slabs, structure directories, XYZ text."""
 
 from __future__ import annotations
 
@@ -8,12 +8,27 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from jjvar.structure import AtomicStructure, to_xyz
+from jjvar.structure import AtomicStructure
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run repeats exactly.
 settings.register_profile("jjvar", derandomize=True, database=None)
 settings.load_profile("jjvar")
+
+
+def to_xyz(structure: AtomicStructure, comment: str = "") -> str:
+    """Extended-XYZ serialization; inverse of parse_xyz for periodic cells."""
+    parts = [str(len(structure))]
+    lattice = " ".join(f"{x:.10f}" for x in structure.cell.reshape(-1))
+    tags = []
+    if any(structure.pbc):
+        tags.append(f'Lattice="{lattice}"')
+    if comment:
+        tags.append(comment)
+    parts.append(" ".join(tags))
+    for s, p in zip(structure.species, structure.positions):
+        parts.append(f"{s} {p[0]:.10f} {p[1]:.10f} {p[2]:.10f}")
+    return "\n".join(parts) + "\n"
 
 
 def make_molecule(species, positions):

@@ -334,12 +334,11 @@ class TestPipeline:
         assert stages["ej"]["status"] == "failed"
         assert "beta" in stages["ej"]["error"]
 
-    def test_rerun_and_thread_count_byte_identical(self, tmp_path):
+    def test_rerun_byte_identical(self, tmp_path):
         config = self._write_config(tmp_path)
         outs = [tmp_path / f"out{i}" for i in range(3)]
-        assert main(["--config", str(config), "--out", str(outs[0]), "--threads", "1", "pipeline"]) == 0
-        assert main(["--config", str(config), "--out", str(outs[1]), "--threads", "1", "pipeline"]) == 0
-        assert main(["--config", str(config), "--out", str(outs[2]), "--threads", "4", "pipeline"]) == 0
+        for out in outs:
+            assert main(["--config", str(config), "--out", str(out), "pipeline"]) == 0
         first = read_dir_bytes(outs[0])
         assert read_dir_bytes(outs[1]) == first
         assert read_dir_bytes(outs[2]) == first
@@ -360,21 +359,48 @@ class TestConfigHandling:
         rows = (out / "transmission_jj.csv").read_text().splitlines()
         assert len(rows) == 22
 
-    def test_env_thread_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("JJVAR_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["--out", str(out), "ej"]) == 0
-
     def test_removed_eta_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text("transport.eta = 0.5\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
         assert "unknown key 'transport.eta'" in capsys.readouterr().err
 
-    def test_boolean_for_integer_key_exits_2(self, tmp_path):
+    def test_removed_threads_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
-        config.write_text("threads = true\n")
+        config.write_text("threads = 2\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+        assert "unknown key 'threads'" in capsys.readouterr().err
+
+    def test_removed_threads_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "--out", str(tmp_path / "o"), "ej"])
+        assert exc.value.code == 2
+
+    def test_boolean_for_integer_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("transport.barrier_sites = true\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+        assert "barrier_sites: expected integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("transport.target_jj = inf", "transmission"),
+            ("junction.md_area = inf", "ej"),
+            ("surface.depth = -1", "analyze"),
+            ("surface.bin = nan", "analyze"),
+            ("cutoff.al_o = -1", "analyze"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, slab_dir, line, command):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"paths.structures = {slab_dir}\n{line}\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        key = line.partition(" =")[0]
+        assert err.startswith(f"error: {key} must be ")
+        assert "warning" not in err
+        assert not (tmp_path / "o").exists()
 
 
 def _reject_constant(name):
@@ -410,6 +436,10 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
 
 def test_cli_import_leaves_scipy_special_unloaded():
     assert not _loaded_by_cli_import("scipy.special")
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    assert not _loaded_by_cli_import("concurrent.futures")
 
 
 def test_analyze_run_loads_no_scipy(tmp_path):

@@ -22,10 +22,9 @@ from jjvar.structure import (
     parse_xyz,
     stoichiometry,
     surface_sites,
-    to_xyz,
 )
 
-from conftest import make_molecule
+from conftest import make_molecule, to_xyz
 
 
 def brute_force_edges(structure, cutoffs=None):

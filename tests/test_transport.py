@@ -17,77 +17,31 @@ from jjvar.transport import (
     default_model,
     fit_transmission_shift,
     lead_surface_gf,
-    surface_green_function,
     transfer_matrix_transmission,
     transmission,
 )
 
 
-def analytic_1d_gf(eps, t, energy, eta):
-    z = complex(energy, eta) - eps
+def analytic_1d_gf(eps, t, energy):
+    z = complex(energy) - eps
     return (z - 1j * np.sqrt(4 * t * t - z * z + 0j)) / (2 * t * t)
-
-
-class TestSurfaceGreenFunction:
-    def test_band_center_resonance(self):
-        g = surface_green_function([[0.0]], [[1.0]], 0.0, 1e-8)
-        expected = analytic_1d_gf(0.0, 1.0, 0.0, 1e-8)
-        assert abs(g[0, 0] - expected) < 1e-8
-
-    @pytest.mark.parametrize("eta", [1e-4, 1e-6, 1e-8])
-    def test_in_band_sweep(self, eta):
-        for energy in np.linspace(-1.8, 1.8, 13):
-            g = surface_green_function([[0.3]], [[1.0]], float(energy) + 0.3, eta)
-            expected = analytic_1d_gf(0.3, 1.0, float(energy) + 0.3, eta)
-            assert abs(g[0, 0] - expected) < 1e-8
-
-    def test_outside_band_nearly_real(self):
-        g = surface_green_function([[0.0]], [[1.0]], 10.0, 1e-8)
-        assert abs(g[0, 0].imag) < 1e-8
-        decaying_root = (10.0 - math.sqrt(10.0**2 - 4.0)) / 2.0
-        assert g[0, 0].real == pytest.approx(decaying_root, abs=1e-8)
-
-    def test_decoupled_chain(self):
-        g = surface_green_function([[1.5]], [[0.0]], 2.0, 1e-6)
-        assert g[0, 0] == pytest.approx(1.0 / (2.0 - 1.5 + 1e-6j), rel=1e-12)
-
-    def test_block_lead_decouples(self):
-        h00 = np.diag([0.0, 0.5])
-        h01 = np.diag([1.0, 0.8])
-        g = surface_green_function(h00, h01, 0.7, 1e-7)
-        assert abs(g[0, 1]) < 1e-12 and abs(g[1, 0]) < 1e-12
-        assert abs(g[0, 0] - analytic_1d_gf(0.0, 1.0, 0.7, 1e-7)) < 1e-8
-        assert abs(g[1, 1] - analytic_1d_gf(0.5, 0.8, 0.7, 1e-7)) < 1e-8
-
-    def test_retarded_branch(self):
-        h00 = np.array([[0.0, 0.4], [0.4, 0.3]])
-        h01 = np.array([[1.0, 0.2], [0.1, 0.9]])
-        g = surface_green_function(h00, h01, 0.5, 1e-6)
-        anti = (g - g.conj().T) / 2j
-        assert np.max(np.linalg.eigvalsh(anti)) <= 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            surface_green_function([[0.0, 1.0]], [[1.0, 0.0]], 0.0, 1e-6)
-        with pytest.raises(ValueError):
-            surface_green_function([[0.0]], [[1.0]], 0.0, 0.0)
 
 
 class TestLeadClosedForm:
     def test_matches_retarded_limit_in_band(self):
         for energy in np.linspace(-1.9, 1.9, 21):
-            g = lead_surface_gf(0.0, 1.0, float(energy), 0.0)
-            expected = analytic_1d_gf(0.0, 1.0, float(energy), 0.0)
+            g = lead_surface_gf(0.0, 1.0, float(energy))
+            expected = analytic_1d_gf(0.0, 1.0, float(energy))
             assert g == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_band_decaying_root(self):
-        g = lead_surface_gf(0.0, 1.0, 5.0, 0.0)
+        g = lead_surface_gf(0.0, 1.0, 5.0)
         # g must satisfy g = 1/(E - t^2 g) on the decaying branch
         assert g == pytest.approx(1.0 / (5.0 - g), rel=1e-12)
         assert abs(g) < 1.0
 
     def test_zero_hopping(self):
-        assert lead_surface_gf(1.0, 0.0, 3.0, 0.0) == pytest.approx(0.5)
+        assert lead_surface_gf(1.0, 0.0, 3.0) == pytest.approx(0.5)
 
 
 class TestTransmission:
@@ -297,7 +251,7 @@ class TestDefects:
         grid = np.linspace(-1, 1, 11)
         curve = TransmissionCurve(grid, np.full(11, 0.5), np.ones(11, dtype=int))
         with pytest.raises(ValueError):
-            fit_transmission_shift(curve, curve, shift_bounds=(1.0, -1.0))
+            fit_transmission_shift(curve, curve, window=(-1.0, 1.0), shift_bounds=(1.0, -1.0))
 
 
 class TestTunnelingDecay:
