@@ -22,9 +22,49 @@ from jjvar.transport import (
 )
 
 
-def analytic_1d_gf(eps, t, energy):
-    z = complex(energy) - eps
+def analytic_1d_gf(eps, t, energy, eta=0.0):
+    z = complex(energy, eta) - eps
     return (z - 1j * np.sqrt(4 * t * t - z * z + 0j)) / (2 * t * t)
+
+
+class TestSurfaceGreenFunction:
+    """Physical limits of the closed-form lead surface Green's function."""
+
+    def test_band_center_resonance(self):
+        g = lead_surface_gf(0.0, 1.0, 0.0)
+        expected = analytic_1d_gf(0.0, 1.0, 0.0)
+        assert abs(g - expected) < 1e-8
+
+    @pytest.mark.parametrize("eta", [1e-4, 1e-6, 1e-8])
+    def test_in_band_sweep(self, eta):
+        # The closed form is the eta -> 0+ limit of the broadened function.
+        # |dg/dE| < 1.2 for |E - eps| <= 1.8 t, so the two differ by < 2 eta;
+        # the wrong branch anywhere in the band would differ by O(1).
+        for energy in np.linspace(-1.8, 1.8, 13):
+            g = lead_surface_gf(0.3, 1.0, float(energy) + 0.3)
+            expected = analytic_1d_gf(0.3, 1.0, float(energy) + 0.3, eta)
+            assert abs(g - expected) < 2.0 * eta
+
+    def test_outside_band_nearly_real(self):
+        g = lead_surface_gf(0.0, 1.0, 10.0)
+        assert abs(g.imag) < 1e-8
+        decaying_root = (10.0 - math.sqrt(10.0**2 - 4.0)) / 2.0
+        assert g.real == pytest.approx(decaying_root, abs=1e-8)
+
+    def test_decoupled_chain(self):
+        g = lead_surface_gf(1.5, 0.0, 2.0)
+        assert g == pytest.approx(1.0 / (2.0 - 1.5), rel=1e-12)
+
+    def test_retarded_branch(self):
+        energies = np.linspace(-6.0, 6.0, 241)
+        for onsite, hopping in [(0.0, 1.0), (0.3, 0.9), (-0.4, 0.2)]:
+            g = lead_surface_gf(onsite, hopping, energies)
+            assert np.all(g.imag <= 1e-12)
+            in_band = np.abs(energies - onsite) < 2.0 * hopping
+            assert np.all(g.imag[in_band] < 0.0)
+            # Dyson equation of the semi-infinite chain on every energy
+            dyson = 1.0 / (energies - onsite - hopping * hopping * g)
+            np.testing.assert_allclose(g, dyson, rtol=1e-12)
 
 
 class TestLeadClosedForm:
