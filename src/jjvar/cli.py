@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,27 +100,80 @@ def _parse_m_strategy(strategy: str) -> dict:
     raise ConfigError(f"bad m strategy {strategy!r}; use 'scan', 'scan=LO:HI' or 'fixed=M'")
 
 
-def _map_structures(fn, directory: str | Path) -> tuple[list, list[dict]]:
-    """fn(path) over the directory's structure files, in name order.
+class _StructurePass(NamedTuple):
+    """One read of a structure directory.  `counts` and `rows` hold, per file
+    in name order, the census count and the analyze row, or the error message
+    (str) that rejected the file; each is None when not asked for.  Parsed
+    structures are not kept."""
 
-    A file that fails to parse or is rejected (ParseError, ValueError) is
-    skipped with a warning and listed as {"file", "error"}; if every file
-    fails, that is an input error.  Returns ([(file stem, result)], skipped).
-    """
+    files: list[Path]
+    counts: list | None
+    rows: list | None
+
+
+def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _StructurePass:
+    """Read, parse and locate the oxide of each structure file once."""
     files = sorted(
-        p for p in Path(directory).iterdir() if p.suffix.lower() in (".xyz", ".extxyz")
+        p for p in Path(cfg.structures).iterdir() if p.suffix.lower() in (".xyz", ".extxyz")
     )
     if not files:
-        raise FileNotFoundError(f"no .xyz structures in {directory}")
-
-    results = []
-    skipped = []
+        raise FileNotFoundError(f"no .xyz structures in {cfg.structures}")
+    counts = [] if census else None
+    rows = [] if analyze else None
     for path in files:
         try:
-            results.append((path.stem, fn(path)))
-        except (structure.ParseError, ValueError) as exc:
-            skipped.append({"file": path.name, "error": str(exc)})
-            print(f"warning: skipping {path.name}: {exc}", file=sys.stderr)
+            s = structure.read_structure(path)
+        except ValueError as exc:  # ParseError included
+            s, region = None, str(exc)
+        else:
+            try:
+                region = structure.oxide_region(s)
+            except ValueError as exc:
+                region = str(exc)
+        if counts is not None:
+            counts.append(region if isinstance(region, str) else region.n_h)
+        if rows is not None:
+            rows.append(region if s is None else _analyze_row(cfg, s, region))
+    return _StructurePass(files, counts, rows)
+
+
+def _analyze_row(cfg: PipelineConfig, s: structure.AtomicStructure, region):
+    """((n_al, n_o, n_h, x, h_atpct), motif records) of one structure, or the
+    error message that rejects it; `region` is its oxide region or the
+    message oxide_region raised.  A bond-graph error is reported first."""
+    try:
+        graph = structure.neighbor_graph(s, cfg.cutoff_overrides() or None)
+    except ValueError as exc:
+        return str(exc)
+    if isinstance(region, str):
+        return region
+    try:
+        x, h_pct = structure.stoichiometry(region)
+        records = motifs.classify_structure(
+            s, graph, region=region, surface_depth=cfg.surface_depth, surface_bin=cfg.surface_bin
+        )
+    except ValueError as exc:
+        return str(exc)
+    return (region.n_al, region.n_o, region.n_h, float(x), float(h_pct)), records
+
+
+def _collect(files: list[Path], outcomes: list, warned: list | None = None) -> tuple[list, list[dict]]:
+    """([(file stem, result)], skipped) from per-file outcomes of a pass.
+
+    A rejected file is skipped with a warning and listed as {"file", "error"};
+    the warning is left out when `warned` (an earlier stage's outcomes for the
+    same files) already carries the same message.  If every file fails, that
+    is an input error.
+    """
+    results = []
+    skipped = []
+    for k, (path, outcome) in enumerate(zip(files, outcomes)):
+        if not isinstance(outcome, str):
+            results.append((path.stem, outcome))
+            continue
+        skipped.append({"file": path.name, "error": outcome})
+        if warned is None or warned[k] != outcome:
+            print(f"warning: skipping {path.name}: {outcome}", file=sys.stderr)
     if not results:
         raise FileNotFoundError(f"all {len(files)} structure files failed to parse")
     return results, skipped
@@ -129,15 +183,17 @@ def _map_structures(fn, directory: str | Path) -> tuple[list, list[dict]]:
 # subcommands
 
 
-def cmd_fit_stats(cfg: PipelineConfig, out: Path) -> list[Path]:
+def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = None) -> list[Path]:
+    """Fit the H-count distribution; `scan` is a pass over cfg.structures
+    that already holds the census, if the caller made one."""
     skipped = []
     if cfg.counts is not None:
         sample = stats.read_counts(cfg.counts, area=cfg.md_area)
     elif cfg.structures is not None:
         # Per-structure hydrogen census inside the oxide region.
-        census, skipped = _map_structures(
-            lambda path: structure.oxide_region(structure.read_structure(path)).n_h, cfg.structures
-        )
+        if scan is None:
+            scan = _structure_pass(cfg, census=True, analyze=False)
+        census, skipped = _collect(scan.files, scan.counts)
         sample = stats.CountSample(counts=tuple(n for _, n in census), area=cfg.md_area)
     else:
         raise FileNotFoundError("fit-stats needs a counts file or a structure directory")
@@ -173,28 +229,20 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path) -> list[Path]:
     return [report_path, hist_path]
 
 
-def cmd_analyze(cfg: PipelineConfig, out: Path) -> list[Path]:
+def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = None) -> list[Path]:
+    """Stoichiometry and motif analysis; `scan` is a pass over cfg.structures
+    that already holds the analyze rows, if the caller made one."""
     if cfg.structures is None:
         raise FileNotFoundError("analyze needs a structure directory")
-    overrides = cfg.cutoff_overrides()
-
-    def process(path: Path):
-        s = structure.read_structure(path)
-        graph = structure.neighbor_graph(s, overrides or None)
-        region = structure.oxide_region(s)
-        x, h_pct = structure.stoichiometry(region)
-        records = motifs.classify_structure(
-            s, graph, surface_depth=cfg.surface_depth, surface_bin=cfg.surface_bin
-        )
-        return region, x, h_pct, records
-
-    results, failures = _map_structures(process, cfg.structures)
+    if scan is None:
+        scan = _structure_pass(cfg, census=False, analyze=True)
+    results, failures = _collect(scan.files, scan.rows, warned=scan.counts)
 
     stoich_rows = []
     per_sample_records = []
     motif_rows = []
-    for name, (region, x, h_pct, records) in results:
-        stoich_rows.append([name, region.n_al, region.n_o, region.n_h, float(x), float(h_pct)])
+    for name, (row, records) in results:
+        stoich_rows.append([name, *row])
         per_sample_records.append(records)
         for rec in records:
             motif_rows.append([name, rec.h_index, rec.label, int(rec.surface)])
@@ -340,9 +388,26 @@ def cmd_ej(
 
 
 def cmd_pipeline(cfg: PipelineConfig, out: Path) -> tuple[int, Path]:
+    # When the census comes from the structures, fit_stats reads each file
+    # once for both stages and hands the analyze rows on; a missing or empty
+    # directory then fails fit_stats, as the census alone would.
+    scan = None
+
+    def fit_stats():
+        nonlocal scan
+        if cfg.counts is not None or cfg.structures is None:
+            return cmd_fit_stats(cfg, out)
+        scan = _structure_pass(cfg, census=True, analyze=True)
+        return cmd_fit_stats(cfg, out, scan)
+
+    def analyze():
+        nonlocal scan
+        handed, scan = scan, None
+        return cmd_analyze(cfg, out, handed)
+
     stages = [
-        ("fit_stats", lambda: cmd_fit_stats(cfg, out)),
-        ("analyze", lambda: cmd_analyze(cfg, out)),
+        ("fit_stats", fit_stats),
+        ("analyze", analyze),
         ("transmission", lambda: cmd_transmission(cfg, out)),
         (
             "ej",

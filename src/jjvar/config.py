@@ -9,8 +9,8 @@ Grammar (one entry per line):
 
 Values parse as int, float or bare string, by the key's type.  Unknown keys are
 rejected.  CLI flags override file values.  `PipelineConfig.validate` then
-rejects non-finite numbers and non-positive lengths, areas and targets,
-naming the offending key.
+rejects non-finite numbers, non-positive lengths, areas and targets, and a
+zero lead hopping, naming the offending key.
 """
 
 from __future__ import annotations
@@ -98,6 +98,9 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ConfigError(f"{_FIELD_KEYS[name]} must be positive, got {value}")
+        if self.lead_hopping == 0:
+            # A lead without hopping has no band, so no channel conducts.
+            raise ConfigError(f"transport.lead_hopping must be non-zero, got {self.lead_hopping}")
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(
                 f"grid must have 2 to {MAX_GRID_POINTS} points, got {self.grid_points}"

@@ -34,6 +34,7 @@ import numpy as np
 from .structure import (
     AtomicStructure,
     BondGraph,
+    OxideRegion,
     mic_distances,
     neighbor_graph,
     oxide_region,
@@ -225,18 +226,26 @@ def classify_structure(
     structure: AtomicStructure,
     graph: BondGraph | None = None,
     *,
+    region: OxideRegion | None = None,
     surface_depth: float = 2.0,
     surface_bin: float = 4.0,
 ) -> list[MotifRecord]:
     """Classify every H atom, with surface flags from the oxide top surface.
 
-    Structures without O atoms get no surface detection (all flags False).
+    `region` is the structure's oxide region if the caller has it; otherwise
+    it is located here.  A structure whose oxide cannot be located (no O
+    atoms, or O straddling the periodic z boundary) gets no surface detection
+    (all flags False), so every H is still classified.
     """
     if graph is None:
         graph = neighbor_graph(structure)
+    if region is None:
+        try:
+            region = oxide_region(structure)
+        except ValueError:
+            pass
     surface: frozenset[int] | None = None
-    if structure.indices_of("O").size:
-        region = oxide_region(structure)
+    if region is not None:
         surface = surface_sites(structure, region, depth=surface_depth, bin_width=surface_bin)
     return [
         classify_h(structure, graph, int(h), surface=surface)

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 SPECIES = ("Al", "O", "H")
+_SPECIES_SET = frozenset(SPECIES)
 
 # Species-pair bond cutoffs (A), from covalent-radius sums.  Pairs not listed
 # (H-H) are never bonded.  All overridable per call.
@@ -99,7 +100,7 @@ class AtomicStructure:
     def __len__(self) -> int:
         return len(self.species)
 
-    @property
+    @cached_property
     def is_orthorhombic(self) -> bool:
         off = self.cell - np.diag(np.diag(self.cell))
         return bool(np.all(np.abs(off) < 1e-9 * max(1.0, np.abs(self.cell).max())))
@@ -108,8 +109,16 @@ class AtomicStructure:
     def _species_array(self) -> np.ndarray:
         return np.array(self.species, dtype=str)
 
+    @cached_property
+    def _indices(self) -> dict[str, np.ndarray]:
+        index = {s: np.flatnonzero(self._species_array == s) for s in SPECIES}
+        for idx in index.values():
+            idx.flags.writeable = False
+        return index
+
     def indices_of(self, species: str) -> np.ndarray:
-        return np.flatnonzero(self._species_array == species)
+        """Ascending indices of the atoms of `species` (a read-only array)."""
+        return self._indices[species]
 
 
 def parse_xyz(text: str) -> AtomicStructure:
@@ -144,6 +153,49 @@ def parse_xyz(text: str) -> AtomicStructure:
         except ValueError:
             raise ParseError(2, "unparseable Lattice entry") from None
 
+    atoms = _clean_atom_block(lines, natoms)
+    species, positions = atoms if atoms is not None else _atom_rows(lines, natoms)
+    if cell is not None:
+        pbc = (True, True, True)
+    else:
+        extent = positions.max(axis=0) - positions.min(axis=0)
+        cell = np.diag(extent + 10.0)
+        pbc = (False, False, False)
+    return AtomicStructure(cell=cell, pbc=pbc, species=species, positions=positions)
+
+
+def _clean_atom_block(lines: list[str], natoms: int) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """(species, positions) of a clean atom block in one pass, else None.
+
+    Clean means: lines 3 .. natoms + 2 are `label x y z` rows whose labels are
+    already one of SPECIES, and only blank lines follow.  The rows are joined
+    with a ";" token between them, and the layout is clean iff the split has
+    5 * natoms - 1 tokens with ";" at every fifth place: a row of other than
+    four tokens, or a ";" inside a row, moves a separator off its place.
+    Coordinates go through `float`, as in `_atom_rows`, so any block this
+    accepts parses to the same values there.
+    """
+    block = lines[2 : 2 + natoms]
+    if len(block) != natoms or "".join(lines[2 + natoms :]).strip():
+        return None
+    tokens = " ; ".join(block).split()
+    if len(tokens) != 5 * natoms - 1 or tokens[4::5].count(";") != natoms - 1:
+        return None
+    del tokens[4::5]
+    species = tokens[0::4]
+    if not _SPECIES_SET.issuperset(species):
+        return None
+    del tokens[0::4]
+    try:
+        positions = np.fromiter(map(float, tokens), dtype=float, count=3 * natoms)
+    except ValueError:
+        return None
+    return tuple(species), positions.reshape(natoms, 3)
+
+
+def _atom_rows(lines: list[str], natoms: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """(species, positions) read row by row; a malformed row raises ParseError
+    naming its line.  Labels are case-insensitive and columns past z ignored."""
     species: list[str] = []
     coords: list[list[float]] = []
     for offset in range(natoms):
@@ -166,15 +218,7 @@ def parse_xyz(text: str) -> AtomicStructure:
     for extra in range(3 + natoms, len(lines) + 1):
         if extra - 1 < len(lines) and lines[extra - 1].strip():
             raise ParseError(extra, "trailing content after declared atoms")
-
-    positions = np.array(coords)
-    if cell is not None:
-        pbc = (True, True, True)
-    else:
-        extent = positions.max(axis=0) - positions.min(axis=0)
-        cell = np.diag(extent + 10.0)
-        pbc = (False, False, False)
-    return AtomicStructure(cell=cell, pbc=pbc, species=tuple(species), positions=positions)
+    return tuple(species), np.array(coords)
 
 
 def read_structure(path: str | Path) -> AtomicStructure:
@@ -413,23 +457,34 @@ def oxide_region(structure: AtomicStructure, padding: float = 0.5) -> OxideRegio
     """Locate the oxide as the z-interval spanning all O atoms plus padding.
 
     Membership is interval-based (robust against under-coordinated amorphous
-    edges).
+    edges).  On a periodic z axis the O atoms must not straddle the boundary:
+    if the widest gap between consecutive O heights is wider than the gap
+    across the boundary, the interval would span the cell's empty part, so
+    the structure is rejected (ValueError).
     """
     z = structure.positions[:, 2]
     o_idx = structure.indices_of("O")
     if o_idx.size == 0:
         raise ValueError("structure contains no O atoms; cannot locate an oxide region")
-    z_lo = float(z[o_idx].min() - padding)
-    z_hi = float(z[o_idx].max() + padding)
-    members = tuple(int(i) for i in np.nonzero((z >= z_lo) & (z <= z_hi))[0])
-    kinds = [structure.species[i] for i in members]
+    z_o = np.sort(z[o_idx])
+    if structure.pbc[2] and o_idx.size > 1:
+        across = z_o[0] + _cell_lengths(structure)[2] - z_o[-1]
+        widest = np.diff(z_o).max()
+        if widest > across:
+            raise ValueError(
+                f"O atoms straddle the periodic z boundary: a {widest:.6g} A gap between "
+                f"O heights is wider than the {across:.6g} A gap across the boundary"
+            )
+    z_lo = float(z_o[0] - padding)
+    z_hi = float(z_o[-1] + padding)
+    inside = (z >= z_lo) & (z <= z_hi)
     return OxideRegion(
         z_lo=z_lo,
         z_hi=z_hi,
-        members=members,
-        n_al=kinds.count("Al"),
-        n_o=kinds.count("O"),
-        n_h=kinds.count("H"),
+        members=tuple(np.flatnonzero(inside).tolist()),
+        n_al=int(np.count_nonzero(inside[structure.indices_of("Al")])),
+        n_o=int(np.count_nonzero(inside[o_idx])),
+        n_h=int(np.count_nonzero(inside[structure.indices_of("H")])),
     )
 
 
@@ -464,7 +519,7 @@ def surface_sites(
     pos = structure.positions[members]
     lengths = _cell_lengths(structure)
 
-    keys = np.zeros((len(members), 2), dtype=int)
+    keys = []
     for axis in range(2):
         coords = pos[:, axis]
         if structure.pbc[axis]:
@@ -474,10 +529,11 @@ def surface_sites(
             span = coords.max() - coords.min()
             wrapped = coords - coords.min()
         nbins = max(1, int(math.ceil(span / bin_width))) if span > 0 else 1
-        keys[:, axis] = np.minimum((wrapped / bin_width).astype(int), nbins - 1)
+        keys.append(np.minimum((wrapped / bin_width).astype(int), nbins - 1))
 
-    _, cell_of = np.unique(keys, axis=0, return_inverse=True)
-    cell_of = cell_of.reshape(-1)
+    # One integer key per lateral cell, ascending with (kx, ky) in lexicographic order.
+    kx, ky = keys
+    _, cell_of = np.unique(kx * (ky.max() + 1) + ky, return_inverse=True)
     z = pos[:, 2]
     heights = np.full(cell_of.max() + 1, -np.inf)
     np.maximum.at(heights, cell_of, z)

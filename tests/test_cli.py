@@ -1,5 +1,6 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from jjvar.config import MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import BetaBinomial
 
-from conftest import write_structure_dir
+from conftest import make_oxide_slab, to_xyz, write_structure_dir
 
 
 def write_counts_file(path: Path, seed=42, k=400) -> Path:
@@ -344,6 +345,68 @@ class TestPipeline:
         assert read_dir_bytes(outs[2]) == first
 
 
+class TestStructurePass:
+    """Census, analyze and pipeline read a structure directory the same way."""
+
+    ANALYZE_FILES = ("stoichiometry.csv", "ensemble_summary.json", "motifs.csv", "motif_table.json")
+    FIT_FILES = ("fit_report.json", "h_histogram.csv")
+
+    def _pipeline(self, tmp_path, directory, out) -> int:
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(
+            f"paths.structures = {directory}\nstats.m = fixed=8\ntransport.grid_points = 101\n"
+        )
+        return main(["--config", str(config), "--out", str(out), "pipeline"])
+
+    @pytest.mark.parametrize("corrupt", [0, 1], ids=["good", "malformed"])
+    def test_subcommands_write_identical_artifacts(self, tmp_path, corrupt):
+        directory = write_structure_dir(tmp_path, h_counts=(0, 0, 1, 2, 3, 5, 6, 6), corrupt=corrupt)
+        runs = {
+            "analyze": ["analyze", "--structures", str(directory)],
+            "fit": ["fit-stats", "--structures", str(directory), "--m", "fixed=8"],
+        }
+        for name, args in runs.items():
+            assert main(["--out", str(tmp_path / name), *args]) == 0
+        assert self._pipeline(tmp_path, directory, tmp_path / "pipeline") == 0
+        pipeline = read_dir_bytes(tmp_path / "pipeline")
+        for name, files in (("analyze", self.ANALYZE_FILES), ("fit", self.FIT_FILES)):
+            alone = read_dir_bytes(tmp_path / name)
+            assert sorted(alone) == sorted(files)
+            assert {f: pipeline[f] for f in files} == alone
+        summary = json.loads(pipeline["ensemble_summary.json"])
+        assert len(summary["failures"]) == corrupt
+
+    def test_pipeline_reads_each_file_once_and_warns_once(self, tmp_path, capsys, monkeypatch):
+        directory = write_structure_dir(tmp_path, h_counts=(0, 0, 1, 2, 3, 5, 6, 6))
+        (directory / "zz.xyz").write_text("2\ncomment\nAl 0 0 0\n")
+        calls = []
+        parse = jjvar.structure.parse_xyz
+
+        def counting_parse(text):
+            calls.append(1)
+            return parse(text)
+
+        monkeypatch.setattr(jjvar.structure, "parse_xyz", counting_parse)
+        assert self._pipeline(tmp_path, directory, tmp_path / "out") == 0
+        assert len(calls) == 9
+        assert capsys.readouterr().err.count("warning: skipping zz.xyz") == 1
+
+    def test_oxide_across_periodic_z_boundary_skipped(self, tmp_path, capsys):
+        directory = write_structure_dir(tmp_path, h_counts=(1, 2))
+        slab = make_oxide_slab(n_h=2)
+        pos = slab.positions.copy()
+        pos[:, 2] = np.mod(pos[:, 2] - 2.0, slab.cell[2, 2])
+        (directory / "wrapped.xyz").write_text(to_xyz(dataclasses.replace(slab, positions=pos)))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 0
+        assert "warning: skipping wrapped.xyz: O atoms straddle" in capsys.readouterr().err
+        summary = json.loads((out / "ensemble_summary.json").read_text())
+        assert [f["file"] for f in summary["failures"]] == ["wrapped.xyz"]
+        for path in directory.glob("sample_*"):
+            path.unlink()
+        assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 2
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -390,6 +453,7 @@ class TestConfigHandling:
             ("surface.depth = -1", "analyze"),
             ("surface.bin = nan", "analyze"),
             ("cutoff.al_o = -1", "analyze"),
+            ("transport.lead_hopping = 0", "transmission"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, slab_dir, line, command):

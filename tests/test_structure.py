@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jjvar import structure
 from jjvar.constants import BOLTZMANN_KB
 from jjvar.structure import (
     DEFAULT_CUTOFFS,
@@ -151,6 +152,90 @@ class TestParseXyz:
         assert again.species == s.species
         assert np.max(np.abs(again.positions - s.positions)) < 1e-6
         assert np.max(np.abs(again.cell - s.cell)) < 1e-6
+
+
+@st.composite
+def xyz_texts(draw):
+    """`to_xyz` text of a periodic cell of 1 to 30 atoms, with its atom count."""
+    n = draw(st.integers(1, 30))
+    species = tuple(draw(st.lists(st.sampled_from(SPECIES), min_size=n, max_size=n)))
+    coord = st.floats(-50.0, 50.0, allow_nan=False)
+    pos = draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n))
+    s = AtomicStructure(cell=np.diag([20.0] * 3), pbc=(True,) * 3, species=species, positions=pos)
+    return to_xyz(s), n
+
+
+def _swap_first(row, token):
+    return " ".join([token, *row.split()[1:]])
+
+
+def _shift_label(rows, k):
+    """Row k gains a fifth token and the next row (cyclically) loses its
+    label, so the block still holds 4 tokens per atom."""
+    rows = list(rows)
+    rows[k] += " O"
+    nxt = (k + 1) % len(rows)
+    rows[nxt] = rows[nxt].split(None, 1)[1]
+    return rows
+
+
+# Atom-block edits (rows, k) -> rows that the row loop rejects.
+MALFORMED = {
+    "short block": lambda rows, k: rows[:k] + rows[k + 1 :],
+    "unknown label": lambda rows, k: [_swap_first(r, "Xe") if i == k else r for i, r in enumerate(rows)],
+    "bad float": lambda rows, k: [r.replace(".", ".1.", 1) if i == k else r for i, r in enumerate(rows)],
+    "trailing content": lambda rows, k: rows + ["Al 0 0 0"],
+    "3-token row": lambda rows, k: [r.rsplit(None, 1)[0] if i == k else r for i, r in enumerate(rows)],
+    "5- then 3-token row": _shift_label,
+}
+
+
+# Atom-block edits the row loop accepts; True where the clean-block pass declines them.
+ACCEPTED = {
+    "lowercase label": (lambda rows, k: [r.lower() if i == k else r for i, r in enumerate(rows)], True),
+    "extra column": (lambda rows, k: [r + " 0.5" if i == k else r for i, r in enumerate(rows)], True),
+    "tabs": (lambda rows, k: [r.replace(" ", "\t") for r in rows], False),
+    "trailing blank lines": (lambda rows, k: rows + ["", "  \t"], False),
+}
+
+
+class TestParseFastPath:
+    """The clean-block pass of parse_xyz against the row loop it short-cuts."""
+
+    @given(xyz_texts())
+    def test_round_trip_matches_row_loop(self, drawn):
+        text, n = drawn
+        lines = text.splitlines()
+        assert structure._clean_atom_block(lines, n) is not None
+        s = parse_xyz(text)
+        species, positions = structure._atom_rows(lines, n)
+        assert s.species == species
+        assert np.array_equal(s.positions, positions)
+
+    @given(xyz_texts(), st.sampled_from(sorted(MALFORMED)), st.data())
+    def test_malformed_block_names_row_loop_line(self, drawn, mutation, data):
+        text, n = drawn
+        lines = text.splitlines()
+        k = data.draw(st.integers(0, n - 1))
+        lines = lines[:2] + MALFORMED[mutation](lines[2:], k)
+        with pytest.raises(ParseError) as slow:
+            structure._atom_rows(lines, n)
+        with pytest.raises(ParseError) as fast:
+            parse_xyz("\n".join(lines) + "\n")
+        assert fast.value.line == slow.value.line
+
+    @given(xyz_texts(), st.sampled_from(sorted(ACCEPTED)), st.data())
+    def test_variant_block_parses_as_row_loop(self, drawn, variant, data):
+        text, n = drawn
+        lines = text.splitlines()
+        edit, declined = ACCEPTED[variant]
+        lines = lines[:2] + edit(lines[2:], data.draw(st.integers(0, n - 1)))
+        if declined:
+            assert structure._clean_atom_block(lines, n) is None
+        s = parse_xyz("\n".join(lines) + "\n")
+        species, positions = structure._atom_rows(lines, n)
+        assert s.species == species
+        assert np.array_equal(s.positions, positions)
 
 
 class TestNeighborGraph:
@@ -323,6 +408,18 @@ class TestOxideRegion:
         s = make_molecule(["Al", "Al"], [(0, 0, 0), (0, 0, 2)])
         with pytest.raises(ValueError):
             oxide_region(s)
+
+    def test_oxide_straddling_periodic_z_boundary_rejected(self):
+        # O at z = 0.5 and 19.5 in a 20 A cell: on a periodic z axis the oxide
+        # wraps across z = 0, and the O interval would take in the whole cell.
+        species = ("Al", "O", "O", "Al", "Al")
+        pos = [(0, 0, 1.0), (1, 0, 0.5), (1, 0, 19.5), (0, 0, 19.0), (0, 0, 10.0)]
+        cell = np.diag([10.0, 10.0, 20.0])
+        wrapped = AtomicStructure(cell=cell, pbc=(True,) * 3, species=species, positions=pos)
+        with pytest.raises(ValueError, match="straddle the periodic z boundary"):
+            oxide_region(wrapped)
+        open_z = AtomicStructure(cell=cell, pbc=(True, True, False), species=species, positions=pos)
+        assert oxide_region(open_z).n_al == 3
 
 
 class TestStoichiometry:
