@@ -30,7 +30,7 @@ _INPUT_ERRORS = (
     structure.ParseError,
     structure.ConfigurationError,
     stats.DegenerateDataError,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 _NUMERICAL_ERRORS = (
@@ -121,20 +121,29 @@ def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _Str
     counts = [] if census else None
     rows = [] if analyze else None
     for path in files:
-        try:
-            s = structure.read_structure(path)
-        except ValueError as exc:  # ParseError included
-            s, region = None, str(exc)
-        else:
-            try:
-                region = structure.oxide_region(s)
-            except ValueError as exc:
-                region = str(exc)
+        s, region = _read_with_region(path)
         if counts is not None:
             counts.append(region if isinstance(region, str) else region.n_h)
         if rows is not None:
             rows.append(region if s is None else _analyze_row(cfg, s, region))
     return _StructurePass(files, counts, rows)
+
+
+def _read_with_region(path: Path):
+    """(structure, oxide region) of one file; the message that rejects the
+    file stands in for whichever of the two could not be made."""
+    if not path.is_file():
+        return None, "not a regular file"
+    try:
+        s = structure.read_structure(path)
+    except OSError as exc:
+        return None, exc.strerror or str(exc)
+    except ValueError as exc:  # ParseError included
+        return None, str(exc)
+    try:
+        return s, structure.oxide_region(s)
+    except ValueError as exc:
+        return s, str(exc)
 
 
 def _analyze_row(cfg: PipelineConfig, s: structure.AtomicStructure, region):

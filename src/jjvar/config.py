@@ -51,7 +51,6 @@ class PipelineConfig:
     beta: float = 15.36
     trials: int = 40
     # cutoff.* (pair overrides, A)
-    cutoff_al_al: float | None = None
     cutoff_al_o: float | None = None
     cutoff_al_h: float | None = None
     cutoff_o_o: float | None = None
@@ -77,7 +76,6 @@ class PipelineConfig:
 
     def cutoff_overrides(self) -> dict[tuple[str, str], float]:
         pairs = {
-            "cutoff_al_al": ("Al", "Al"),
             "cutoff_al_o": ("Al", "O"),
             "cutoff_al_h": ("Al", "H"),
             "cutoff_o_o": ("O", "O"),
@@ -128,7 +126,6 @@ _KEY_MAP = {
     "stats.alpha": "alpha",
     "stats.beta": "beta",
     "stats.trials": "trials",
-    "cutoff.al_al": "cutoff_al_al",
     "cutoff.al_o": "cutoff_al_o",
     "cutoff.al_h": "cutoff_al_h",
     "cutoff.o_o": "cutoff_o_o",
@@ -156,7 +153,6 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 # Lengths, areas, energies and transmissions that only make sense above zero;
 # an unset cutoff override (None) is skipped.
 _POSITIVE_FIELDS = (
-    "cutoff_al_al",
     "cutoff_al_o",
     "cutoff_al_h",
     "cutoff_o_o",

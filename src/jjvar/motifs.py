@@ -11,15 +11,15 @@ deterministically:
        the O has exactly 1 Al                           -> Al-OH
        the O has >= 2 Al (coarse-grained)               -> Al-OH-Al
   3. H bonded to no O:
-       >= 1 Al and an O within the longer bridge cutoff -> Al-H-O
+       >= 1 Al and an O within the Al-H cutoff          -> Al-H-O
        exactly 1 Al                                     -> Al-H
        >= 2 Al (coarse-grained)                         -> Al-H-Al
   4. nothing within any cutoff                          -> interstitial
 
 Geometries the taxonomy does not name fall back to the nearest class so the
 classification stays total: a hydroxyl/water with no Al in reach keeps its
-O-derived label (Al-OH / Al-H2O / Al-O2-H), an H with only a long-range O
-partner and no Al is interstitial.
+O-derived label (Al-OH / Al-H2O / Al-O2-H), an H with neither an O nor an Al
+bond is interstitial even when an O lies within the Al-H cutoff.
 
 A motif is a surface motif when the H or one of its host O atoms is a
 surface site.
@@ -124,17 +124,14 @@ def classify_h(
     h: int,
     *,
     surface: frozenset[int] | None = None,
-    bridge_cutoff: float | None = None,
 ) -> MotifRecord:
-    """Classify hydrogen atom `h`; `graph` must use the structure-module cutoffs.
+    """Classify hydrogen atom `h` from the bonds of H and O atoms in `graph`.
 
-    `bridge_cutoff` is the longer-range H...O distance used for the bridging
-    Al-H-O motif (default: the Al-H cutoff of the graph).
+    An Al-bonded H with no O bond is Al-H-O when an O lies within the graph's
+    Al-H cutoff of it; that O is found by distance, not from the graph.
     """
     if structure.species[h] != "H":
         raise ValueError(f"atom {h} is {structure.species[h]}, not H")
-    if bridge_cutoff is None:
-        bridge_cutoff = graph.cutoffs[("Al", "H")]
 
     o_bonded = graph.neighbors_of_species(h, "O")
     al_bonded = graph.neighbors_of_species(h, "Al")
@@ -178,29 +175,20 @@ def classify_h(
             label, host_o = "Al-OH", [o]
         return _record(h, label, host_o, host_al, surface)
 
-    # No covalently bonded O: hydride-like branches.  The O partner is the
-    # nearest O (lowest index on ties, as o_all ascends) if it lies within the
-    # longer bridge cutoff.
+    # No covalently bonded O: hydride-like branches.  Only an H with an Al
+    # bond reads its O partner: the nearest O (lowest index on ties, as o_all
+    # ascends) if it lies within the Al-H cutoff.
+    if not al_bonded:
+        return _record(h, "interstitial", [], [], surface)
+    host_al = _by_distance(al_bonded)
     o_all = structure.indices_of("O")
-    bridge_o: int | None = None
     if o_all.size:
         dists = mic_distances(structure, h, o_all)
         nearest = int(np.argmin(dists))
-        if dists[nearest] <= bridge_cutoff:
-            bridge_o = int(o_all[nearest])
-    if al_bonded and bridge_o is not None:
-        label = "Al-H-O"
-        host_o = [bridge_o]
-        host_al = _by_distance(al_bonded)[:1]
-    elif len(al_bonded) == 1:
-        label, host_al = "Al-H", _by_distance(al_bonded)[:1]
-    elif len(al_bonded) >= 2:
-        label, host_al = "Al-H-Al", _by_distance(al_bonded)[:2]
-    else:
-        label = "interstitial"
-        host_o = []
-        host_al = []
-    return _record(h, label, host_o, host_al, surface)
+        if dists[nearest] <= graph.cutoffs[("Al", "H")]:
+            return _record(h, "Al-H-O", [int(o_all[nearest])], host_al[:1], surface)
+    label = "Al-H" if len(host_al) == 1 else "Al-H-Al"
+    return _record(h, label, [], host_al[:2], surface)
 
 
 def _record(

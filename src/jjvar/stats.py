@@ -277,53 +277,6 @@ def _moment_estimate(mbar: float, var: float, m: int) -> tuple[float, float]:
     return max(p * s, 1e-3), max((1.0 - p) * s, 1e-3)
 
 
-def _bisect_coordinate(f, x0: float, lo: float = -30.0, hi: float = 30.0) -> float:
-    """Root of f along one log-parameter coordinate; returns x0 if no bracket found."""
-    f0 = f(x0)
-    if not math.isfinite(f0):
-        return x0
-    if f0 == 0.0:
-        return x0
-    step = 0.5
-    a, b = x0, x0
-    for _ in range(80):
-        if f0 > 0:
-            b = min(b + step, hi)
-            fb = f(b)
-            if not math.isfinite(fb):
-                return x0
-            if fb <= 0:
-                a = b - step
-                break
-            if b >= hi:
-                return b
-        else:
-            a = max(a - step, lo)
-            fa = f(a)
-            if not math.isfinite(fa):
-                return x0
-            if fa >= 0:
-                b = a + step
-                break
-            if a <= lo:
-                return a
-        step *= 2.0
-    else:
-        return x0
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if not math.isfinite(fm):
-            return x0
-        if fm > 0:
-            a = mid
-        else:
-            b = mid
-        if b - a < 1e-13:
-            break
-    return 0.5 * (a + b)
-
-
 def _mle_fixed_m(
     t: _Tails, m: int, start: tuple[float, float], tol: float, max_iter: int
 ) -> tuple[BetaBinomial, float, bool, int]:
@@ -360,33 +313,23 @@ def _mle_fixed_m(
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
-            step = np.array([np.nan, np.nan])
+            break
+        if not np.all(np.isfinite(step)):
+            break
         ll_here = _log_likelihood(t, a, b)
-        moved = False
-        if np.all(np.isfinite(step)):
-            lam = 1.0
-            for _ in range(40):
-                u_new = min(max(u + lam * step[0], -30.0), 30.0)
-                v_new = min(max(v + lam * step[1], -30.0), 30.0)
-                ll_new = _log_likelihood(t, math.exp(u_new), math.exp(v_new))
-                neutral_ok = lam == 1.0 and ll_new >= ll_here - ll_slack
-                if math.isfinite(ll_new) and (ll_new > ll_here or neutral_ok) and (u_new, v_new) != (u, v):
-                    u, v = u_new, v_new
-                    moved = True
-                    break
-                lam *= 0.5
-        if not moved:
-            # Non-finite or unproductive Newton step: fall back to bisecting
-            # each log-coordinate on the sign of its partial derivative.
-            u = _bisect_coordinate(
-                lambda uu: math.exp(uu) * _gradient(t, math.exp(uu), math.exp(v))[0], u
-            )
-            v = _bisect_coordinate(
-                lambda vv: math.exp(vv) * _gradient(t, math.exp(u), math.exp(vv))[1], v
-            )
-            ll_new = _log_likelihood(t, math.exp(u), math.exp(v))
-            if not math.isfinite(ll_new) or ll_new <= ll_here + 1e-12:
+        lam = 1.0
+        for _ in range(40):
+            u_new = min(max(u + lam * step[0], -30.0), 30.0)
+            v_new = min(max(v + lam * step[1], -30.0), 30.0)
+            ll_new = _log_likelihood(t, math.exp(u_new), math.exp(v_new))
+            neutral_ok = lam == 1.0 and ll_new >= ll_here - ll_slack
+            if math.isfinite(ll_new) and (ll_new > ll_here or neutral_ok) and (u_new, v_new) != (u, v):
+                u, v = u_new, v_new
                 break
+            lam *= 0.5
+        else:
+            # No step length raises the likelihood: stop at the best point.
+            break
         ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
         if ll_cur >= best[0]:
             best = (ll_cur, u, v)

@@ -45,10 +45,10 @@ __all__ = [
 SPECIES = ("Al", "O", "H")
 _SPECIES_SET = frozenset(SPECIES)
 
-# Species-pair bond cutoffs (A), from covalent-radius sums.  Pairs not listed
-# (H-H) are never bonded.  All overridable per call.
+# Species-pair bond cutoffs (A), from covalent-radius sums: the pairs the motif
+# classifier reads, which needs the bonds of H and O atoms only.  Pairs not
+# listed (Al-Al, H-H) are not bonded unless a caller passes a cutoff for them.
 DEFAULT_CUTOFFS = {
-    ("Al", "Al"): 3.0,
     ("Al", "O"): 2.2,
     ("Al", "H"): 2.0,
     ("O", "O"): 1.6,

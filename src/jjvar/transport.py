@@ -114,10 +114,16 @@ class JunctionModel:
 def default_model(
     barrier_sites: int = DEFAULT_BARRIER_SITES, height: float | None = None, **kwargs
 ) -> JunctionModel:
-    """Stand-in junction with a uniform barrier `height` above the lead on-site."""
+    """Stand-in junction with a uniform barrier `height` above the lead on-site.
+
+    Unless given, the barrier hopping and the lead-barrier coupling are the
+    lead hopping, and the Fermi level is the lead on-site (the band centre).
+    """
     lead_onsite = kwargs.pop("lead_onsite", 0.0)
     lead_hopping = kwargs.pop("lead_hopping", DEFAULT_LEAD_HOPPING)
     barrier_hopping = kwargs.pop("barrier_hopping", lead_hopping)
+    kwargs.setdefault("coupling", lead_hopping)
+    kwargs.setdefault("fermi_energy", lead_onsite)
     if height is None:
         height = DEFAULT_BAND_OFFSET + 2.0 * abs(barrier_hopping)
     onsite = lead_onsite + height

@@ -13,7 +13,7 @@ import pytest
 import jjvar
 from jjvar import cli
 from jjvar.cli import _write_json, main
-from jjvar.config import MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
+from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import BetaBinomial
 
@@ -407,6 +407,43 @@ class TestStructurePass:
         assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 2
 
 
+class TestPathArguments:
+    """A path argument of the wrong kind is an input error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            lambda f, d, out: ["--out", out, "analyze", "--structures", f],
+            lambda f, d, out: ["--out", out, "fit-stats", "--counts", d],
+            lambda f, d, out: ["--config", d, "--out", out, "ej"],
+            lambda f, d, out: ["--out", out, "ej", "--fit-report", d],
+            lambda f, d, out: ["--out", f, "ej"],
+            lambda f, d, out: ["--out", out, "analyze", "--structures", d],
+        ],
+        ids=["structures-file", "counts-dir", "config-dir", "fit-report-dir", "out-file", "xyz-dir"],
+    )
+    def test_wrong_kind_of_path_exits_2(self, tmp_path, capsys, argv):
+        a_file = tmp_path / "a.xyz"
+        a_file.write_text("1\ncomment\nAl 0 0 0\n")
+        a_dir = tmp_path / "dir"
+        # The only structure "file" in a_dir is a directory named x.xyz.
+        (a_dir / "x.xyz").mkdir(parents=True)
+        assert main(argv(str(a_file), str(a_dir), str(tmp_path / "out"))) == 2
+        err = capsys.readouterr().err
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_xyz_directory_skipped_and_listed(self, tmp_path, capsys):
+        directory = write_structure_dir(tmp_path, h_counts=(1, 2))
+        (directory / "x.xyz").mkdir()
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 0
+        assert "warning: skipping x.xyz: not a regular file" in capsys.readouterr().err
+        summary = json.loads((out / "ensemble_summary.json").read_text())
+        assert summary["failures"] == [{"file": "x.xyz", "error": "not a regular file"}]
+        assert summary["samples"] == 2
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -433,6 +470,18 @@ class TestConfigHandling:
         config.write_text("threads = 2\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
         assert "unknown key 'threads'" in capsys.readouterr().err
+
+    def test_removed_al_al_cutoff_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("cutoff.al_al = 3.0\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+        assert "unknown key 'cutoff.al_al'" in capsys.readouterr().err
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.partition("Keys:\n\n```\n")[2].partition("```")[0]
+        listed = [key.strip() for key in block.replace("\n", ",").split(",") if key.strip()]
+        assert sorted(listed) == sorted(_KEY_MAP)
 
     def test_removed_threads_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jjvar import motifs
 from jjvar.motifs import (
     MOTIF_CLASSES,
     MotifRecord,
@@ -75,6 +76,18 @@ class TestPrecedenceAndStability:
         rec = classify_h(structure, graph, 1)
         assert rec.label == "Al-OH-Al"
         assert len(rec.host_al) == 2
+
+    def test_o_partner_looked_up_only_for_al_bonded_h(self, monkeypatch):
+        # The O sits 1.5 A from the H: outside the O-H cutoff, inside the Al-H one.
+        lone = make_molecule(["O", "H"], [(0, 0, 0), (1.5, 0, 0)])
+        calls = []
+        monkeypatch.setattr(motifs, "mic_distances", lambda *args: calls.append(args))
+        assert classify_h(lone, neighbor_graph(lone), 1).label == "interstitial"
+        assert calls == []
+        monkeypatch.undo()
+        hydride = make_molecule(["O", "H", "Al"], [(0, 0, 0), (1.5, 0, 0), (3.2, 0, 0)])
+        rec = classify_h(hydride, neighbor_graph(hydride), 1)
+        assert (rec.label, rec.host_o, rec.host_al) == ("Al-H-O", (0,), (2,))
 
     def test_perturbation_stability(self):
         rng = np.random.default_rng(17)

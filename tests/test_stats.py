@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln, polygamma, psi
 
@@ -240,6 +240,19 @@ class TestFit:
         result = fit(CountSample((50000, 50001) * 50), trials=MAX_TRIALS)
         assert not result.converged
         assert time.perf_counter() - start < 20.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.floats(0.1, 1000.0),
+        st.floats(0.1, 1000.0),
+        st.integers(2, 300),
+        st.integers(20, 800),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fits_on_beta_binomial_samples_converge(self, alpha, beta, m, k, seed):
+        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        assume(np.unique(counts).size >= 2)
+        assert fit(CountSample(tuple(counts.tolist())), trials=m).converged
 
     def test_trial_number_bound(self):
         counts = CountSample((1, 2, 3))

@@ -321,8 +321,15 @@ class TestNeighborGraph:
             species=("Al", "Al"),
             positions=[[0, 0, 0], [2, 0, 0]],
         )
+        # The default cutoffs (largest 2.2 A) fit this cell; an Al-Al one of 3 A does not.
+        neighbor_graph(s)
         with pytest.raises(ConfigurationError):
-            neighbor_graph(s)
+            neighbor_graph(s, {("Al", "Al"): 3.0})
+
+    def test_al_al_unbonded_by_default(self):
+        s = make_molecule(["Al", "Al", "O"], [(0, 0, 0), (2.5, 0, 0), (0, 1.8, 0)])
+        assert neighbor_graph(s).edge_set() == {(0, 2)}
+        assert neighbor_graph(s, {("Al", "Al"): 3.0}).edge_set() == {(0, 1), (0, 2)}
 
     def test_triclinic_rejected(self):
         cell = np.array([[10.0, 0, 0], [3.0, 10.0, 0], [0, 0, 10.0]])
@@ -361,11 +368,12 @@ class TestNeighborGraph:
     def test_wide_non_periodic_span(self, span):
         pos = [[0, 0, 0], [1.0, 0, 0], [span, 0, 0], [span, 1.0, 0], [span / 2, 0, span]]
         s = make_molecule(["Al", "Al", "O", "H", "Al"], pos)
+        al_al = {("Al", "Al"): 3.0}
         # No bin index may overflow its integer type on the way.
         with np.errstate(all="raise"):
-            g = neighbor_graph(s)
+            g = neighbor_graph(s, al_al)
         assert g.indptr.tolist() == [0, 1, 2, 3, 4, 4]
-        assert g.edge_set() == brute_force_edges(s) == {(0, 1), (2, 3)}
+        assert g.edge_set() == brute_force_edges(s, al_al) == {(0, 1), (2, 3)}
 
     @pytest.mark.parametrize("length", [1e9, 1e100])
     def test_huge_periodic_cell(self, length):

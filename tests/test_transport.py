@@ -92,6 +92,31 @@ class TestTransmission:
         curve = transmission(model, grid)
         assert np.max(np.abs(curve.values - 1.0)) < 1e-10
 
+    @given(
+        st.floats(-5.0, 5.0),
+        st.floats(0.3, 6.0),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_default_model_follows_configured_lead(self, onsite, magnitude, sign, sites):
+        # At height 0 the barrier, the coupling and the leads form one perfect
+        # chain, and the Fermi level sits at the lead band centre.
+        model = default_model(
+            barrier_sites=sites, height=0.0, lead_onsite=onsite, lead_hopping=sign * magnitude
+        )
+        assert model.fermi_energy == onsite
+        grid = onsite + np.linspace(-0.9, 0.9, 37) * model.band_halfwidth()
+        assert np.max(np.abs(transmission(model, grid).values - 1.0)) < 1e-10
+
+    def test_calibration_height_ignores_lead_onsite(self):
+        heights = {
+            onsite: calibrate_barrier(1.61e-5, base=default_model(lead_onsite=onsite)).height
+            for onsite in (0.0, 1.0, -2.5)
+        }
+        assert heights[1.0] == pytest.approx(heights[0.0], abs=1e-9)
+        assert heights[-2.5] == pytest.approx(heights[0.0], abs=1e-9)
+
     def test_single_site_barrier_matches_oracle(self):
         model = JunctionModel(
             lead_onsite=0.0,
