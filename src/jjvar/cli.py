@@ -40,10 +40,6 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def _json_ready(obj):
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
@@ -62,12 +58,29 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+# Rows formatted per write.  Only one block of row strings exists at a time,
+# so writing a table takes the same memory whatever its length.
+_CSV_BLOCK_ROWS = 4096
+
+
+def _is_float_column(column) -> bool:
+    if isinstance(column, np.ndarray):
+        return column.dtype.kind == "f"
+    return len(column) > 0 and isinstance(column[0], float)
+
+
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns (1-D arrays or lists, one type each) as CSV
+    rows under `header`: floats with 12 significant digits, other values as
+    str() gives them."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    template = ",".join("{:.12g}" if _is_float_column(c) else "{}" for c in columns) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            fh.write("".join(map(template.format, *block)))
 
 
 def _read_json(path: Path, what: str):
@@ -87,17 +100,6 @@ def _json_number(payload, path: Path, *keys: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{path}: {'.'.join(keys)} is missing or not a finite number")
     return float(value)
-
-
-def _parse_m_strategy(strategy: str) -> dict:
-    if strategy == "scan":
-        return {}
-    if strategy.startswith("fixed="):
-        return {"trials": int(strategy.partition("=")[2])}
-    if strategy.startswith("scan="):
-        lo, _, hi = strategy.partition("=")[2].partition(":")
-        return {"scan_range": (int(lo), int(hi))}
-    raise ConfigError(f"bad m strategy {strategy!r}; use 'scan', 'scan=LO:HI' or 'fixed=M'")
 
 
 class _StructurePass(NamedTuple):
@@ -207,7 +209,7 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = 
     else:
         raise FileNotFoundError("fit-stats needs a counts file or a structure directory")
 
-    result = stats.fit(sample, **_parse_m_strategy(cfg.m_strategy))
+    result = stats.fit(sample, **cfg.m_fit_args())
     report = result.report()
     report.update(
         {
@@ -222,13 +224,11 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = 
     report_path = out / "fit_report.json"
     _write_json(report_path, report)
 
-    observed = np.bincount(np.array(sample.counts), minlength=result.dist.trials + 1)
-    pmf = result.dist.pmf_vector()
+    support = np.arange(result.dist.trials + 1)
+    observed = np.bincount(np.array(sample.counts), minlength=support.size)
     hist_path = out / "h_histogram.csv"
     _write_csv(
-        hist_path,
-        ["n", "observed", "fitted_pmf"],
-        [[int(n), int(observed[n]), float(pmf[n])] for n in range(result.dist.trials + 1)],
+        hist_path, ["n", "observed", "fitted_pmf"], [support, observed, result.dist.pmf_vector()]
     )
     if not result.converged:
         raise stats.FitConvergenceError(
@@ -247,20 +247,17 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
         scan = _structure_pass(cfg, census=False, analyze=True)
     results, failures = _collect(scan.files, scan.rows, warned=scan.counts)
 
-    stoich_rows = []
-    per_sample_records = []
-    motif_rows = []
-    for name, (row, records) in results:
-        stoich_rows.append([name, *row])
-        per_sample_records.append(records)
-        for rec in records:
-            motif_rows.append([name, rec.h_index, rec.label, int(rec.surface)])
+    names = [name for name, _ in results]
+    n_al, n_o, n_h, xs, hs = (np.array(c) for c in zip(*(row for _, (row, _) in results)))
+    per_sample_records = [records for _, (_, records) in results]
 
     stoich_path = out / "stoichiometry.csv"
-    _write_csv(stoich_path, ["sample", "n_al", "n_o", "n_h", "x", "h_atpct"], stoich_rows)
+    _write_csv(
+        stoich_path,
+        ["sample", "n_al", "n_o", "n_h", "x", "h_atpct"],
+        [names, n_al, n_o, n_h, xs, hs],
+    )
 
-    xs = np.array([row[4] for row in stoich_rows])
-    hs = np.array([row[5] for row in stoich_rows])
     summary_path = out / "ensemble_summary.json"
     _write_json(
         summary_path,
@@ -273,7 +270,17 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
     )
 
     motif_csv_path = out / "motifs.csv"
-    _write_csv(motif_csv_path, ["sample", "h_index", "class", "surface"], motif_rows)
+    records = [rec for recs in per_sample_records for rec in recs]
+    _write_csv(
+        motif_csv_path,
+        ["sample", "h_index", "class", "surface"],
+        [
+            [name for name, recs in zip(names, per_sample_records) for _ in recs],
+            [rec.h_index for rec in records],
+            [rec.label for rec in records],
+            [int(rec.surface) for rec in records],
+        ],
+    )
 
     stats_table = motifs.motif_statistics(per_sample_records)
     motif_json_path = out / "motif_table.json"
@@ -312,11 +319,7 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
     paths = []
     for tag, curve in (("jj", curve_jj), ("jj_h", curve_jjh)):
         path = out / f"transmission_{tag}.csv"
-        _write_csv(
-            path,
-            ["energy_ev", "transmission"],
-            [[float(e), float(t)] for e, t in zip(curve.energies, curve.values)],
-        )
+        _write_csv(path, ["energy_ev", "transmission"], [curve.energies, curve.values])
         paths.append(path)
 
     sidecar = out / "calibration.json"
@@ -389,9 +392,7 @@ def cmd_ej(
     )
     pmf_path = out / "ej_pmf.csv"
     _write_csv(
-        pmf_path,
-        ["ej_ghz", "probability"],
-        [[float(e), float(p)] for e, p in zip(distribution.support(), distribution.probabilities())],
+        pmf_path, ["ej_ghz", "probability"], [distribution.support(), distribution.probabilities()]
     )
     return [report_path, pmf_path]
 

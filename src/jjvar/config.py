@@ -9,13 +9,14 @@ Grammar (one entry per line):
 
 Values parse as int, float or bare string, by the key's type.  Unknown keys are
 rejected.  CLI flags override file values.  `PipelineConfig.validate` then
-rejects non-finite numbers, non-positive lengths, areas and targets, and a
-zero lead hopping, naming the offending key.
+rejects non-finite numbers, non-positive lengths, areas and targets, a zero
+lead hopping and a malformed `stats.m`, naming the offending key.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -87,6 +88,22 @@ class PipelineConfig:
             if getattr(self, name) is not None
         }
 
+    def m_fit_args(self) -> dict:
+        """`stats.fit` keyword arguments for `stats.m`: {} for 'scan',
+        {"scan_range": (LO, HI)} for 'scan=LO:HI', {"trials": M} for 'fixed=M'."""
+        if self.m_strategy == "scan":
+            return {}
+        fixed = re.fullmatch(r"fixed=(-?\d+)", self.m_strategy, re.ASCII)
+        if fixed and int(fixed[1]) >= 1:
+            return {"trials": int(fixed[1])}
+        scan = re.fullmatch(r"scan=(-?\d+):(-?\d+)", self.m_strategy, re.ASCII)
+        if scan and int(scan[1]) <= int(scan[2]):
+            return {"scan_range": (int(scan[1]), int(scan[2]))}
+        raise ConfigError(
+            "stats.m must be 'scan', 'scan=LO:HI' with integers LO <= HI or 'fixed=M' "
+            f"with an integer M >= 1, got {self.m_strategy!r}"
+        )
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -113,8 +130,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{name} path does not exist: {value}")
-        if not (self.m_strategy == "scan" or self.m_strategy.startswith(("fixed=", "scan="))):
-            raise ConfigError(f"stats.m must be 'scan', 'scan=LO:HI' or 'fixed=M', got {self.m_strategy!r}")
+        self.m_fit_args()
 
 
 _KEY_MAP = {

@@ -1,18 +1,25 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
 import dataclasses
+import fnmatch
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import jjvar
 from jjvar import cli
-from jjvar.cli import _write_json, main
+from jjvar.cli import _write_csv, _write_json, main
 from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import BetaBinomial
@@ -444,6 +451,78 @@ class TestPathArguments:
         assert summary["samples"] == 2
 
 
+_PATH_KINDS = ("missing", "garbage", "empty", "directory")
+_OPTIONAL_KIND = st.none() | st.sampled_from(_PATH_KINDS)
+_COMMAND_PATHS = {
+    "fit-stats": ("--counts", "--structures"),
+    "analyze": ("--structures",),
+    "transmission": (),
+    "ej": ("--fit-report", "--calibration"),
+    "pipeline": (),
+}
+# Text that every reader decodes and then rejects.
+_GARBAGE = b"garbage = {\nnot, a, number\n-1\n"
+
+
+def _path_of_kind(root: Path, name: str, kind: str) -> str:
+    path = root / name
+    if kind == "garbage":
+        path.write_bytes(_GARBAGE)
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "directory":
+        # The only structure "file" in it is a directory named x.xyz.
+        (path / "x.xyz").mkdir(parents=True)
+    return str(path)
+
+
+# Only --out given, as a directory still to be made.
+_OUT_ONLY = {
+    **dict.fromkeys(["--config", "--counts", "--structures", "--fit-report", "--calibration"]),
+    "--out": "missing",
+}
+
+
+class TestPathArgumentFuzz:
+    """Every mix of path-argument kinds ends in exit 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        command=st.sampled_from(sorted(_COMMAND_PATHS)),
+        kinds=st.fixed_dictionaries(
+            {
+                "--config": _OPTIONAL_KIND,
+                "--out": st.sampled_from(_PATH_KINDS),
+                "--counts": _OPTIONAL_KIND,
+                "--structures": _OPTIONAL_KIND,
+                "--fit-report": _OPTIONAL_KIND,
+                "--calibration": _OPTIONAL_KIND,
+            }
+        ),
+    )
+    # The six TestPathArguments cases.
+    @example(command="analyze", kinds={**_OUT_ONLY, "--structures": "garbage"})
+    @example(command="fit-stats", kinds={**_OUT_ONLY, "--counts": "directory"})
+    @example(command="ej", kinds={**_OUT_ONLY, "--config": "directory"})
+    @example(command="ej", kinds={**_OUT_ONLY, "--fit-report": "directory"})
+    @example(command="ej", kinds={**_OUT_ONLY, "--out": "garbage"})
+    @example(command="analyze", kinds={**_OUT_ONLY, "--structures": "directory"})
+    def test_exit_code_contract(self, command, kinds):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+
+            def options(names):
+                return [
+                    arg
+                    for name in names
+                    if kinds[name] is not None
+                    for arg in (name, _path_of_kind(root, name.strip("-"), kinds[name]))
+                ]
+
+            argv = options(("--config", "--out")) + [command] + options(_COMMAND_PATHS[command])
+            assert main(argv) in (0, 2, 3)
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -483,6 +562,27 @@ class TestConfigHandling:
         listed = [key.strip() for key in block.replace("\n", ",").split(",") if key.strip()]
         assert sorted(listed) == sorted(_KEY_MAP)
 
+    def test_readme_lists_the_header_of_every_emitted_csv(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.partition("### artifact schemas")[2].partition("\n## ")[0]
+        schemas = dict(re.findall(r"^- `([^`]+\.csv)`: `([^`]+)`", section, re.MULTILINE))
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(
+            f"paths.counts = {write_counts_file(tmp_path / 'counts.txt')}\n"
+            f"paths.structures = {write_structure_dir(tmp_path)}\n"
+            "stats.m = fixed=40\n"
+            "transport.grid_points = 101\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "pipeline"]) == 0
+        emitted = sorted(out.glob("*.csv"))
+        assert len(emitted) == 6
+        for path in emitted:
+            (pattern,) = [p for p in schemas if fnmatch.fnmatch(path.name, p)]
+            header = path.read_text().partition("\n")[0]
+            assert header == schemas[pattern], path.name
+        assert all(any(fnmatch.fnmatch(p.name, pattern) for p in emitted) for pattern in schemas)
+
     def test_removed_threads_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--threads", "2", "--out", str(tmp_path / "o"), "ej"])
@@ -503,6 +603,12 @@ class TestConfigHandling:
             ("surface.bin = nan", "analyze"),
             ("cutoff.al_o = -1", "analyze"),
             ("transport.lead_hopping = 0", "transmission"),
+            ("stats.m = scan=5", "fit-stats"),
+            ("stats.m = scan=3:", "fit-stats"),
+            ("stats.m = fixed=1.5", "fit-stats"),
+            ("stats.m = fixed=0", "fit-stats"),
+            ("stats.m = scan=9:3", "fit-stats"),
+            ("stats.m = scan=9:3", "pipeline"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, slab_dir, line, command):
@@ -514,6 +620,67 @@ class TestConfigHandling:
         assert err.startswith(f"error: {key} must be ")
         assert "warning" not in err
         assert not (tmp_path / "o").exists()
+
+
+def _reference_csv(path: Path, header: list[str], columns: list) -> None:
+    """The per-value CSV formula the block writer must reproduce byte for byte."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+_BLOCK = cli._CSV_BLOCK_ROWS
+_INT64 = (-(2**63), 2**63 - 1)
+_CELL_VALUES = {
+    "float": st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -1e300]),
+    "int": st.integers(*_INT64) | st.sampled_from([2**53 + 1, -(2**53) - 3, 2**63 - 1, 10**30]),
+    "str": st.text(st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r")),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, columns as written, the same columns as Python lists)."""
+    rows = draw(st.sampled_from([0, 1, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELL_VALUES)), min_size=1, max_size=4))
+    columns, values = [], []
+    for kind in kinds:
+        pool = draw(st.lists(_CELL_VALUES[kind], min_size=1, max_size=12))
+        column = [pool[i % len(pool)] for i in range(rows)]
+        as_array = kind == "float" or (kind == "int" and all(_INT64[0] <= v <= _INT64[1] for v in pool))
+        if as_array and draw(st.booleans()):
+            columns.append(np.array(column, dtype=np.float64 if kind == "float" else np.int64))
+        else:
+            columns.append(column)
+        values.append(column)
+    header = [f"c{k}" for k in range(len(kinds))]
+    return header, columns, values
+
+
+class TestCsvWriter:
+    @settings(max_examples=40, deadline=None)
+    @given(csv_tables())
+    @example((["a", "b"], [np.array([]), []], [[], []]))  # header only
+    def test_matches_per_value_formula(self, table):
+        header, columns, values = table
+        with tempfile.TemporaryDirectory() as tmp:
+            written, reference = Path(tmp) / "written.csv", Path(tmp) / "reference.csv"
+            _write_csv(written, header, columns)
+            _reference_csv(reference, header, values)
+            assert written.read_bytes() == reference.read_bytes()
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        energies = np.linspace(-5.0, 5.0, 200_000)
+        values = np.exp(energies)
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "curve.csv", ["energy_ev", "transmission"], [energies, values])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def _reject_constant(name):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jjvar import motifs
 from jjvar.motifs import (
@@ -19,6 +21,23 @@ from jjvar.structure import (
 )
 
 from conftest import make_molecule, make_oxide_slab, nine_motif_fixtures
+
+
+@st.composite
+def dense_clusters(draw):
+    """Non-periodic clusters grown one atom at a time, each 0.9-2.2 A from an
+    earlier atom, so H atoms meet several O, O-O chains and Al hosts."""
+    n = draw(st.integers(2, 24))
+    species = draw(st.lists(st.sampled_from(["Al", "O", "H"]), min_size=n, max_size=n))
+    positions = [np.zeros(3)]
+    for k in range(1, n):
+        anchor = positions[draw(st.integers(0, k - 1))]
+        cos_theta = draw(st.floats(-1.0, 1.0))
+        phi = draw(st.floats(0.0, 2.0 * np.pi))
+        sin_theta = np.sqrt(1.0 - cos_theta**2)
+        direction = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
+        positions.append(anchor + draw(st.floats(0.9, 2.2)) * direction)
+    return make_molecule(species, positions)
 
 
 class TestNineClasses:
@@ -119,6 +138,18 @@ class TestPrecedenceAndStability:
             for h in s.indices_of("H"):
                 record = classify_h(s, graph, int(h))
                 assert record.label in MOTIF_CLASSES
+
+    @settings(max_examples=100, deadline=None)
+    @given(dense_clusters())
+    def test_records_total_with_typed_hosts_on_dense_clusters(self, s):
+        records = classify_structure(s)
+        assert [rec.h_index for rec in records] == list(s.indices_of("H"))
+        for rec in records:
+            assert rec.label in MOTIF_CLASSES
+            assert all(s.species[o] == "O" for o in rec.host_o)
+            assert all(s.species[al] == "Al" for al in rec.host_al)
+            max_o, max_al = motifs._ARITY[rec.label]
+            assert len(rec.host_o) <= max_o and len(rec.host_al) <= max_al
 
     def test_order_independence(self):
         rng = np.random.default_rng(29)
