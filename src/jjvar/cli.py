@@ -151,18 +151,21 @@ def _read_with_region(path: Path):
 def _analyze_row(cfg: PipelineConfig, s: structure.AtomicStructure, region):
     """((n_al, n_o, n_h, x, h_atpct), motif records) of one structure, or the
     error message that rejects it; `region` is its oxide region or the
-    message oxide_region raised.  A bond-graph error is reported first."""
+    message oxide_region raised.  A bond-query error is reported first."""
+    located = None if isinstance(region, str) else region
     try:
-        graph = structure.neighbor_graph(s, cfg.cutoff_overrides() or None)
-    except ValueError as exc:
-        return str(exc)
-    if isinstance(region, str):
-        return region
-    try:
-        x, h_pct = structure.stoichiometry(region)
+        # Classified even when the region failed, so that a bond-query error
+        # (a triclinic or too-short periodic cell) wins over the region's.
         records = motifs.classify_structure(
-            s, graph, region=region, surface_depth=cfg.surface_depth, surface_bin=cfg.surface_bin
+            s,
+            cutoffs=cfg.cutoff_overrides() or None,
+            region=located,
+            surface_depth=cfg.surface_depth,
+            surface_bin=cfg.surface_bin,
         )
+        if located is None:
+            return region
+        x, h_pct = structure.stoichiometry(region)
     except ValueError as exc:
         return str(exc)
     return (region.n_al, region.n_o, region.n_h, float(x), float(h_pct)), records

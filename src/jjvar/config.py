@@ -7,10 +7,11 @@ Grammar (one entry per line):
     transport.barrier_sites = 12
     stats.m = fixed=40
 
-Values parse as int, float or bare string, by the key's type.  Unknown keys are
-rejected.  CLI flags override file values.  `PipelineConfig.validate` then
-rejects non-finite numbers, non-positive lengths, areas and targets, a zero
-lead hopping and a malformed `stats.m`, naming the offending key.
+Values parse as int, float or bare string, by the key's type.  Unknown keys
+and keys given twice are rejected.  CLI flags override file values.
+`PipelineConfig.validate` then rejects non-finite numbers, non-positive
+lengths, areas and targets, a zero lead hopping and a malformed `stats.m` or
+one above `stats.MAX_TRIALS`, naming the offending key.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+from .stats import MAX_TRIALS
 
 __all__ = [
     "MAX_BARRIER_SITES",
@@ -94,14 +97,15 @@ class PipelineConfig:
         if self.m_strategy == "scan":
             return {}
         fixed = re.fullmatch(r"fixed=(-?\d+)", self.m_strategy, re.ASCII)
-        if fixed and int(fixed[1]) >= 1:
+        if fixed and 1 <= int(fixed[1]) <= MAX_TRIALS:
             return {"trials": int(fixed[1])}
         scan = re.fullmatch(r"scan=(-?\d+):(-?\d+)", self.m_strategy, re.ASCII)
-        if scan and int(scan[1]) <= int(scan[2]):
+        if scan and int(scan[1]) <= int(scan[2]) <= MAX_TRIALS:
             return {"scan_range": (int(scan[1]), int(scan[2]))}
         raise ConfigError(
             "stats.m must be 'scan', 'scan=LO:HI' with integers LO <= HI or 'fixed=M' "
-            f"with an integer M >= 1, got {self.m_strategy!r}"
+            "with an integer M >= 1, where HI and M are at most the largest supported "
+            f"trial number {MAX_TRIALS}, got {self.m_strategy!r}"
         )
 
     def validate(self) -> None:
@@ -204,6 +208,7 @@ def _parse_value(field_name: str, raw: str):
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     config = base if base is not None else PipelineConfig()
     updates = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -214,6 +219,8 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         key = key.strip().lower()
         if key not in _KEY_MAP:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first_line[key]})")
         # partition splits at the first '=', so values like fixed=40 survive.
         field_name = _KEY_MAP[key]
         updates[field_name] = _parse_value(field_name, raw)

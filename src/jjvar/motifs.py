@@ -28,15 +28,15 @@ surface site.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .structure import (
     AtomicStructure,
     BondGraph,
+    CellList,
     OxideRegion,
-    mic_distances,
-    neighbor_graph,
     oxide_region,
     surface_sites,
 )
@@ -128,7 +128,8 @@ def classify_h(
     """Classify hydrogen atom `h` from the bonds of H and O atoms in `graph`.
 
     An Al-bonded H with no O bond is Al-H-O when an O lies within the graph's
-    Al-H cutoff of it; that O is found by distance, not from the graph.
+    Al-H cutoff of it; that O is `graph.bridge_o[h]`, which the bond query
+    picks from the same candidate pairs as the H atom's bonds.
     """
     if structure.species[h] != "H":
         raise ValueError(f"atom {h} is {structure.species[h]}, not H")
@@ -176,17 +177,14 @@ def classify_h(
         return _record(h, label, host_o, host_al, surface)
 
     # No covalently bonded O: hydride-like branches.  Only an H with an Al
-    # bond reads its O partner: the nearest O (lowest index on ties, as o_all
-    # ascends) if it lies within the Al-H cutoff.
+    # bond has an O partner: the nearest O (lowest index on ties) if it lies
+    # within the Al-H cutoff.
     if not al_bonded:
         return _record(h, "interstitial", [], [], surface)
     host_al = _by_distance(al_bonded)
-    o_all = structure.indices_of("O")
-    if o_all.size:
-        dists = mic_distances(structure, h, o_all)
-        nearest = int(np.argmin(dists))
-        if dists[nearest] <= graph.cutoffs[("Al", "H")]:
-            return _record(h, "Al-H-O", [int(o_all[nearest])], host_al[:1], surface)
+    partner = graph.bridge_o.get(h)
+    if partner is not None:
+        return _record(h, "Al-H-O", [partner], host_al[:1], surface)
     label = "Al-H" if len(host_al) == 1 else "Al-H-Al"
     return _record(h, label, [], host_al[:2], surface)
 
@@ -214,11 +212,18 @@ def classify_structure(
     structure: AtomicStructure,
     graph: BondGraph | None = None,
     *,
+    cutoffs: Mapping | None = None,
     region: OxideRegion | None = None,
     surface_depth: float = 2.0,
     surface_bin: float = 4.0,
 ) -> list[MotifRecord]:
     """Classify every H atom, with surface flags from the oxide top surface.
+
+    Without a `graph`, bonds are made only for the rows `classify_h` reads:
+    a `CellList` query (at the default cutoffs, overridden by `cutoffs`) on
+    the H atoms, then on the O atoms their rows bond to and on the O-O
+    frontier until it is empty.  Each of those rows, and `bridge_o`, equals
+    its value in `neighbor_graph`, so the records do too.
 
     `region` is the structure's oxide region if the caller has it; otherwise
     it is located here.  A structure whose oxide cannot be located (no O
@@ -226,7 +231,7 @@ def classify_structure(
     (all flags False), so every H is still classified.
     """
     if graph is None:
-        graph = neighbor_graph(structure)
+        graph = CellList(structure, cutoffs).graph(structure.indices_of("H"))
     if region is None:
         try:
             region = oxide_region(structure)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -28,12 +28,12 @@ __all__ = [
     "SPECIES",
     "AtomicStructure",
     "BondGraph",
+    "CellList",
     "ConfigurationError",
     "OxideRegion",
     "ParseError",
     "effective_time",
     "ideal_gas_count",
-    "mic_distances",
     "neighbor_graph",
     "oxide_region",
     "parse_xyz",
@@ -233,31 +233,6 @@ def _cell_lengths(structure: AtomicStructure) -> np.ndarray:
     return np.abs(np.diag(structure.cell))
 
 
-def _require_mic_cell(structure: AtomicStructure) -> None:
-    if any(structure.pbc) and not structure.is_orthorhombic:
-        raise ConfigurationError(
-            "minimum-image convention supports orthorhombic cells only; "
-            "got a triclinic periodic cell"
-        )
-
-
-def _mic_vectors(structure: AtomicStructure, origin: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    delta = targets - origin
-    lengths = _cell_lengths(structure)
-    for ax in range(3):
-        if structure.pbc[ax]:
-            delta[:, ax] -= lengths[ax] * np.round(delta[:, ax] / lengths[ax])
-    return delta
-
-
-def mic_distances(structure: AtomicStructure, i: int, indices: Sequence[int]) -> np.ndarray:
-    """Minimum-image distances from atom i to the given atom indices."""
-    _require_mic_cell(structure)
-    idx = np.asarray(indices, dtype=int)
-    delta = _mic_vectors(structure, structure.positions[i], structure.positions[idx])
-    return np.linalg.norm(delta, axis=1)
-
-
 def _normalize_cutoffs(cutoffs: Mapping | None) -> dict[tuple[str, str], float]:
     merged = dict(DEFAULT_CUTOFFS)
     if cutoffs:
@@ -276,7 +251,11 @@ class BondGraph:
 
     Stored as CSR arrays: the neighbours of atom i are
     `indices[indptr[i]:indptr[i + 1]]`, ascending, at `distances` in the same
-    slots.  Per-atom lists are built on demand.
+    slots.  Per-atom lists are built on demand.  A graph from
+    `CellList.graph` holds only the rows named there; the other rows are
+    empty.  `bridge_o` maps each held H row that bonds an Al and no
+    O to the nearest O within the Al-H cutoff (lowest index on ties), if any:
+    the motif classifier's hydride branch reads it.
     """
 
     def __init__(
@@ -285,13 +264,13 @@ class BondGraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         distances: np.ndarray,
-        cutoffs: dict[tuple[str, str], float],
+        bridge_o: dict[int, int],
     ):
         self.structure = structure
-        self.cutoffs = cutoffs
         self.indptr = indptr
         self.indices = indices
         self.distances = distances
+        self.bridge_o = bridge_o
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
@@ -316,6 +295,8 @@ class BondGraph:
 # the axis extent) cannot part two atoms within the search reach.
 _MAX_BINS = 2**20
 
+_AL, _O, _H = (SPECIES.index(s) for s in ("Al", "O", "H"))
+
 
 def _axis_bins(x: np.ndarray, length: float, periodic: bool, reach: float):
     """Cell-list bins on one axis: (bin of each coordinate, bin count, stencil).
@@ -329,112 +310,140 @@ def _axis_bins(x: np.ndarray, length: float, periodic: bool, reach: float):
         bins = np.minimum((np.mod(x, length) / (length / m)).astype(np.int64), m - 1)
         # With 2 bins, +1 and -1 name the same neighbour; with 1, only itself.
         return bins, m, (0, 1, -1)[: min(m, 3)]
-    lo = x.min()
-    bins = 1 + ((x - lo) / max(reach, (x.max() - lo) / _MAX_BINS)).astype(np.int64)
+    lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
+    bins = 1 + ((x - lo) / max(reach, (hi - lo) / _MAX_BINS)).astype(np.int64)
     # Bins 0 and count - 1 stay empty, so a stencil offset never leaves the axis.
-    return bins, int(bins.max()) + 2, (0, 1, -1)
+    return bins, int(bins.max(initial=0)) + 2, (0, 1, -1)
 
 
-def _candidate_pairs(structure: AtomicStructure, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate pairs (i, j) from a cell list: every pair within `reach`
-    under the minimum image, once, among farther pairs of neighbouring cells."""
-    n = len(structure)
-    if n < 2:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    lengths = _cell_lengths(structure)
-    bins, dims, stencils = zip(
-        *(
-            _axis_bins(structure.positions[:, ax], lengths[ax], structure.pbc[ax], reach)
-            for ax in range(3)
-        )
-    )
+class CellList:
+    """Linked-cell index of one structure's atoms for bond queries.
 
-    def key(b):
-        return (b[0] * dims[1] + b[1]) * dims[2] + b[2]
-
-    # Occupied cells only, as sorted keys with the run of atoms in each.
-    atom_key = key(bins)
-    order = np.argsort(atom_key, kind="stable")
-    cells, start, count = np.unique(atom_key[order], return_index=True, return_counts=True)
-
-    # The neighbour cells of every occupied cell, looked up in one pass.
-    offsets = np.array(list(itertools.product(*stencils)))
-    first = order[start]
-    near = []
-    for ax in range(3):
-        b = bins[ax][first][:, None] + offsets[:, ax]
-        near.append(b % dims[ax] if structure.pbc[ax] else b)
-    near_key = key(near)
-    dst = np.minimum(np.searchsorted(cells, near_key), len(cells) - 1)
-    src = np.broadcast_to(np.arange(len(cells))[:, None], dst.shape)
-    # The stencil is symmetric, so each unordered cell pair shows up from both
-    # ends; keep it once.
-    hit = (cells[dst] == near_key) & (src <= dst)
-    src, dst = src[hit], dst[hit]
-
-    # Atom pairs of each cell pair, as slots in `order`.  Cells ascend with
-    # their slots, so i < j holds across cells and, inside one cell, keeps
-    # each pair once.
-    sizes = count[src] * count[dst]
-    local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    a, b = np.divmod(local, np.repeat(count[dst], sizes))
-    i = np.repeat(start[src], sizes) + a
-    j = np.repeat(start[dst], sizes) + b
-    keep = i < j
-    return order[i[keep]], order[j[keep]]
-
-
-def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -> BondGraph:
-    """Build the bond graph; deterministic, ordered by atom index.
-
-    A cell list proposes every pair within the largest cutoff (plus a 1e-9
-    relative and absolute margin, the reach).  A periodic axis of length L
-    gets m = floor(L / reach) bins of width L / m on the wrapped coordinates;
-    a non-periodic axis gets bins of width reach from its lowest coordinate.
-    An axis holds at most 2**20 bins; past that they widen.  Neighbour cells
-    differ by -1, 0 or +1 bins per axis, wrapping on periodic axes; with 2
-    bins the stencil is {0, +1}, so no cell is listed twice.  Only occupied
-    cells are stored, as sorted integer keys, so memory is O(N) for any cell
-    size and any spread of the atoms.
-    Each candidate's minimum-image distance is then recomputed with the same
-    arithmetic as `mic_distances` and kept iff it is within its species-pair
-    cutoff, so the result equals an all-pairs evaluation of that formula.
+    Built once per structure and cutoff set; `graph` then bonds any set of
+    centre atoms.  The reach is the largest cutoff plus a 1e-9 relative and
+    absolute margin.  A periodic axis of length L gets m = floor(L / reach)
+    bins of width L / m on the wrapped coordinates; a non-periodic axis gets
+    bins of width reach from its lowest coordinate.  An axis holds at most
+    2**20 bins; past that they widen.  Neighbour cells differ by -1, 0 or +1
+    bins per axis, wrapping on periodic axes; with 2 bins the stencil is
+    {0, +1}, so no cell is listed twice.  Only occupied cells are stored, as
+    sorted integer keys, so memory is O(N) for any cell size and any spread of
+    the atoms.
 
     Raises ConfigurationError when a cutoff reaches half the cell length on a
     periodic axis (the minimum-image distance would be ambiguous).
     """
-    _require_mic_cell(structure)
-    cut = _normalize_cutoffs(cutoffs)
-    rmax = max(cut.values())
-    lengths = _cell_lengths(structure)
-    for ax in range(3):
-        if structure.pbc[ax] and rmax >= 0.5 * lengths[ax]:
+
+    def __init__(self, structure: AtomicStructure, cutoffs: Mapping | None = None):
+        if any(structure.pbc) and not structure.is_orthorhombic:
             raise ConfigurationError(
-                f"cutoff {rmax} A >= half cell length {0.5 * lengths[ax]} A on periodic axis {ax}"
+                "minimum-image convention supports orthorhombic cells only; "
+                "got a triclinic periodic cell"
             )
+        cut = _normalize_cutoffs(cutoffs)
+        rmax = max(cut.values())
+        self._lengths = lengths = _cell_lengths(structure)
+        for ax in range(3):
+            if structure.pbc[ax] and rmax >= 0.5 * lengths[ax]:
+                raise ConfigurationError(
+                    f"cutoff {rmax} A >= half cell length {0.5 * lengths[ax]} A on periodic axis {ax}"
+                )
+        self.structure = structure
+        self._kind = np.argmax(structure._species_array[:, None] == np.array(SPECIES), axis=1)
+        # Unlisted pairs stay unbonded even at distance 0 (coincident atoms).
+        self._limit = np.full((len(SPECIES), len(SPECIES)), -np.inf)
+        for (a, b), r in cut.items():
+            ia, ib = SPECIES.index(a), SPECIES.index(b)
+            self._limit[ia, ib] = self._limit[ib, ia] = r
 
-    n = len(structure)
-    kind = np.argmax(structure._species_array[:, None] == np.array(SPECIES), axis=1)
-    # Unlisted pairs stay unbonded even at distance 0 (coincident atoms).
-    cut_matrix = np.full((len(SPECIES), len(SPECIES)), -np.inf)
-    for (a, b), r in cut.items():
-        ia, ib = SPECIES.index(a), SPECIES.index(b)
-        cut_matrix[ia, ib] = cut_matrix[ib, ia] = r
+        # The margin covers the binning's rounding; the exact test in `graph` decides.
+        reach = rmax * (1 + 1e-9) + 1e-9
+        self._bins, self._dims, stencils = zip(
+            *(
+                _axis_bins(structure.positions[:, ax], lengths[ax], structure.pbc[ax], reach)
+                for ax in range(3)
+            )
+        )
+        self._offsets = np.array(list(itertools.product(*stencils)))
+        # Occupied cells only, as sorted keys with the run of atoms in each.
+        atom_key = self._key(self._bins)
+        self._order = np.argsort(atom_key, kind="stable")
+        self._cells, self._start, self._count = np.unique(
+            atom_key[self._order], return_index=True, return_counts=True
+        )
 
-    # The margin covers the binning's rounding; the exact test below decides.
-    i, j = _candidate_pairs(structure, rmax * (1 + 1e-9) + 1e-9)
-    pos = structure.positions
-    dist = np.linalg.norm(_mic_vectors(structure, pos[i], pos[j]), axis=1)
-    keep = dist <= cut_matrix[kind[i], kind[j]]
-    i, j, dist = i[keep], j[keep], dist[keep]
+    def _key(self, b):
+        return (b[0] * self._dims[1] + b[1]) * self._dims[2] + b[2]
 
-    # Both directions of every bond, ordered by (row, column).
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    order = np.lexsort((cols, rows))
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return BondGraph(structure, indptr, cols[order], np.concatenate([dist, dist])[order], cut)
+    def _near(self, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(centre, atom, distance) for every atom other than the centre in
+        the centre's neighbour cells, which hold all atoms within the reach.
+        The distance is the minimum image of position[atom] - position[centre]:
+        `np.round` is odd and negation exact, so it is bit for bit the
+        distance seen from the other end."""
+        near = []
+        for ax in range(3):
+            b = self._bins[ax][centres][:, None] + self._offsets[:, ax]
+            near.append(b % self._dims[ax] if self.structure.pbc[ax] else b)
+        near_key = self._key(near)
+        slot = np.minimum(np.searchsorted(self._cells, near_key), len(self._cells) - 1)
+        hit = self._cells[slot] == near_key
+        row, slot = np.nonzero(hit)[0], slot[hit]
+        sizes = self._count[slot]
+        local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        atom = self._order[np.repeat(self._start[slot], sizes) + local]
+        centre = centres[np.repeat(row, sizes)]
+        other = atom != centre
+        centre, atom = centre[other], atom[other]
+        delta = self.structure.positions[atom] - self.structure.positions[centre]
+        for ax in range(3):
+            if self.structure.pbc[ax]:
+                delta[:, ax] -= self._lengths[ax] * np.round(delta[:, ax] / self._lengths[ax])
+        return centre, atom, np.linalg.norm(delta, axis=1)
+
+    def _bridges(self, centre, atom, dist, bonded) -> dict[int, int]:
+        """`BondGraph.bridge_o` entries of the H centres of one query, from its
+        candidates (centre, atom, dist) and their bond mask."""
+        kind = self._kind
+        bonds_to = np.zeros((len(kind), len(SPECIES)), dtype=bool)
+        bonds_to[centre[bonded], kind[atom[bonded]]] = True
+        pick = (kind[centre] == _H) & (kind[atom] == _O) & (dist <= self._limit[_AL, _H])
+        pick &= bonds_to[centre, _AL] & ~bonds_to[centre, _O]
+        centre, atom, dist = centre[pick], atom[pick], dist[pick]
+        order = np.lexsort((atom, dist, centre))
+        _, first = np.unique(centre[order], return_index=True)
+        return dict(zip(centre[order][first].tolist(), atom[order][first].tolist()))
+
+    def graph(self, centres) -> BondGraph:
+        """Bond graph holding the rows of `centres` and of every O atom a held
+        row bonds to, until none is new: with the H atoms as centres, these are
+        the rows the motif classifier reads.  The other rows are empty.
+
+        A candidate is bonded iff its distance is within its species-pair
+        cutoff, so each held row equals the same row of an all-pairs
+        evaluation of the minimum-image formula, bit for bit.
+        """
+        n = len(self.structure)
+        held = np.zeros(n, dtype=bool)
+        pending = np.asarray(centres, dtype=np.intp)
+        parts, bridge_o = [], {}
+        while not parts or pending.size:
+            held[pending] = True
+            centre, atom, dist = self._near(pending)
+            bonded = dist <= self._limit[self._kind[centre], self._kind[atom]]
+            bridge_o.update(self._bridges(centre, atom, dist, bonded))
+            parts.append((centre[bonded], atom[bonded], dist[bonded]))
+            pending = np.unique(atom[bonded & (self._kind[atom] == _O) & ~held[atom]])
+        rows, cols, dist = (np.concatenate(p) for p in zip(*parts))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return BondGraph(self.structure, indptr, cols[order], dist[order], bridge_o)
+
+
+def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -> BondGraph:
+    """The full bond graph: `CellList.graph` with every atom as a centre."""
+    return CellList(structure, cutoffs).graph(np.arange(len(structure)))
 
 
 @dataclass(frozen=True)

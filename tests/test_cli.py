@@ -22,7 +22,7 @@ from jjvar import cli
 from jjvar.cli import _write_csv, _write_json, main
 from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
-from jjvar.stats import BetaBinomial
+from jjvar.stats import MAX_TRIALS, BetaBinomial
 
 from conftest import make_oxide_slab, to_xyz, write_structure_dir
 
@@ -147,6 +147,38 @@ class TestAnalyze:
         motifs = (out / "motifs.csv").read_text().splitlines()
         assert motifs[0] == "sample,h_index,class,surface"
         assert len(motifs) == 1 + 2 + 3
+
+
+    def test_bonds_only_the_classifier_rows(self, tmp_path, monkeypatch, slab_dir):
+        full_graphs = []
+        full = jjvar.structure.neighbor_graph
+
+        def spy(*args, **kwargs):
+            full_graphs.append(args)
+            return full(*args, **kwargs)
+
+        jjvar_modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "jjvar"]
+        for module in jjvar_modules:
+            for attr, value in list(vars(module).items()):
+                if value is full:
+                    monkeypatch.setattr(module, attr, spy)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "--structures", str(slab_dir)]) == 0
+        assert full_graphs == []
+        # The hydride branch takes its O partner from the bond query, so no
+        # module binds a per-H distance scan any more.
+        assert not any(hasattr(module, "mic_distances") for module in jjvar_modules)
+        assert len((out / "motifs.csv").read_text().splitlines()) == 1 + (1 + 2 + 3)
+
+    def test_cell_shorter_than_twice_the_reach_exits_2(self, tmp_path, capsys):
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        # 2.8 A periodic laterals: less than twice the 2.2 A Al-O cutoff.
+        (directory / "short.xyz").write_text(to_xyz(make_oxide_slab(n_h=1, lateral=1)))
+        assert main(["--out", str(tmp_path / "o"), "analyze", "--structures", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert "warning: skipping short.xyz: cutoff 2.2 A >= half cell length 1.4 A" in err
+        assert err.endswith("error: all 1 structure files failed to parse\n")
 
 
 class TestTransmissionCommand:
@@ -523,6 +555,60 @@ class TestPathArgumentFuzz:
             assert main(argv) in (0, 2, 3)
 
 
+_HUGE = "9" * 5000  # past the 4300 digits int() converts
+_NUMBER_TEXT = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.floats().map(repr),
+    st.sampled_from([_HUGE, "-" + _HUGE, "1e999", "-1e999", "1e-999", "1e308", "0x10", "1_0", "true", ""]),
+)
+_M_TEXT = st.one_of(
+    st.integers(-3, 2 * 10**5).map("fixed={}".format),
+    st.tuples(st.integers(-3, 2 * 10**5), st.integers(-3, 2 * 10**5)).map("scan={0[0]}:{0[1]}".format),
+    st.sampled_from(["scan", "fixed=", "scan=3", "fixed=" + _HUGE, "scan=1:" + _HUGE]),
+)
+_VALUE_TEXT = _NUMBER_TEXT | _M_TEXT | st.text(st.characters(exclude_characters="\n\r"), max_size=8)
+_KEY_TEXT = st.sampled_from(sorted(_KEY_MAP)) | st.sampled_from(
+    ["transport.bogus", "cutoff.al_al", "threads", "Seed", "STATS.M", ""]
+)
+# Bytes that are not UTF-8: a lone continuation byte, a bad lead byte, a
+# truncated sequence.
+_NOT_UTF8 = st.sampled_from([b"", b"", b"\x80", b"\xff", b"\xc3"])
+
+
+def _m_above_bound(value: str) -> bool:
+    match = re.fullmatch(r"(?:fixed=|scan=-?\d+:)(\d+)", value)
+    digits = match[1].lstrip("0") if match else ""
+    return len(digits) > 6 or bool(digits) and int(digits) > MAX_TRIALS
+
+
+class TestConfigContentFuzz:
+    """Any config file content ends in exit 0, 2 or 3, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(_KEY_TEXT, _VALUE_TEXT), max_size=6),
+        junk=_NOT_UTF8,
+        at=st.integers(0, 200),
+    )
+    @example(entries=[("seed", "1"), ("seed", "2")], junk=b"", at=0)
+    @example(entries=[("stats.m", "fixed=100001")], junk=b"", at=0)
+    @example(entries=[("stats.m", "scan=1:100001")], junk=b"", at=0)
+    @example(entries=[("seed", "1")], junk=b"\xff", at=7)
+    @example(entries=[("stats.trials", _HUGE), ("junction.area", "1e999")], junk=b"", at=0)
+    def test_exit_code_contract(self, entries, junk, at):
+        text = "".join(f"{key} = {value}\n" for key, value in entries).encode()
+        keys = [key.lower() for key, _ in entries]
+        duplicate = any(keys.count(key) > 1 for key in keys if key in _KEY_MAP)
+        m_above = any(key.lower() == "stats.m" and _m_above_bound(value) for key, value in entries)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.txt"
+            config.write_bytes(text[:at] + junk + text[at:])
+            code = main(["--config", str(config), "--out", str(Path(tmp) / "out"), "ej"])
+        assert code in (0, 2, 3)
+        if duplicate or m_above:
+            assert code == 2
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.txt"
@@ -555,6 +641,14 @@ class TestConfigHandling:
         config.write_text("cutoff.al_al = 3.0\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
         assert "unknown key 'cutoff.al_al'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("second", ["seed = 2", "  SEED=2"])
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, second):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"seed = 1\n# a comment\n{second}\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+        assert capsys.readouterr().err == "error: line 3: duplicate key 'seed' (first on line 1)\n"
+        assert not (tmp_path / "o").exists()
 
     def test_readme_lists_exactly_the_config_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -609,6 +703,8 @@ class TestConfigHandling:
             ("stats.m = fixed=0", "fit-stats"),
             ("stats.m = scan=9:3", "fit-stats"),
             ("stats.m = scan=9:3", "pipeline"),
+            ("stats.m = fixed=100001", "pipeline"),
+            ("stats.m = scan=1:100001", "pipeline"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, slab_dir, line, command):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jjvar import motifs
@@ -14,7 +14,9 @@ from jjvar.motifs import (
     motif_statistics,
 )
 from jjvar.structure import (
+    DEFAULT_CUTOFFS,
     AtomicStructure,
+    CellList,
     neighbor_graph,
     oxide_region,
     surface_sites,
@@ -38,6 +40,48 @@ def dense_clusters(draw):
         direction = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
         positions.append(anchor + draw(st.floats(0.9, 2.2)) * direction)
     return make_molecule(species, positions)
+
+
+@st.composite
+def dense_cells(draw):
+    """A dense cluster with cutoff overrides, left open or put in a cell that
+    is periodic on some axes, 2 to 4 times the largest cutoff long, where its
+    atoms wrap onto each other."""
+    overrides = draw(
+        st.dictionaries(st.sampled_from(sorted(DEFAULT_CUTOFFS)), st.floats(0.5, 3.0), max_size=4)
+    )
+    s = draw(dense_clusters())
+    rmax = max({**DEFAULT_CUTOFFS, **overrides}.values())
+    pbc = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    lengths = [rmax * draw(st.floats(2.01, 4.0)) if p else s.cell[ax, ax] for ax, p in enumerate(pbc)]
+    s = AtomicStructure(cell=np.diag(lengths), pbc=pbc, species=s.species, positions=s.positions)
+    return s, overrides
+
+
+def classifier_rows(s, overrides=None):
+    """The graph `classify_structure` builds when given none."""
+    return CellList(s, overrides).graph(s.indices_of("H"))
+
+
+def reference_bridge_o(s, graph, overrides) -> dict[int, int]:
+    """The hydride branch's O partner by an all-O scan: for each H bonded to
+    an Al and to no O, its nearest O (lowest index on ties) if that lies within
+    the Al-H cutoff."""
+    o_all = s.indices_of("O")
+    lengths = np.diag(s.cell)
+    partners = {}
+    for h in s.indices_of("H"):
+        h = int(h)
+        if not graph.neighbors_of_species(h, "Al") or graph.neighbors_of_species(h, "O"):
+            continue
+        delta = s.positions[o_all] - s.positions[h]
+        for ax in range(3):
+            if s.pbc[ax]:
+                delta[:, ax] -= lengths[ax] * np.round(delta[:, ax] / lengths[ax])
+        dists = np.linalg.norm(delta, axis=1)
+        if dists.size and dists.min() <= {**DEFAULT_CUTOFFS, **overrides}[("Al", "H")]:
+            partners[h] = int(o_all[np.argmin(dists)])
+    return partners
 
 
 class TestNineClasses:
@@ -96,17 +140,18 @@ class TestPrecedenceAndStability:
         assert rec.label == "Al-OH-Al"
         assert len(rec.host_al) == 2
 
-    def test_o_partner_looked_up_only_for_al_bonded_h(self, monkeypatch):
+    def test_o_partner_looked_up_only_for_al_bonded_h(self):
         # The O sits 1.5 A from the H: outside the O-H cutoff, inside the Al-H one.
         lone = make_molecule(["O", "H"], [(0, 0, 0), (1.5, 0, 0)])
-        calls = []
-        monkeypatch.setattr(motifs, "mic_distances", lambda *args: calls.append(args))
-        assert classify_h(lone, neighbor_graph(lone), 1).label == "interstitial"
-        assert calls == []
-        monkeypatch.undo()
         hydride = make_molecule(["O", "H", "Al"], [(0, 0, 0), (1.5, 0, 0), (3.2, 0, 0)])
-        rec = classify_h(hydride, neighbor_graph(hydride), 1)
-        assert (rec.label, rec.host_o, rec.host_al) == ("Al-H-O", (0,), (2,))
+        for build in (neighbor_graph, classifier_rows):
+            graph = build(lone)
+            assert graph.bridge_o == {}
+            assert classify_h(lone, graph, 1).label == "interstitial"
+            graph = build(hydride)
+            assert graph.bridge_o == {1: 0}
+            rec = classify_h(hydride, graph, 1)
+            assert (rec.label, rec.host_o, rec.host_al) == ("Al-H-O", (0,), (2,))
 
     def test_perturbation_stability(self):
         rng = np.random.default_rng(17)
@@ -150,6 +195,40 @@ class TestPrecedenceAndStability:
             assert all(s.species[al] == "Al" for al in rec.host_al)
             max_o, max_al = motifs._ARITY[rec.label]
             assert len(rec.host_o) <= max_o and len(rec.host_al) <= max_al
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_cells())
+    # An O-O chain two bonds long reaching Al: Al-O2-H.
+    @example(
+        (
+            make_molecule(
+                ["O", "H", "O", "O", "Al"],
+                [(0, 0, 0), (0, 0, 0.97), (1.4, 0, 0), (2.8, 0, 0), (4.7, 0, 0)],
+            ),
+            {},
+        )
+    )
+    # An H bonded to two Al-anchored O: Al-O-H-O-Al.
+    @example(([f for f in nine_motif_fixtures() if f[0] == "Al-O-H-O-Al"][0][1], {}))
+    # A hydride with two O at equal distance inside the Al-H cutoff: O 1 wins.
+    @example(
+        (
+            make_molecule(
+                ["H", "O", "Al", "O"], [(0, 0, 0), (1.5, 0, 0), (0, 0, 1.7), (-1.5, 0, 0)]
+            ),
+            {},
+        )
+    )
+    def test_classifier_rows_give_the_full_graph_records(self, case):
+        s, overrides = case
+        full = neighbor_graph(s, overrides)
+        rows = classifier_rows(s, overrides)
+        assert classify_structure(s, cutoffs=overrides) == classify_structure(s, full)
+        assert rows.bridge_o == full.bridge_o == reference_bridge_o(s, full, overrides)
+        held = np.diff(rows.indptr) > 0
+        for i in np.flatnonzero(held):
+            assert rows.neighbors(i) == full.neighbors(i)
+        assert not held[s.indices_of("Al")].any()
 
     def test_order_independence(self):
         rng = np.random.default_rng(29)

@@ -54,7 +54,7 @@ def brute_force_edges(structure, cutoffs=None):
 
 def all_pairs_csr(structure, cutoffs=None):
     """Vectorised all-pairs reference in CSR form: every i < j pair under the
-    minimum image, with the arithmetic of `mic_distances`."""
+    minimum image, with the arithmetic of `CellList`."""
     cut = {tuple(sorted(k)): v for k, v in DEFAULT_CUTOFFS.items()}
     if cutoffs:
         cut.update({tuple(sorted(k)): v for k, v in cutoffs.items()})
