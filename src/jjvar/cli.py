@@ -72,15 +72,21 @@ def _is_float_column(column) -> bool:
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns (1-D arrays or lists, one type each) as CSV
     rows under `header`: floats with 12 significant digits, other values as
-    str() gives them."""
+    str() gives them.  Each block is one `%` over the row template repeated
+    per row and the block's values interleaved row by row; `%.12g` and `%s`
+    give the same text as `format(v, ".12g")` and `str(v)`."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    template = ",".join("{:.12g}" if _is_float_column(c) else "{}" for c in columns) + "\n"
+    template = ",".join("%.12g" if _is_float_column(c) else "%s" for c in columns) + "\n"
+    width = len(columns)
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            block = [c[start : start + _CSV_BLOCK_ROWS] for c in columns]
-            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-            fh.write("".join(map(template.format, *block)))
+            rows = min(_CSV_BLOCK_ROWS, len(columns[0]) - start)
+            flat = [None] * (rows * width)
+            for k, c in enumerate(columns):
+                block = c[start : start + rows]
+                flat[k::width] = block.tolist() if isinstance(block, np.ndarray) else block
+            fh.write(template * rows % tuple(flat))
 
 
 def _read_json(path: Path, what: str):

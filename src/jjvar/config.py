@@ -10,8 +10,9 @@ Grammar (one entry per line):
 Values parse as int, float or bare string, by the key's type.  Unknown keys
 and keys given twice are rejected.  CLI flags override file values.
 `PipelineConfig.validate` then rejects non-finite numbers, non-positive
-lengths, areas and targets, a zero lead hopping and a malformed `stats.m` or
-one above `stats.MAX_TRIALS`, naming the offending key.
+lengths, areas and targets, a zero lead hopping, a grid half-width beyond
+`transport.MAX_ENERGY_OFFSET` and a malformed `stats.m` or one above
+`stats.MAX_TRIALS`, naming the offending key.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .stats import MAX_TRIALS
+from .transport import MAX_ENERGY_OFFSET
 
 __all__ = [
     "MAX_BARRIER_SITES",
@@ -97,11 +99,14 @@ class PipelineConfig:
         if self.m_strategy == "scan":
             return {}
         fixed = re.fullmatch(r"fixed=(-?\d+)", self.m_strategy, re.ASCII)
-        if fixed and 1 <= int(fixed[1]) <= MAX_TRIALS:
-            return {"trials": int(fixed[1])}
         scan = re.fullmatch(r"scan=(-?\d+):(-?\d+)", self.m_strategy, re.ASCII)
-        if scan and int(scan[1]) <= int(scan[2]) <= MAX_TRIALS:
-            return {"scan_range": (int(scan[1]), int(scan[2]))}
+        try:
+            if fixed and 1 <= int(fixed[1]) <= MAX_TRIALS:
+                return {"trials": int(fixed[1])}
+            if scan and int(scan[1]) <= int(scan[2]) <= MAX_TRIALS:
+                return {"scan_range": (int(scan[1]), int(scan[2]))}
+        except ValueError:
+            pass  # int() refuses more than 4300 digits
         raise ConfigError(
             "stats.m must be 'scan', 'scan=LO:HI' with integers LO <= HI or 'fixed=M' "
             "with an integer M >= 1, where HI and M are at most the largest supported "
@@ -120,6 +125,12 @@ class PipelineConfig:
         if self.lead_hopping == 0:
             # A lead without hopping has no band, so no channel conducts.
             raise ConfigError(f"transport.lead_hopping must be non-zero, got {self.lead_hopping}")
+        if not self.grid_halfwidth <= MAX_ENERGY_OFFSET:
+            # The grid is centred on the lead on-site energy.
+            raise ConfigError(
+                f"transport.grid_halfwidth must be at most {MAX_ENERGY_OFFSET:g} eV, the "
+                f"reach of transmission from the lead band centre, got {self.grid_halfwidth}"
+            )
         if not 2 <= self.grid_points <= MAX_GRID_POINTS:
             raise ConfigError(
                 f"grid must have 2 to {MAX_GRID_POINTS} points, got {self.grid_points}"

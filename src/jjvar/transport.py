@@ -52,6 +52,8 @@ DEFAULT_BARRIER_SITES = 12
 # Barrier conduction edge 2.85 eV above the Fermi level: with barrier hopping
 # t_b the band bottom is onsite - 2|t_b|.
 DEFAULT_BAND_OFFSET = 2.85
+# Largest distance from the lead on-site energy that `transmission` accepts, eV.
+MAX_ENERGY_OFFSET = 20.0
 
 
 class NumericalError(RuntimeError):
@@ -189,14 +191,16 @@ def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -
     g_j = 1 / (E - eps_j - t_b^2 g_{j-1}), the lead self-energy added on the
     first and last sites, and G_1N = g_1 prod_{j>1} t_b g_j.  Energies
     without an open lead channel have T = 0.  The grid must stay within
-    +-20 eV of the lead band center.  Raises NumericalError if the device
-    Green's function is singular at an open-channel energy.
+    MAX_ENERGY_OFFSET = 20 eV of the lead band center.  Raises NumericalError
+    if the device Green's function is singular at an open-channel energy.
     """
     grid = np.asarray(energies, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("energies must form a strictly increasing 1-D grid")
-    if np.any(np.abs(grid - model.lead_onsite) > 20.0):
-        raise ValueError("energy grid extends beyond 20 eV from the lead band center")
+    if np.any(np.abs(grid - model.lead_onsite) > MAX_ENERGY_OFFSET):
+        raise ValueError(
+            f"energy grid extends beyond {MAX_ENERGY_OFFSET:g} eV from the lead band center"
+        )
     sigma = model.coupling**2 * lead_surface_gf(model.lead_onsite, model.lead_hopping, grid)
     gamma = -2.0 * sigma.imag
     is_open = gamma > 0.0
@@ -356,6 +360,10 @@ def apply_defect(
     return dataclasses.replace(model, barrier_onsite=tuple(onsite))
 
 
+# The shift scan's coarse pass evaluates every _SCAN_STRIDE-th point.
+_SCAN_STRIDE = 10
+
+
 def fit_transmission_shift(
     reference: TransmissionCurve,
     shifted: TransmissionCurve,
@@ -367,7 +375,19 @@ def fit_transmission_shift(
 
     Quantifies by how much the shifted curve is a translated copy of the
     reference: T_shifted(E) ~= T_reference(E + s).  Least squares on log
-    curves over the energy `window`, scanned then refined by golden section.
+    curves over the energy `window`, scanned on 801 points then refined by
+    golden section around the first scan minimum.
+
+    The scan skips only points that provably cannot be that minimum.  Each
+    residual is piecewise linear in s with slope at most K, the steepest
+    reference segment that E + s can reach (np.interp clamps, so slope 0
+    beyond the grid), so the root-mean-square residual is K-Lipschitz in s.
+    A coarse pass evaluates every `_SCAN_STRIDE`-th point and the last; a
+    remaining point is evaluated unless the bound from its coarse neighbours,
+    sqrt(cost_j) - K |s - s_j|, exceeds the smallest coarse sqrt(cost) by more
+    than a rounding margin.  Skipped points hold +inf, so np.argmin picks the
+    same index as a full scan and the result is bit-identical to it.  A
+    non-finite K or coarse cost evaluates every point.
     """
     s_lo, s_hi = shift_bounds
     if not s_lo < s_hi:
@@ -387,8 +407,38 @@ def fit_transmission_shift(
         interp = np.interp(e_pts + s, ref_e, ref_log)
         return float(np.mean((log_shifted - interp) ** 2))
 
+    # Steepest reference segment within reach of e_pts + s, one more each side.
+    first, last = np.searchsorted(ref_e, [e_pts[0] + s_lo, e_pts[-1] + s_hi])
+    reach = slice(max(first - 2, 0), last + 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slopes = np.diff(ref_log[reach]) / np.diff(ref_e[reach])
+    slope = float(np.max(np.abs(slopes), initial=0.0))
+
     scan = np.linspace(s_lo, s_hi, 801)
-    costs = np.array([objective(s) for s in scan])
+    costs = np.full(scan.size, np.inf)
+    coarse = np.append(np.arange(0, scan.size - 1, _SCAN_STRIDE), scan.size - 1)
+    costs[coarse] = [objective(s) for s in scan[coarse]]
+    root = np.sqrt(costs)
+    best_root = root[coarse].min()
+    # Every rounding error in a cost, a bound or K is a few ulps of this
+    # scale; 1e-9 of it is millions of ulps.
+    margin = 1e-9 * (
+        best_root
+        + slope * (max(abs(e_pts[0]), abs(e_pts[-1])) + max(abs(s_lo), abs(s_hi)) + s_hi - s_lo)
+        + np.abs(log_shifted).max()
+        + np.abs(ref_log).max()
+    )
+    left = coarse[np.searchsorted(coarse, np.arange(scan.size), side="right") - 1]
+    right = coarse[np.searchsorted(coarse, np.arange(scan.size))]
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = np.maximum(
+            root[left] - slope * (scan - scan[left]), root[right] - slope * (scan[right] - scan)
+        )
+    if not np.isfinite([slope, *root[coarse]]).all():
+        bound[:] = -np.inf
+    bound[coarse] = np.inf  # evaluated already
+    for k in np.flatnonzero(~(bound > best_root + margin)):
+        costs[k] = objective(scan[k])
     best = int(np.argmin(costs))
     a = scan[max(best - 1, 0)]
     b = scan[min(best + 1, scan.size - 1)]

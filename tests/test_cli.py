@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jjvar
-from jjvar import cli
+from jjvar import cli, transport
 from jjvar.cli import _write_csv, _write_json, main
 from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
@@ -194,6 +194,23 @@ class TestTransmissionCommand:
             rows = (out / name).read_text().splitlines()
             assert rows[0] == "energy_ev,transmission"
             assert len(rows) == 102
+
+    def test_shift_fit_skips_most_of_the_scan(self, tmp_path, monkeypatch):
+        # A full scan makes 840 objective evaluations (801 points and the
+        # golden section); the pruned scan must find the same shift.
+        calls = []
+        interp = transport.np.interp
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(transport.np, "interp", counting)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "transmission", "--grid", "20001"]) == 0
+        assert len(calls) <= 200
+        sidecar = json.loads((out / "calibration.json").read_text())
+        assert sidecar["curve_shift_ev"] == 0.010943826707613912
 
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -705,6 +722,9 @@ class TestConfigHandling:
             ("stats.m = scan=9:3", "pipeline"),
             ("stats.m = fixed=100001", "pipeline"),
             ("stats.m = scan=1:100001", "pipeline"),
+            ("transport.grid_halfwidth = 25", "pipeline"),
+            pytest.param(f"stats.m = fixed={_HUGE}", "fit-stats", id="stats.m = fixed=<5000 digits>"),
+            pytest.param(f"stats.m = scan=1:{_HUGE}", "fit-stats", id="stats.m = scan=1:<5000 digits>"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, slab_dir, line, command):
@@ -755,10 +775,22 @@ def csv_tables(draw):
     return header, columns, values
 
 
+_FORMAT_LOOKALIKES = ["%", "%s", "%%", "{}", "{0}"]
+
+
 class TestCsvWriter:
     @settings(max_examples=40, deadline=None)
     @given(csv_tables())
     @example((["a", "b"], [np.array([]), []], [[], []]))  # header only
+    # Cell text that looks like a format directive is written as data.
+    @example((["s"], [_FORMAT_LOOKALIKES], [_FORMAT_LOOKALIKES]))
+    @example(
+        (
+            ["e", "s", "n"],
+            [np.linspace(0.0, 1.0, 5), _FORMAT_LOOKALIKES, np.arange(5)],
+            [np.linspace(0.0, 1.0, 5).tolist(), _FORMAT_LOOKALIKES, list(range(5))],
+        )
+    )
     def test_matches_per_value_formula(self, table):
         header, columns, values = table
         with tempfile.TemporaryDirectory() as tmp:

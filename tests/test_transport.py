@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jjvar.transport import (
@@ -334,3 +334,162 @@ class TestTunnelingDecay:
         r_squared = 1.0 - float(residual[0]) / ss_tot
         assert r_squared > 0.999
         assert coef[0] < 0.0
+
+
+def _full_scan_shift(reference, shifted, *, window, shift_bounds):
+    """The shift fit with all 801 scan points evaluated: the result the pruned
+    scan of `fit_transmission_shift` must reproduce bit for bit."""
+    lo, hi = window
+    mask = (shifted.energies >= lo) & (shifted.energies <= hi) & (shifted.values > 0)
+    if mask.sum() < 3:
+        raise ValueError("window leaves fewer than 3 usable points for the shift fit")
+    e_pts = shifted.energies[mask]
+    log_shifted = np.log(shifted.values[mask])
+    ref_ok = reference.values > 0
+    ref_e = reference.energies[ref_ok]
+    ref_log = np.log(reference.values[ref_ok])
+
+    def objective(s):
+        interp = np.interp(e_pts + s, ref_e, ref_log)
+        return float(np.mean((log_shifted - interp) ** 2))
+
+    scan = np.linspace(shift_bounds[0], shift_bounds[1], 801)
+    best = int(np.argmin([objective(s) for s in scan]))
+    a = scan[max(best - 1, 0)]
+    b = scan[min(best + 1, scan.size - 1)]
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - phi * (b - a)
+    x2 = a + phi * (b - a)
+    f1, f2 = objective(x1), objective(x2)
+    for _ in range(80):
+        if b - a < 1e-10:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = objective(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = objective(x2)
+    return float(0.5 * (a + b))
+
+
+@st.composite
+def shift_fit_cases(draw):
+    """(reference, shifted, window, shift_bounds) over random junctions, with
+    uniform or scattered grids that may differ between the two curves."""
+    sites = draw(st.integers(1, 14))
+    onsite = draw(_floats(-1.0, 1.0))
+    hopping = draw(_floats(1.0, 4.0))
+    model = default_model(
+        barrier_sites=sites, height=draw(_floats(0.0, 10.0)), lead_onsite=onsite, lead_hopping=hopping
+    )
+    defect_sites = draw(st.none() | st.lists(st.integers(0, sites - 1), min_size=1, unique=True))
+    shifted_model = apply_defect(model, draw(_floats(-1.0, 1.0)), defect_sites)
+    halfwidth = 2.0 * hopping * draw(_floats(0.2, 1.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def grid():
+        points = draw(st.integers(8, 1500))
+        if draw(st.booleans()):
+            return onsite + np.linspace(-halfwidth, halfwidth, points)
+        return onsite + np.unique(rng.uniform(-halfwidth, halfwidth, points))
+
+    reference_grid = grid()
+    shifted_grid = grid() if draw(st.booleans()) else reference_grid
+    lo, hi = sorted(onsite + halfwidth * np.array(draw(st.tuples(_floats(-1, 1), _floats(-1, 1)))))
+    s_lo = draw(_floats(-3.0, 3.0))
+    s_hi = s_lo + draw(st.sampled_from([1e-6, 0.01]) | _floats(0.01, 4.0))
+    return (
+        transmission(model, reference_grid),
+        transmission(shifted_model, shifted_grid),
+        (float(lo), float(hi)),
+        (s_lo, s_hi),
+    )
+
+
+def _cli_shift_case(points):
+    """The curves, window and shift bounds of `jjvar transmission --grid points`."""
+    clean = calibrate_barrier(1.61e-5)
+    delta_v = calibrate_barrier(1.74e-5).height - clean.height
+    grid = np.linspace(-5.0, 5.0, points)
+    return (
+        transmission(clean.model, grid),
+        transmission(apply_defect(clean.model, delta_v), grid),
+        (-2.0, 2.0),
+        (-1.0, 1.0),
+    )
+
+
+def _raised_barrier_case(shift_bounds):
+    """A barrier raised by 0.5 eV: the best shift is near -0.5 eV, so the scan
+    minimum sits at the first point of (0, 1) and the last point of (-2, -1)."""
+    model = default_model(height=4.0)
+    grid = np.linspace(-5.0, 5.0, 1001)
+    return (
+        transmission(model, grid),
+        transmission(apply_defect(model, 0.5), grid),
+        (-2.0, 2.0),
+        shift_bounds,
+    )
+
+
+def _clamped_reference_case():
+    """Reference grid on [-1, 1] eV, reached from [-3.5, 3.5] eV: np.interp clamps."""
+    model = default_model(height=6.0)
+    return (
+        transmission(model, np.linspace(-1.0, 1.0, 201)),
+        transmission(apply_defect(model, -0.3), np.linspace(-3.0, 3.0, 601)),
+        (-2.5, 2.5),
+        (-1.0, 1.0),
+    )
+
+
+def _log_curve(energies, log_t):
+    return TransmissionCurve(energies, np.exp(log_t), np.ones(energies.size, dtype=int))
+
+
+def _periodic_case():
+    """A triangle-wave ln T, translated: the scan has several basins of equal
+    depth, and the best coarse point lies in another basin than the minimum.
+    Only the full slope K keeps that minimum's neighbours in the scan."""
+    energies = np.linspace(-3.0, 3.0, 601)
+
+    def log_t(e):
+        return -1.0 - 9.6 * np.abs(np.mod(e / 0.646, 1.0) - 0.5)
+
+    reference = _log_curve(energies, log_t(energies))
+    return reference, _log_curve(energies, log_t(energies - 0.0436)), (-1.0, 1.0), (-1.0, 1.0)
+
+
+def _rounding_noise_case():
+    """Both ln T flat up to 3 ulps: the costs differ by rounding more than the
+    slope bound allows, and only the rounding margin keeps the minimum in."""
+    rng = np.random.default_rng(1)
+    ref_e, energies = np.linspace(-3.0, 3.0, 20), np.linspace(-1.0, 1.0, 44)
+    ref_log = -1.0 + 3 * np.spacing(1.0) * rng.integers(-1, 2, ref_e.size)
+    log_t = -2.0 + 3 * np.spacing(2.0) * rng.integers(-1, 2, energies.size)
+    return _log_curve(ref_e, ref_log), _log_curve(energies, log_t), (-1.0, 1.0), (-1.0, 1.0)
+
+
+class TestShiftScanPruning:
+    @settings(max_examples=60, deadline=None)
+    @given(shift_fit_cases())
+    @example(_cli_shift_case(2001))
+    @example(_cli_shift_case(20001))
+    @example(_raised_barrier_case((0.0, 1.0)))
+    @example(_raised_barrier_case((-2.0, -1.0)))
+    @example(_clamped_reference_case())
+    @example(_periodic_case())
+    @example(_rounding_noise_case())
+    def test_matches_full_scan(self, case):
+        reference, shifted, window, shift_bounds = case
+        try:
+            expected = _full_scan_shift(reference, shifted, window=window, shift_bounds=shift_bounds)
+        except ValueError:
+            with pytest.raises(ValueError):
+                fit_transmission_shift(reference, shifted, window=window, shift_bounds=shift_bounds)
+            return
+        got = fit_transmission_shift(reference, shifted, window=window, shift_bounds=shift_bounds)
+        assert got == expected
