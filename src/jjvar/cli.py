@@ -112,15 +112,23 @@ class _StructurePass(NamedTuple):
     """One read of a structure directory.  `counts` and `rows` hold, per file
     in name order, the census count and the analyze row, or the error message
     (str) that rejected the file; each is None when not asked for.  Parsed
-    structures are not kept."""
+    structures are kept only while their batch is analysed."""
 
     files: list[Path]
     counts: list | None
     rows: list | None
 
 
+# Most atoms analysed together: each batch of files gets one cell-list index,
+# one classification pass and one set of per-structure reductions.  The
+# analysis arrays grow with the batch, so a fixed budget keeps the memory of
+# a pass independent of the directory size; a larger structure is a batch of
+# its own.
+_BATCH_ATOMS = 6144
+
+
 def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _StructurePass:
-    """Read, parse and locate the oxide of each structure file once."""
+    """Read and parse each structure file once, and analyse them in batches."""
     files = sorted(
         p for p in Path(cfg.structures).iterdir() if p.suffix.lower() in (".xyz", ".extxyz")
     )
@@ -128,49 +136,74 @@ def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _Str
         raise FileNotFoundError(f"no .xyz structures in {cfg.structures}")
     counts = [] if census else None
     rows = [] if analyze else None
-    for path in files:
-        s, region = _read_with_region(path)
-        if counts is not None:
-            counts.append(region if isinstance(region, str) else region.n_h)
-        if rows is not None:
-            rows.append(region if s is None else _analyze_row(cfg, s, region))
+    for outcomes, batch in _read_batches(files):
+        regions, members = structure.oxide_regions(batch)
+        regions = iter(regions)
+        records = iter(
+            motifs.classify_batch(
+                batch,
+                cutoffs=cfg.cutoff_overrides() or None,
+                members=members,
+                surface_depth=cfg.surface_depth,
+                surface_bin=cfg.surface_bin,
+            )
+            if analyze
+            else []
+        )
+        for message in outcomes:
+            region = next(regions) if message is None else message
+            if counts is not None:
+                counts.append(region if isinstance(region, str) else region.n_h)
+            if rows is not None:
+                rows.append(_analyze_row(region, next(records)) if message is None else message)
     return _StructurePass(files, counts, rows)
 
 
-def _read_with_region(path: Path):
-    """(structure, oxide region) of one file; the message that rejects the
-    file stands in for whichever of the two could not be made."""
+def _read_batches(files: list[Path]):
+    """(per file in name order, None or the message that rejects it; the
+    parsed structures as a StructureBatch), for batches of files that hold at
+    most _BATCH_ATOMS atoms unless one structure alone holds more.  A
+    batch's structures are dropped once it is built."""
+    outcomes, parsed, atoms = [], [], 0
+    for path in files:
+        s = _read(path)
+        size = 0 if isinstance(s, str) else len(s)
+        if outcomes and atoms + size > _BATCH_ATOMS:
+            done = outcomes, structure.StructureBatch(parsed)
+            outcomes, parsed, atoms = [], [], 0
+            yield done
+        if isinstance(s, str):
+            outcomes.append(s)
+        else:
+            outcomes.append(None)
+            parsed.append(s)
+            atoms += size
+    if outcomes:
+        yield outcomes, structure.StructureBatch(parsed)
+
+
+def _read(path: Path):
+    """The structure in one file, or the message that rejects the file."""
     if not path.is_file():
-        return None, "not a regular file"
+        return "not a regular file"
     try:
-        s = structure.read_structure(path)
+        return structure.read_structure(path)
     except OSError as exc:
-        return None, exc.strerror or str(exc)
+        return exc.strerror or str(exc)
     except ValueError as exc:  # ParseError included
-        return None, str(exc)
-    try:
-        return s, structure.oxide_region(s)
-    except ValueError as exc:
-        return s, str(exc)
+        return str(exc)
 
 
-def _analyze_row(cfg: PipelineConfig, s: structure.AtomicStructure, region):
+def _analyze_row(region, records):
     """((n_al, n_o, n_h, x, h_atpct), motif records) of one structure, or the
-    error message that rejects it; `region` is its oxide region or the
-    message oxide_region raised.  A bond-query error is reported first."""
-    located = None if isinstance(region, str) else region
+    error message that rejects it; `region` and `records` are its oxide region
+    and its motif records, or the message that stands in for each.  A
+    bond-query error is reported first."""
+    if isinstance(records, str):
+        return records
+    if isinstance(region, str):
+        return region
     try:
-        # Classified even when the region failed, so that a bond-query error
-        # (a triclinic or too-short periodic cell) wins over the region's.
-        records = motifs.classify_structure(
-            s,
-            cutoffs=cfg.cutoff_overrides() or None,
-            region=located,
-            surface_depth=cfg.surface_depth,
-            surface_bin=cfg.surface_bin,
-        )
-        if located is None:
-            return region
         x, h_pct = structure.stoichiometry(region)
     except ValueError as exc:
         return str(exc)
@@ -318,7 +351,13 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
     model_jjh = transport.apply_defect(model_jj, delta_v)
 
     e_f = model_jj.fermi_energy
-    grid = np.linspace(e_f - cfg.grid_halfwidth, e_f + cfg.grid_halfwidth, cfg.grid_points)
+    ends = []
+    for end in (e_f - cfg.grid_halfwidth, e_f + cfg.grid_halfwidth):
+        # The sum can round past the reach `transmission` checks; step back inside.
+        while abs(end - model_jj.lead_onsite) > transport.MAX_ENERGY_OFFSET:
+            end = math.nextafter(end, e_f)
+        ends.append(end)
+    grid = np.linspace(*ends, cfg.grid_points)
     curve_jj = transport.transmission(model_jj, grid)
     curve_jjh = transport.transmission(model_jjh, grid)
     shift = transport.fit_transmission_shift(

@@ -11,8 +11,9 @@ Values parse as int, float or bare string, by the key's type.  Unknown keys
 and keys given twice are rejected.  CLI flags override file values.
 `PipelineConfig.validate` then rejects non-finite numbers, non-positive
 lengths, areas and targets, a zero lead hopping, a grid half-width beyond
-`transport.MAX_ENERGY_OFFSET` and a malformed `stats.m` or one above
-`stats.MAX_TRIALS`, naming the offending key.
+`transport.MAX_ENERGY_OFFSET`, a malformed `stats.m` or one above
+`stats.MAX_TRIALS`, and `stats.alpha`, `stats.beta` and `stats.trials` that
+`stats.BetaBinomial` refuses, naming the offending key.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .stats import MAX_TRIALS
+from .stats import MAX_TRIALS, BetaBinomial
 from .transport import MAX_ENERGY_OFFSET
 
 __all__ = [
@@ -146,6 +147,10 @@ class PipelineConfig:
             if value is not None and not Path(value).exists():
                 raise ConfigError(f"{name} path does not exist: {value}")
         self.m_fit_args()
+        try:
+            BetaBinomial(self.alpha, self.beta, self.trials)
+        except ValueError as exc:  # its messages open with the field name
+            raise ConfigError(f"stats.{exc}") from None
 
 
 _KEY_MAP = {

@@ -27,24 +27,28 @@ surface site.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .structure import (
+    SPECIES,
     AtomicStructure,
     BondGraph,
     CellList,
-    OxideRegion,
-    oxide_region,
-    surface_sites,
+    ConfigurationError,
+    StructureBatch,
+    oxide_regions,
+    surface_mask,
 )
 
 __all__ = [
     "MOTIF_CLASSES",
     "MotifEnsembleStats",
     "MotifRecord",
+    "classify_batch",
     "classify_h",
     "classify_structure",
     "motif_statistics",
@@ -76,8 +80,11 @@ _ARITY = {
     "Al-O-H-O-Al": (2, 2),
 }
 
+_LABEL = {label: k for k, label in enumerate(MOTIF_CLASSES)}
+_AL, _O, _H = (SPECIES.index(s) for s in ("Al", "O", "H"))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MotifRecord:
     """Classification of one hydrogen atom."""
 
@@ -209,41 +216,113 @@ def _record(
 
 
 def classify_structure(
-    structure: AtomicStructure,
+    structure: AtomicStructure, graph: BondGraph | None = None, *, cutoffs: Mapping | None = None
+) -> list[MotifRecord]:
+    """`classify_batch` on a batch of one, with surface flags from the oxide
+    region located here; a structure without one gets no surface flags.
+    Raises ConfigurationError when the structure cannot be bonded."""
+    batch = StructureBatch([structure])
+    (records,) = classify_batch(batch, graph, cutoffs=cutoffs, members=oxide_regions(batch)[1])
+    if isinstance(records, str):
+        raise ConfigurationError(records)
+    return records
+
+
+def classify_batch(
+    batch: StructureBatch,
     graph: BondGraph | None = None,
     *,
     cutoffs: Mapping | None = None,
-    region: OxideRegion | None = None,
+    members: np.ndarray | None = None,
     surface_depth: float = 2.0,
     surface_bin: float = 4.0,
-) -> list[MotifRecord]:
-    """Classify every H atom, with surface flags from the oxide top surface.
+) -> list[list[MotifRecord] | str]:
+    """Per structure of `batch`, the records of its H atoms (indices local to
+    the structure), or the message of the bond-query error that rejects it.
 
     Without a `graph`, bonds are made only for the rows `classify_h` reads:
-    a `CellList` query (at the default cutoffs, overridden by `cutoffs`) on
-    the H atoms, then on the O atoms their rows bond to and on the O-O
-    frontier until it is empty.  Each of those rows, and `bridge_o`, equals
-    its value in `neighbor_graph`, so the records do too.
+    one `CellList` query over the batch (at the default cutoffs, overridden
+    by `cutoffs`) on the H atoms of every structure that can be bonded, then
+    on the O atoms their rows bond to and on the O-O frontier until it is
+    empty.  Each of those rows, and `bridge_o`, equals its value in
+    `neighbor_graph`, so the records do too.  Surface sites among `members`
+    (a mask of oxide members, as `oxide_regions` gives) flag motifs.
 
-    `region` is the structure's oxide region if the caller has it; otherwise
-    it is located here.  A structure whose oxide cannot be located (no O
-    atoms, or O straddling the periodic z boundary) gets no surface detection
-    (all flags False), so every H is still classified.
+    The classes follow `classify_h`'s precedence, decided with array
+    operations on the CSR rows for all H at once.  An H bonded to two or
+    more O, or whose one O has an O neighbour and is no water O, goes
+    through `classify_h`, which walks the O-O chain.
     """
+    errors, h = [None] * batch.count, np.flatnonzero(batch.kind == _H)
     if graph is None:
-        graph = CellList(structure, cutoffs).graph(structure.indices_of("H"))
-    if region is None:
-        try:
-            region = oxide_region(structure)
-        except ValueError:
-            pass
-    surface: frozenset[int] | None = None
-    if region is not None:
-        surface = surface_sites(structure, region, depth=surface_depth, bin_width=surface_bin)
-    return [
-        classify_h(structure, graph, int(h), surface=surface)
-        for h in structure.indices_of("H")
+        index = CellList(batch, cutoffs)
+        errors = index.errors
+        h = h[np.array([e is None for e in errors], dtype=bool)[batch.cell_of[h]]]
+        graph = index.graph(h)
+    surface = np.zeros(len(batch), dtype=bool)
+    if members is not None:
+        surface = surface_mask(batch, members, depth=surface_depth, bin_width=surface_bin)
+    kind, col = batch.kind, graph.indices
+    row = np.repeat(np.arange(len(kind)), np.diff(graph.indptr))
+    # Per row: bonds per species, the nearest and next-nearest Al by
+    # (distance, index), and an O (the O of a row with exactly one).  Slot -1
+    # is spare, so a -1 index reads "none".
+    bonds = np.bincount(row * 3 + kind[col], minlength=3 * len(kind) + 3).reshape(-1, 3)
+    al = np.flatnonzero(kind[col] == _AL)
+    al = al[np.lexsort((col[al], graph.distances[al], row[al]))]
+    lead = np.diff(row[al], prepend=-1) != 0
+    runner_up = ~lead & np.append(False, lead[:-1])
+    al1, al2, o_of = np.full((3, len(kind) + 1), -1)
+    al1[row[al][lead]], al2[row[al][runner_up]] = col[al][lead], col[al][runner_up]
+    o = np.flatnonzero(kind[col] == _O)
+    o_of[row[o]] = col[o]
+
+    n_o, n_al = bonds[h, _O], bonds[h, _AL]
+    o = np.where(n_o == 1, o_of[h], -1)
+    water = (bonds[o, _H] >= 2) & (bonds[o, _AL] >= 1)
+    hydroxyl = (n_o == 1) & ~water & (bonds[o, _O] == 0)
+    routed = (n_o >= 2) | ((n_o == 1) & ~water & ~hydroxyl)
+    hydride = (n_o == 0) & (n_al > 0)
+    partner = np.full(h.size, -1)
+    partner[hydride] = [graph.bridge_o.get(i, -1) for i in h[hydride].tolist()]
+    o_al, o_h = bonds[o, _AL], bonds[o, _H]
+    label = np.select(
+        [water, hydroxyl & (o_al == 1), hydroxyl & (o_al >= 2), hydroxyl & (o_h >= 2), hydroxyl]
+        + [hydride & (partner >= 0), hydride & (n_al == 1), hydride],
+        [
+            _LABEL[c]
+            for c in ("Al-H2O", "Al-OH", "Al-OH-Al", "Al-H2O", "Al-OH", "Al-H-O", "Al-H", "Al-H-Al")
+        ],
+        _LABEL["interstitial"],
+    )
+    single = water | hydroxyl
+    host_o = np.where(single, o, partner)
+    flagged = surface[h] | ((host_o >= 0) & surface[host_o])
+    second_al = np.where(hydroxyl, al2[o], np.where(hydride & (partner < 0), al2[h], -1))
+    hosts = (host_o, np.where(single, al1[o], al1[h]), second_al)
+    # In local indices, -1 for none; a routed H gets its hosts from classify_h.
+    base = batch.offsets[batch.cell_of[h]]
+    host_o, al_a, al_b = (np.where((x >= 0) & ~routed, x - base, -1).tolist() for x in hosts)
+    local_h, label, flagged = (h - base).tolist(), label.tolist(), flagged.tolist()
+    records = [
+        MotifRecord(
+            i,
+            MOTIF_CLASSES[c],
+            (ho,) if ho >= 0 else (),
+            (a, b) if b >= 0 else (a,) if a >= 0 else (),
+            f,
+        )
+        for i, c, ho, a, b, f in zip(local_h, label, host_o, al_a, al_b, flagged)
     ]
+    for k in np.flatnonzero(routed).tolist():
+        i, b = int(h[k]), int(base[k])
+        rec = classify_h(batch, graph, i)
+        flag = bool(surface[i] or surface[list(rec.host_o)].any())
+        ho, ha = (tuple(j - b for j in ids) for ids in (rec.host_o, rec.host_al))
+        records[k] = MotifRecord(i - b, rec.label, ho, ha, flag)
+    records = iter(records)
+    held = np.bincount(batch.cell_of[h], minlength=batch.count).tolist()
+    return [error or list(itertools.islice(records, n)) for error, n in zip(errors, held)]
 
 
 @dataclass(frozen=True)

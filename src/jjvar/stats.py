@@ -33,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "MAX_TRIALS",
+    "SHAPE_RANGE",
     "MD_REFERENCE_AREA",
     "BetaBinomial",
     "CountSample",
@@ -50,6 +51,11 @@ MD_REFERENCE_AREA = 34.17 * 34.17
 # Largest trial number M accepted anywhere (fit, scan bound, distribution):
 # the PMF and the fit's sums hold O(M) floats.
 MAX_TRIALS = 100_000
+
+# Range of alpha and beta accepted by BetaBinomial.  Inside it the moments and
+# the PMF stay finite at every trial number up to MAX_TRIALS; outside it
+# alpha + beta overflows or the variance's s^2 (s + 1) underflows to 0.
+SHAPE_RANGE = (1e-100, 1e100)
 
 
 class DegenerateDataError(ValueError):
@@ -89,10 +95,9 @@ class BetaBinomial:
     trials: int
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        for name in ("alpha", "beta"):
+            if not SHAPE_RANGE[0] <= getattr(self, name) <= SHAPE_RANGE[1]:
+                raise ValueError(f"{name} must be within {SHAPE_RANGE}, got {getattr(self, name)}")
         if self.trials < 0 or self.trials != int(self.trials):
             raise ValueError(f"trials must be a non-negative integer, got {self.trials}")
         _check_trials(self.trials, "trials")

@@ -3,7 +3,8 @@
 Extended-XYZ parsing, minimum-image bond graphs from species-pair distance
 cutoffs, oxide-region identification with stoichiometry, lateral-grid surface
 detection, and the small gas-exposure arithmetic (ideal-gas reference count,
-effective oxidation time).
+effective oxidation time).  The analyses run on a `StructureBatch`, several
+structures laid end to end; the one-structure functions are its batch of one.
 
 Minimum-image handling is restricted to orthorhombic cells; triclinic
 periodic cells are rejected.
@@ -12,10 +13,8 @@ periodic cells are rejected.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -32,13 +31,16 @@ __all__ = [
     "ConfigurationError",
     "OxideRegion",
     "ParseError",
+    "StructureBatch",
     "effective_time",
     "ideal_gas_count",
     "neighbor_graph",
     "oxide_region",
+    "oxide_regions",
     "parse_xyz",
     "read_structure",
     "stoichiometry",
+    "surface_mask",
     "surface_sites",
 ]
 
@@ -93,32 +95,16 @@ class AtomicStructure:
             raise ValueError("positions must be finite")
         if len(self.species) != len(pos):
             raise ValueError("species and positions length mismatch")
-        bad = sorted({s for s in self.species if s not in SPECIES})
+        bad = sorted(set(self.species) - _SPECIES_SET)
         if bad:
             raise ValueError(f"unknown species {bad}; allowed: {SPECIES}")
 
     def __len__(self) -> int:
         return len(self.species)
 
-    @cached_property
-    def is_orthorhombic(self) -> bool:
-        off = self.cell - np.diag(np.diag(self.cell))
-        return bool(np.all(np.abs(off) < 1e-9 * max(1.0, np.abs(self.cell).max())))
-
-    @cached_property
-    def _species_array(self) -> np.ndarray:
-        return np.array(self.species, dtype=str)
-
-    @cached_property
-    def _indices(self) -> dict[str, np.ndarray]:
-        index = {s: np.flatnonzero(self._species_array == s) for s in SPECIES}
-        for idx in index.values():
-            idx.flags.writeable = False
-        return index
-
     def indices_of(self, species: str) -> np.ndarray:
-        """Ascending indices of the atoms of `species` (a read-only array)."""
-        return self._indices[species]
+        """Ascending indices of the atoms of `species`."""
+        return np.flatnonzero(np.array(self.species, dtype=str) == species)
 
 
 def parse_xyz(text: str) -> AtomicStructure:
@@ -229,10 +215,6 @@ def read_structure(path: str | Path) -> AtomicStructure:
         raise ParseError(exc.line, f"{path.name}: {exc.message}") from None
 
 
-def _cell_lengths(structure: AtomicStructure) -> np.ndarray:
-    return np.abs(np.diag(structure.cell))
-
-
 def _normalize_cutoffs(cutoffs: Mapping | None) -> dict[tuple[str, str], float]:
     merged = dict(DEFAULT_CUTOFFS)
     if cutoffs:
@@ -246,27 +228,73 @@ def _normalize_cutoffs(cutoffs: Mapping | None) -> dict[tuple[str, str], float]:
     return {tuple(sorted(k)): float(v) for k, v in merged.items()}
 
 
+_AL, _O, _H = range(len(SPECIES))
+_KIND_OF_LETTER = np.zeros(128, dtype=np.int8)
+_KIND_OF_LETTER[[ord(s[0]) for s in SPECIES]] = range(len(SPECIES))
+
+
+class StructureBatch:
+    """Structures laid end to end, so that one set of array operations
+    analyses all of them.
+
+    Atom k of structure c is batch atom `offsets[c] + k`, and `cell_of` holds
+    c for every atom, so each structure is one contiguous run of atoms.
+    `kind` is each atom's index into SPECIES.  The batch copies what it
+    needs, so the structures can be dropped once it is built.
+    """
+
+    def __init__(self, structures):
+        structures = list(structures)
+        self.count = len(structures)
+        sizes = [len(s) for s in structures]
+        self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+        self.cell_of = np.repeat(np.arange(self.count), sizes)
+        self.species = tuple(itertools.chain.from_iterable(s.species for s in structures))
+        # The labels are exactly SPECIES, so with "Al" cut to "A" each atom is one letter.
+        letters = "".join(self.species).replace("Al", "A").encode("ascii")
+        self.kind = _KIND_OF_LETTER[np.frombuffer(letters, dtype=np.uint8)]
+        self.positions = np.concatenate([np.empty((0, 3))] + [s.positions for s in structures])
+        cells = np.array([s.cell for s in structures]).reshape(-1, 3, 3)
+        self.lengths = np.abs(np.diagonal(cells, axis1=1, axis2=2))
+        self.pbc = np.array([s.pbc for s in structures], dtype=bool).reshape(-1, 3)
+        scale = np.maximum(1.0, np.abs(cells).max(axis=(1, 2), initial=0.0))
+        off_diagonal = np.abs(cells * ~np.eye(3, dtype=bool))
+        self.orthorhombic = (off_diagonal < 1e-9 * scale[:, None, None]).all(axis=(1, 2))
+
+    def __len__(self) -> int:
+        return len(self.species)
+
+    def runs(self, ufunc, values: np.ndarray, cells: np.ndarray, empty) -> np.ndarray:
+        """`ufunc` reduced over each structure's values, for `values` ordered by
+        their structures `cells`; `empty` where a structure has none."""
+        sizes = np.bincount(cells, minlength=self.count)
+        out = np.full(self.count, empty)
+        if values.size:
+            out[sizes > 0] = ufunc.reduceat(values, (np.cumsum(sizes) - sizes)[sizes > 0])
+        return out
+
+
 class BondGraph:
     """Symmetric distance-cutoff adjacency under the minimum-image convention.
 
-    Stored as CSR arrays: the neighbours of atom i are
-    `indices[indptr[i]:indptr[i + 1]]`, ascending, at `distances` in the same
-    slots.  Per-atom lists are built on demand.  A graph from
-    `CellList.graph` holds only the rows named there; the other rows are
-    empty.  `bridge_o` maps each held H row that bonds an Al and no
-    O to the nearest O within the Al-H cutoff (lowest index on ties), if any:
-    the motif classifier's hydride branch reads it.
+    `atoms` is the structure or batch whose atoms it bonds.  Stored as CSR
+    arrays: the neighbours of atom i are `indices[indptr[i]:indptr[i + 1]]`,
+    ascending, at `distances` in the same slots.  Per-atom lists are built on
+    demand.  A graph from `CellList.graph` holds only the rows named there;
+    the other rows are empty.  `bridge_o` maps each held H row that bonds an
+    Al and no O to the nearest O within the Al-H cutoff (lowest index on
+    ties), if any: the motif classifier's hydride branch reads it.
     """
 
     def __init__(
         self,
-        structure: AtomicStructure,
+        atoms: AtomicStructure | StructureBatch,
         indptr: np.ndarray,
         indices: np.ndarray,
         distances: np.ndarray,
         bridge_o: dict[int, int],
     ):
-        self.structure = structure
+        self.atoms = atoms
         self.indptr = indptr
         self.indices = indices
         self.distances = distances
@@ -281,7 +309,7 @@ class BondGraph:
         return list(zip(self.indices[lo:hi].tolist(), self.distances[lo:hi].tolist()))
 
     def neighbors_of_species(self, i: int, species: str) -> list[tuple[int, float]]:
-        kinds = self.structure.species
+        kinds = self.atoms.species
         return [(j, d) for j, d in self.neighbors(i) if kinds[j] == species]
 
     def edge_set(self) -> set[tuple[int, int]]:
@@ -290,66 +318,97 @@ class BondGraph:
         return set(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
-# Most bins per axis: the cell key of three axes stays inside int64, and on a
-# wide axis the bins stay wide enough that coordinate rounding (about 1e-16 of
-# the axis extent) cannot part two atoms within the search reach.
-_MAX_BINS = 2**20
+# Most bins per axis.  On a wide axis the bins stay wide enough that
+# coordinate rounding (about 1e-16 of the axis extent) cannot part two atoms
+# within the search reach, and a structure has fewer than 2**49 cell keys, so
+# the keys of 2**14 structures fit one int64 key space.
+_MAX_BINS = 2**16
 
-_AL, _O, _H = (SPECIES.index(s) for s in ("Al", "O", "H"))
+# The steps to a neighbour cell on one axis, in stencil order, and each
+# axis's place in that order for each of the 27 neighbour cells.
+_STEPS = np.array([0, 1, -1])
+_STEP_RANK = np.array(list(itertools.product(range(3), repeat=3)))
 
 
-def _axis_bins(x: np.ndarray, length: float, periodic: bool, reach: float):
-    """Cell-list bins on one axis: (bin of each coordinate, bin count, stencil).
+def _axis_bins(batch: StructureBatch, ax: int, binned: np.ndarray, reach: float):
+    """Cell-list bins on one axis: (bin of each atom, bin count and stencil
+    length of each structure).
 
     Every pair within `reach` on this axis (under the minimum image on a
-    periodic axis) lands in bins that differ by a stencil offset.
+    periodic axis) lands in bins that differ by one of the first `stencil`
+    steps.  Only the structures in `binned` are binned; the atoms of the
+    others sit in bin 0 of 1.
     """
-    if periodic:
-        m = max(1, min(int(length // reach), _MAX_BINS))
-        # np.mod can round a tiny negative value up to exactly L.
-        bins = np.minimum((np.mod(x, length) / (length / m)).astype(np.int64), m - 1)
+    x, lengths, cell = batch.positions[:, ax], batch.lengths[:, ax], batch.cell_of
+    bins = np.zeros(len(x), dtype=np.int64)
+    dims = np.ones(batch.count, dtype=np.int64)
+    stencil = np.ones(batch.count, dtype=np.int64)
+    periodic, bounded = binned & batch.pbc[:, ax], binned & ~batch.pbc[:, ax]
+    if periodic.any():
+        dims[periodic] = np.clip(lengths[periodic] // reach, 1, _MAX_BINS)
         # With 2 bins, +1 and -1 name the same neighbour; with 1, only itself.
-        return bins, m, (0, 1, -1)[: min(m, 3)]
-    lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
-    bins = 1 + ((x - lo) / max(reach, (hi - lo) / _MAX_BINS)).astype(np.int64)
-    # Bins 0 and count - 1 stay empty, so a stencil offset never leaves the axis.
-    return bins, int(bins.max(initial=0)) + 2, (0, 1, -1)
+        stencil[periodic] = np.minimum(dims[periodic], 3)
+        at = slice(None) if periodic.all() else periodic[cell]
+        length, m = lengths[cell[at]], dims[cell[at]]
+        # np.mod can round a tiny negative value up to exactly L.
+        bins[at] = np.minimum((np.mod(x[at], length) / (length / m)).astype(np.int64), m - 1)
+    if bounded.any():
+        lo, hi = batch.runs(np.minimum, x, cell, 0.0), batch.runs(np.maximum, x, cell, 0.0)
+        width = np.full(batch.count, reach)
+        width[bounded] = np.maximum(reach, (hi[bounded] - lo[bounded]) / _MAX_BINS)
+        at = bounded[cell]
+        bins[at] = 1 + ((x[at] - lo[cell[at]]) / width[cell[at]]).astype(np.int64)
+        # Bins 0 and count - 1 stay empty, so a stencil step never leaves the axis.
+        dims[bounded] = batch.runs(np.maximum, bins, cell, 0)[bounded] + 2
+        stencil[bounded] = 3
+    return bins, dims, stencil
+
+
+def _bond_error(orthorhombic, pbc: np.ndarray, lengths: np.ndarray, rmax: float) -> str | None:
+    """Why `CellList` cannot bond a cell, or None."""
+    if pbc.any() and not orthorhombic:
+        return (
+            "minimum-image convention supports orthorhombic cells only; "
+            "got a triclinic periodic cell"
+        )
+    for ax in range(3):
+        if pbc[ax] and rmax >= 0.5 * lengths[ax]:
+            half = 0.5 * lengths[ax]
+            return f"cutoff {rmax} A >= half cell length {half} A on periodic axis {ax}"
+    return None
 
 
 class CellList:
-    """Linked-cell index of one structure's atoms for bond queries.
+    """Linked-cell index of the atoms of a structure or a batch of structures,
+    for bond queries.
 
-    Built once per structure and cutoff set; `graph` then bonds any set of
-    centre atoms.  The reach is the largest cutoff plus a 1e-9 relative and
-    absolute margin.  A periodic axis of length L gets m = floor(L / reach)
-    bins of width L / m on the wrapped coordinates; a non-periodic axis gets
-    bins of width reach from its lowest coordinate.  An axis holds at most
-    2**20 bins; past that they widen.  Neighbour cells differ by -1, 0 or +1
-    bins per axis, wrapping on periodic axes; with 2 bins the stencil is
-    {0, +1}, so no cell is listed twice.  Only occupied cells are stored, as
-    sorted integer keys, so memory is O(N) for any cell size and any spread of
-    the atoms.
+    Built once per batch and cutoff set; `graph` then bonds any set of centre
+    atoms.  The reach is the largest cutoff plus a 1e-9 relative and absolute
+    margin.  A periodic axis of length L gets m = floor(L / reach) bins of
+    width L / m on the wrapped coordinates; a non-periodic axis gets bins of
+    width reach from its lowest coordinate.  An axis holds at most 2**16
+    bins; past that they widen.  Neighbour cells differ by -1, 0 or +1 bins
+    per axis, wrapping on periodic axes; with 2 bins the stencil is {0, +1},
+    so no cell is listed twice.  Each structure has its own bins, and its
+    index is folded into the integer cell key, so no query leaves its
+    structure.  Only occupied cells are stored, as sorted keys, so memory is
+    O(N) for any cell size and any spread of the atoms.
 
-    Raises ConfigurationError when a cutoff reaches half the cell length on a
-    periodic axis (the minimum-image distance would be ambiguous).
+    `errors` holds, per structure, the message that keeps it out of bond
+    queries, or None: a triclinic periodic cell, or a cutoff that reaches
+    half the cell length on a periodic axis (the minimum-image distance
+    would be ambiguous).  `graph` raises ConfigurationError with it for a
+    centre in such a structure.
     """
 
-    def __init__(self, structure: AtomicStructure, cutoffs: Mapping | None = None):
-        if any(structure.pbc) and not structure.is_orthorhombic:
-            raise ConfigurationError(
-                "minimum-image convention supports orthorhombic cells only; "
-                "got a triclinic periodic cell"
-            )
+    def __init__(self, atoms: AtomicStructure | StructureBatch, cutoffs: Mapping | None = None):
+        batch = self.batch = atoms if isinstance(atoms, StructureBatch) else StructureBatch([atoms])
         cut = _normalize_cutoffs(cutoffs)
         rmax = max(cut.values())
-        self._lengths = lengths = _cell_lengths(structure)
-        for ax in range(3):
-            if structure.pbc[ax] and rmax >= 0.5 * lengths[ax]:
-                raise ConfigurationError(
-                    f"cutoff {rmax} A >= half cell length {0.5 * lengths[ax]} A on periodic axis {ax}"
-                )
-        self.structure = structure
-        self._kind = np.argmax(structure._species_array[:, None] == np.array(SPECIES), axis=1)
+        self.errors = [
+            _bond_error(*cell, rmax) for cell in zip(batch.orthorhombic, batch.pbc, batch.lengths)
+        ]
+        self._unbonded = np.array([e is not None for e in self.errors], dtype=bool)
         # Unlisted pairs stay unbonded even at distance 0 (coincident atoms).
         self._limit = np.full((len(SPECIES), len(SPECIES)), -np.inf)
         for (a, b), r in cut.items():
@@ -358,22 +417,31 @@ class CellList:
 
         # The margin covers the binning's rounding; the exact test in `graph` decides.
         reach = rmax * (1 + 1e-9) + 1e-9
-        self._bins, self._dims, stencils = zip(
-            *(
-                _axis_bins(structure.positions[:, ax], lengths[ax], structure.pbc[ax], reach)
-                for ax in range(3)
+        binned = ~self._unbonded
+        self._bins, dims, stencil = zip(*(_axis_bins(batch, ax, binned, reach) for ax in range(3)))
+        self._dims = np.stack(dims, axis=1)
+        self._stencil = (_STEP_RANK < np.stack(stencil, axis=1)[:, None, :]).all(axis=2)
+        keys = self._dims.prod(axis=1)
+        if keys.sum(dtype=float) >= 2.0**62:
+            raise ConfigurationError(
+                "too many cell-list keys in one batch; analyse fewer structures at once"
             )
-        )
-        self._offsets = np.array(list(itertools.product(*stencils)))
+        self._base = np.cumsum(keys) - keys
+        # Per axis: each structure's length and periodicity, and whether every
+        # structure that can be bonded is periodic.
+        self._length, self._wrap = batch.lengths.T.copy(), batch.pbc.T.copy()
+        self._wrap_all = self._wrap[:, binned].all(axis=1).tolist()
         # Occupied cells only, as sorted keys with the run of atoms in each.
-        atom_key = self._key(self._bins)
-        self._order = np.argsort(atom_key, kind="stable")
-        self._cells, self._start, self._count = np.unique(
-            atom_key[self._order], return_index=True, return_counts=True
-        )
-
-    def _key(self, b):
-        return (b[0] * self._dims[1] + b[1]) * self._dims[2] + b[2]
+        dims = self._dims[batch.cell_of]
+        key = (self._bins[0] * dims[:, 1] + self._bins[1]) * dims[:, 2] + self._bins[2]
+        key += self._base[batch.cell_of]
+        self._order = np.argsort(key, kind="stable")
+        key = key[self._order]
+        self._start = np.flatnonzero(np.diff(key, prepend=-1))
+        self._count = np.diff(self._start, append=len(key))
+        # A last key above every real one, so a lookup never runs off the end.
+        self._cells = np.append(key[self._start], np.iinfo(np.int64).max)
+        self._full_stencil = bool(self._stencil.all())
 
     def _near(self, centres: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(centre, atom, distance) for every atom other than the centre in
@@ -381,38 +449,59 @@ class CellList:
         The distance is the minimum image of position[atom] - position[centre]:
         `np.round` is odd and negation exact, so it is bit for bit the
         distance seen from the other end."""
+        batch = self.batch
+        cell = batch.cell_of[centres]
+        dims = self._dims[cell]
         near = []
         for ax in range(3):
-            b = self._bins[ax][centres][:, None] + self._offsets[:, ax]
-            near.append(b % self._dims[ax] if self.structure.pbc[ax] else b)
-        near_key = self._key(near)
-        slot = np.minimum(np.searchsorted(self._cells, near_key), len(self._cells) - 1)
+            b = self._bins[ax][centres][:, None] + _STEPS
+            wrap = slice(None) if self._wrap_all[ax] else self._wrap[ax][cell]
+            b[wrap] %= dims[wrap, ax, None]
+            near.append(b)
+        # The key of every neighbour cell, in the order of _STEP_RANK.
+        near_key = (
+            self._base[cell][:, None, None, None]
+            + (near[0] * (dims[:, 1:2] * dims[:, 2:3]))[:, :, None, None]
+            + (near[1] * dims[:, 2:3])[:, None, :, None]
+            + near[2][:, None, None, :]
+        ).reshape(len(centres), len(_STEP_RANK))
+        slot = np.searchsorted(self._cells, near_key)
         hit = self._cells[slot] == near_key
+        if not self._full_stencil:
+            hit &= self._stencil[cell]
         row, slot = np.nonzero(hit)[0], slot[hit]
         sizes = self._count[slot]
-        local = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        atom = self._order[np.repeat(self._start[slot], sizes) + local]
+        first = np.repeat(self._start[slot] - (np.cumsum(sizes) - sizes), sizes)
+        atom = self._order[first + np.arange(len(first))]
         centre = centres[np.repeat(row, sizes)]
         other = atom != centre
         centre, atom = centre[other], atom[other]
-        delta = self.structure.positions[atom] - self.structure.positions[centre]
+        cell = batch.cell_of[centre]
+        # The sum of squares in np.linalg.norm's order, one axis at a time.
+        dist = np.zeros(len(atom))
         for ax in range(3):
-            if self.structure.pbc[ax]:
-                delta[:, ax] -= self._lengths[ax] * np.round(delta[:, ax] / self._lengths[ax])
-        return centre, atom, np.linalg.norm(delta, axis=1)
+            x = batch.positions[:, ax]
+            d = x[atom] - x[centre]
+            wrap = slice(None) if self._wrap_all[ax] else self._wrap[ax][cell]
+            length = self._length[ax][cell[wrap]]
+            d[wrap] -= length * np.round(d[wrap] / length)
+            d *= d
+            dist += d
+        return centre, atom, np.sqrt(dist)
 
     def _bridges(self, centre, atom, dist, bonded) -> dict[int, int]:
         """`BondGraph.bridge_o` entries of the H centres of one query, from its
         candidates (centre, atom, dist) and their bond mask."""
-        kind = self._kind
+        kind = self.batch.kind
         bonds_to = np.zeros((len(kind), len(SPECIES)), dtype=bool)
         bonds_to[centre[bonded], kind[atom[bonded]]] = True
         pick = (kind[centre] == _H) & (kind[atom] == _O) & (dist <= self._limit[_AL, _H])
         pick &= bonds_to[centre, _AL] & ~bonds_to[centre, _O]
         centre, atom, dist = centre[pick], atom[pick], dist[pick]
         order = np.lexsort((atom, dist, centre))
-        _, first = np.unique(centre[order], return_index=True)
-        return dict(zip(centre[order][first].tolist(), atom[order][first].tolist()))
+        centre, atom = centre[order], atom[order]
+        first = np.flatnonzero(np.diff(centre, prepend=-1))
+        return dict(zip(centre[first].tolist(), atom[first].tolist()))
 
     def graph(self, centres) -> BondGraph:
         """Bond graph holding the rows of `centres` and of every O atom a held
@@ -423,22 +512,28 @@ class CellList:
         cutoff, so each held row equals the same row of an all-pairs
         evaluation of the minimum-image formula, bit for bit.
         """
-        n = len(self.structure)
+        n, kind = len(self.batch), self.batch.kind
         held = np.zeros(n, dtype=bool)
         pending = np.asarray(centres, dtype=np.intp)
+        unbonded = self._unbonded[self.batch.cell_of[pending]]
+        if unbonded.any():
+            raise ConfigurationError(self.errors[self.batch.cell_of[pending[unbonded.argmax()]]])
         parts, bridge_o = [], {}
         while not parts or pending.size:
             held[pending] = True
             centre, atom, dist = self._near(pending)
-            bonded = dist <= self._limit[self._kind[centre], self._kind[atom]]
-            bridge_o.update(self._bridges(centre, atom, dist, bonded))
+            bonded = dist <= self._limit[kind[centre], kind[atom]]
+            if not parts:  # later rounds have O centres only
+                bridge_o = self._bridges(centre, atom, dist, bonded)
             parts.append((centre[bonded], atom[bonded], dist[bonded]))
-            pending = np.unique(atom[bonded & (self._kind[atom] == _O) & ~held[atom]])
+            new = np.zeros(n, dtype=bool)
+            new[atom[bonded & (kind[atom] == _O) & ~held[atom]]] = True
+            pending = np.flatnonzero(new)
         rows, cols, dist = (np.concatenate(p) for p in zip(*parts))
         order = np.lexsort((cols, rows))
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        return BondGraph(self.structure, indptr, cols[order], dist[order], bridge_o)
+        return BondGraph(self.batch, indptr, cols[order], dist[order], bridge_o)
 
 
 def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -> BondGraph:
@@ -462,39 +557,69 @@ class OxideRegion:
             raise ValueError(f"empty z-interval [{self.z_lo}, {self.z_hi}]")
 
 
-def oxide_region(structure: AtomicStructure, padding: float = 0.5) -> OxideRegion:
-    """Locate the oxide as the z-interval spanning all O atoms plus padding.
+def oxide_regions(
+    batch: StructureBatch, padding: float = 0.5
+) -> tuple[list[OxideRegion | str], np.ndarray]:
+    """Each structure's oxide region, or the message that says why it has
+    none, and the mask of the batch atoms inside a region.
 
+    The oxide is the z-interval spanning all O atoms plus padding.
     Membership is interval-based (robust against under-coordinated amorphous
     edges).  On a periodic z axis the O atoms must not straddle the boundary:
     if the widest gap between consecutive O heights is wider than the gap
     across the boundary, the interval would span the cell's empty part, so
-    the structure is rejected (ValueError).
+    the structure has none.  The O heights of all structures are sorted at
+    once; the extremes and widest gaps are reductions over their runs.
     """
-    z = structure.positions[:, 2]
-    o_idx = structure.indices_of("O")
-    if o_idx.size == 0:
-        raise ValueError("structure contains no O atoms; cannot locate an oxide region")
-    z_o = np.sort(z[o_idx])
-    if structure.pbc[2] and o_idx.size > 1:
-        across = z_o[0] + _cell_lengths(structure)[2] - z_o[-1]
-        widest = np.diff(z_o).max()
-        if widest > across:
-            raise ValueError(
-                f"O atoms straddle the periodic z boundary: a {widest:.6g} A gap between "
-                f"O heights is wider than the {across:.6g} A gap across the boundary"
+    z = batch.positions[:, 2]
+    o = np.flatnonzero(batch.kind == _O)
+    o = o[np.lexsort((z[o], batch.cell_of[o]))]
+    z_o, cell_o = z[o], batch.cell_of[o]
+    ends = np.searchsorted(cell_o, np.arange(batch.count + 1))
+    has_o = ends[1:] > ends[:-1]
+    lowest, highest = np.zeros(batch.count), np.zeros(batch.count)
+    lowest[has_o], highest[has_o] = z_o[ends[:-1][has_o]], z_o[ends[1:][has_o] - 1]
+    gap = np.diff(z_o, append=-np.inf)
+    gap[ends[1:][has_o] - 1] = -np.inf  # the step to the next structure's lowest O
+    widest = batch.runs(np.maximum, gap, cell_o, -np.inf)
+    across = lowest + batch.lengths[:, 2] - highest
+    straddles = batch.pbc[:, 2] & (widest > across)
+    z_lo, z_hi = lowest - padding, highest + padding
+    located = has_o & ~straddles & (z_lo < z_hi)
+    regions: list = []
+    for c in range(batch.count):
+        if not has_o[c]:
+            regions.append("structure contains no O atoms; cannot locate an oxide region")
+        elif straddles[c]:
+            regions.append(
+                f"O atoms straddle the periodic z boundary: a {widest[c]:.6g} A gap between "
+                f"O heights is wider than the {across[c]:.6g} A gap across the boundary"
             )
-    z_lo = float(z_o[0] - padding)
-    z_hi = float(z_o[-1] + padding)
-    inside = (z >= z_lo) & (z <= z_hi)
-    return OxideRegion(
-        z_lo=z_lo,
-        z_hi=z_hi,
-        members=tuple(np.flatnonzero(inside).tolist()),
-        n_al=int(np.count_nonzero(inside[structure.indices_of("Al")])),
-        n_o=int(np.count_nonzero(inside[o_idx])),
-        n_h=int(np.count_nonzero(inside[structure.indices_of("H")])),
-    )
+        else:
+            regions.append((float(z_lo[c]), float(z_hi[c])))
+    z_lo[~located], z_hi[~located] = np.inf, -np.inf
+    inside = (z >= z_lo[batch.cell_of]) & (z <= z_hi[batch.cell_of])
+    census = np.bincount(batch.cell_of[inside] * 3 + batch.kind[inside], minlength=3 * batch.count)
+    members = np.flatnonzero(inside)
+    local = members - batch.offsets[batch.cell_of[members]]
+    members = np.split(local, np.searchsorted(members, batch.offsets[1:-1]))
+    for c, region in enumerate(regions):
+        if isinstance(region, tuple):
+            try:
+                counts = census[3 * c : 3 * c + 3].tolist()
+                regions[c] = OxideRegion(*region, tuple(members[c].tolist()), *counts)
+            except ValueError as exc:
+                regions[c] = str(exc)
+    return regions, inside
+
+
+def oxide_region(structure: AtomicStructure, padding: float = 0.5) -> OxideRegion:
+    """The oxide region of one structure (see `oxide_regions`); raises
+    ValueError when it has none."""
+    (region,), _ = oxide_regions(StructureBatch([structure]), padding)
+    if isinstance(region, str):
+        raise ValueError(region)
+    return region
 
 
 def stoichiometry(region: OxideRegion) -> tuple[float, float]:
@@ -506,47 +631,61 @@ def stoichiometry(region: OxideRegion) -> tuple[float, float]:
     return x, 100.0 * region.n_h / total
 
 
+def surface_mask(
+    batch: StructureBatch, members: np.ndarray, depth: float = 2.0, bin_width: float = 4.0
+) -> np.ndarray:
+    """Mask of the oxide atoms (`members`, a mask over the batch atoms) within
+    `depth` of their lateral cell's local top surface.
+
+    Each structure's xy plane is gridded into bin_width x bin_width cells;
+    each cell's surface height is the max z of its oxide members, and a
+    member is a surface site iff z >= height - depth.  The lateral cells of
+    all structures are grouped in one sort.
+    """
+    if not depth > 0:
+        raise ValueError(f"depth must be positive, got {depth}")
+    if not bin_width > 0:
+        raise ValueError(f"bin width must be positive, got {bin_width}")
+    idx = np.flatnonzero(members)
+    cell, pos = batch.cell_of[idx], batch.positions[idx]
+    keys = [cell]
+    for axis in range(2):
+        coords, span, wrap = pos[:, axis], batch.lengths[:, axis].copy(), batch.pbc[cell, axis]
+        if wrap.all():
+            wrapped = np.mod(coords, span[cell])
+        else:
+            # A non-periodic axis spans its members, from the lowest.
+            bounded = ~batch.pbc[:, axis]
+            lo = np.where(bounded, batch.runs(np.minimum, coords, cell, 0.0), 0.0)
+            span[bounded] = batch.runs(np.maximum, coords, cell, 0.0)[bounded] - lo[bounded]
+            wrapped = coords - lo[cell]
+            wrapped[wrap] = np.mod(coords[wrap], span[cell[wrap]])
+        nbins = np.where(span > 0, np.maximum(1.0, np.ceil(span / bin_width)), 1.0)
+        # wrapped >= 0, so the floor is what an int cast truncates to.
+        keys.append(np.minimum(np.floor(wrapped / bin_width), nbins[cell] - 1))
+    order = np.lexsort(keys[::-1])
+    keys = np.array([k[order] for k in keys])
+    starts = np.flatnonzero(np.any(np.diff(keys, axis=1, prepend=-1), axis=0))
+    z = pos[order, 2]
+    heights = np.repeat(np.maximum.reduceat(z, starts), np.diff(starts, append=len(z)))
+    mask = np.zeros(len(batch), dtype=bool)
+    mask[idx[order[z >= heights - depth]]] = True
+    return mask
+
+
 def surface_sites(
     structure: AtomicStructure,
     region: OxideRegion,
     depth: float = 2.0,
     bin_width: float = 4.0,
 ) -> frozenset[int]:
-    """Oxide atoms within `depth` of their lateral cell's local top surface.
-
-    The xy plane is gridded into bin_width x bin_width cells; each cell's
-    surface height is the max z of its oxide members, and a member is a
-    surface site iff z >= height - depth.
-    """
-    if not depth > 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    if not bin_width > 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    """The surface sites (see `surface_mask`) among the members of `region`."""
+    members = np.zeros(len(structure), dtype=bool)
+    members[list(region.members)] = True
+    mask = surface_mask(StructureBatch([structure]), members, depth, bin_width)
     if not region.members:
         raise ValueError("empty oxide region")
-    members = np.array(region.members, dtype=int)
-    pos = structure.positions[members]
-    lengths = _cell_lengths(structure)
-
-    keys = []
-    for axis in range(2):
-        coords = pos[:, axis]
-        if structure.pbc[axis]:
-            span = lengths[axis]
-            wrapped = np.mod(coords, span)
-        else:
-            span = coords.max() - coords.min()
-            wrapped = coords - coords.min()
-        nbins = max(1, int(math.ceil(span / bin_width))) if span > 0 else 1
-        keys.append(np.minimum((wrapped / bin_width).astype(int), nbins - 1))
-
-    # One integer key per lateral cell, ascending with (kx, ky) in lexicographic order.
-    kx, ky = keys
-    _, cell_of = np.unique(kx * (ky.max() + 1) + ky, return_inverse=True)
-    z = pos[:, 2]
-    heights = np.full(cell_of.max() + 1, -np.inf)
-    np.maximum.at(heights, cell_of, z)
-    return frozenset(members[z >= heights[cell_of] - depth].tolist())
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def effective_time(n_sim: float, n_ref: float, t_sim: float) -> float:

@@ -1,7 +1,9 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import fnmatch
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineC
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import MAX_TRIALS, BetaBinomial
 
-from conftest import make_oxide_slab, to_xyz, write_structure_dir
+from conftest import make_oxide_slab, nine_motif_fixtures, to_xyz, write_structure_dir
 
 
 def write_counts_file(path: Path, seed=42, k=400) -> Path:
@@ -401,6 +404,47 @@ class TestPipeline:
         assert read_dir_bytes(outs[2]) == first
 
 
+def _write_cell(kind: str):
+    """Writer of one structure-directory entry of `kind`: (path, lateral, n_h, seed)."""
+
+    def slab(lateral, n_h, seed):
+        n_h = min(n_h, lateral * lateral)
+        return make_oxide_slab(n_h=n_h, lateral=lateral, jitter=0.05, seed=seed)
+
+    def write(path, lateral, n_h, seed):
+        s = slab(lateral, n_h, seed)
+        if kind == "corrupt":
+            path.write_text(to_xyz(s)[:-40])
+        elif kind == "subdir":
+            path.mkdir()
+        elif kind == "no_o":
+            al = [k for k, x in enumerate(s.species) if x != "O"]
+            species = tuple(s.species[k] for k in al)
+            path.write_text(to_xyz(dataclasses.replace(s, species=species, positions=s.positions[al])))
+        elif kind == "straddle":
+            pos = s.positions.copy()
+            pos[:, 2] = np.mod(pos[:, 2] - 2.0, s.cell[2, 2])
+            path.write_text(to_xyz(dataclasses.replace(s, positions=pos)))
+        elif kind == "triclinic":
+            cell = s.cell.copy()
+            cell[1, 0] = 0.5
+            path.write_text(to_xyz(dataclasses.replace(s, cell=cell)))
+        elif kind == "short":
+            path.write_text(to_xyz(slab(1, n_h, seed)))
+        elif kind == "fixture":
+            path.write_text(to_xyz(nine_motif_fixtures()[seed % 9][1]))
+        else:
+            path.write_text(to_xyz(s))
+
+    return write
+
+
+_CELL_KINDS = {
+    kind: _write_cell(kind)
+    for kind in ("good", "fixture", "corrupt", "subdir", "no_o", "straddle", "triclinic", "short")
+}
+
+
 class TestStructurePass:
     """Census, analyze and pipeline read a structure directory the same way."""
 
@@ -461,6 +505,34 @@ class TestStructurePass:
         for path in directory.glob("sample_*"):
             path.unlink()
         assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(sorted(_CELL_KINDS)),
+                st.sampled_from([2, 3, 8, 12]),
+                st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    # Large cells that split the default budget, among every kind of skip.
+    @example(entries=[(kind, 12, 3) for kind in sorted(_CELL_KINDS)] + [("good", 12, 4)] * 4)
+    def test_batching_does_not_change_results(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for k, (kind, lateral, n_h) in enumerate(entries):
+                _CELL_KINDS[kind](directory / f"c{k:02d}.xyz", lateral, n_h, k)
+            cfg = PipelineConfig(structures=str(directory))
+            passes = []
+            for budget in (1, cli._BATCH_ATOMS):
+                with mock.patch.object(cli, "_BATCH_ATOMS", budget):
+                    passes.append(cli._structure_pass(cfg, census=True, analyze=True))
+        assert passes[0] == passes[1]
+        for row, (kind, _, _) in zip(passes[0].rows, entries):
+            assert isinstance(row, str) == (kind not in ("good", "fixture")) or kind == "fixture"
 
 
 class TestPathArguments:
@@ -624,6 +696,170 @@ class TestConfigContentFuzz:
         assert code in (0, 2, 3)
         if duplicate or m_above:
             assert code == 2
+
+
+# Values a hand-edited or corrupted upstream file may carry where a number
+# belongs.
+_ODD_VALUES = st.sampled_from(
+    [5e-324, 1e-310, 1e-300, 1e308, -1e308, 0.0, -0.0, math.inf, math.nan]
+    + [True, False, "17.69", "", None, [17.69], {"v": 1.0}]
+)
+_COUNT_LINES = st.integers(0, 60).map(str) | st.sampled_from(
+    ["-3", "4.5", "1e3", _HUGE, "10" * 20, "", "# note", "n_h", "7,", ","]
+)
+_CONFIG_ENTRIES = st.tuples(
+    st.sampled_from(
+        ["stats.alpha", "stats.beta", "stats.trials", "transport.lead_onsite", "transport.grid_halfwidth"]
+    ),
+    st.floats(-25.0, 25.0).map(repr)
+    | st.integers(-5, 2000).map(str)
+    | st.sampled_from(["1e-300", "1e308", "5e-324", "1e100", "1e-100", "12.2", "20", "0"]),
+)
+
+
+@st.composite
+def count_files(draw) -> bytes:
+    """Counts one per line or in a CSV with or without an n_h column, maybe
+    truncated and with bytes that are not UTF-8."""
+    lines = draw(st.lists(st.integers(0, 60).map(str), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(_COUNT_LINES)
+    header = draw(st.sampled_from(["", "n_h\n", "sample,n_h\n", "sample,count\n"]))
+    if "," in header:
+        lines = [f"s{k},{line}" for k, line in enumerate(lines)]
+    text = (header + "\n".join(lines) + "\n").encode()
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(1, len(text)))]
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(_NOT_UTF8) + text[at:]
+
+
+def _number_or_odd(numbers):
+    return numbers | _ODD_VALUES
+
+
+@st.composite
+def fit_reports(draw) -> dict:
+    fields = {
+        "alpha": _number_or_odd(st.floats(0.05, 500.0)),
+        "beta": _number_or_odd(st.floats(0.05, 500.0)),
+        "M": _number_or_odd(st.integers(0, 60)),
+    }
+    # A key is left out one time in eight.
+    return {key: draw(value) for key, value in fields.items() if draw(st.integers(0, 7))}
+
+
+@st.composite
+def calibration_sidecars(draw) -> dict:
+    transmission = _number_or_odd(st.floats(1e-7, 1e-3))
+    return {
+        tag: {"transmission": draw(transmission)} if draw(st.integers(0, 7)) else draw(_ODD_VALUES)
+        for tag in ("jj", "jj_h")
+    }
+
+
+def _pmf_error_allowance(probabilities) -> float:
+    """Bound on |sum - 1| of a PMF that sums to 1 within 1e-12 before each
+    value is printed with 12 significant digits (half a unit in the 12th)."""
+    half_units = (0.5 * 10.0 ** (math.floor(math.log10(p)) - 11) for p in probabilities if p > 0)
+    return 1e-12 + sum(half_units)
+
+
+class TestUpstreamFileFuzz:
+    """Generated count files, fit reports, calibration sidecars and config
+    values end in exit 0 with finite output, or in exit 2 or 3 with one
+    error line; never in a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=st.sampled_from(["fit-stats", "ej", "transmission"]),
+        config=st.lists(_CONFIG_ENTRIES, max_size=3),
+        counts=count_files(),
+        m=st.sampled_from(["fixed=60", "scan"]),
+        report=st.none() | fit_reports(),
+        sidecar=st.none() | calibration_sidecars(),
+    )
+    # An underflowing variance: a ZeroDivisionError traceback at the parent.
+    @example(
+        command="ej",
+        config=[("stats.alpha", "1e-300"), ("stats.beta", "1e-300"), ("stats.trials", "1000")],
+        counts=b"1\n",
+        m="scan",
+        report=None,
+        sidecar=None,
+    )
+    @example(
+        command="ej",
+        config=[],
+        counts=b"1\n",
+        m="scan",
+        report={"alpha": 1e-300, "beta": 1e-300, "M": 1000},
+        sidecar=None,
+    )
+    # An overflowing alpha + beta: exit 0 with an all-nan PMF at the parent.
+    @example(
+        command="ej",
+        config=[("stats.alpha", "1e308"), ("stats.beta", "1e308")],
+        counts=b"1\n",
+        m="scan",
+        report=None,
+        sidecar=None,
+    )
+    @example(
+        command="ej",
+        config=[],
+        counts=b"1\n",
+        m="scan",
+        report={"alpha": 1e308, "beta": 1e308, "M": 40},
+        sidecar=None,
+    )
+    # A grid end that rounds past the 20 eV reach: a late exit 2 at the parent.
+    @example(
+        command="transmission",
+        config=[("transport.lead_onsite", "12.2"), ("transport.grid_halfwidth", "20")],
+        counts=b"1\n",
+        m="scan",
+        report=None,
+        sidecar=None,
+    )
+    def test_exit_code_contract(self, command, config, counts, m, report, sidecar):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            out = root / "out"
+            cfg = root / "cfg.txt"
+            entries = "".join(f"{key} = {value}\n" for key, value in config)
+            cfg.write_text(entries + "transport.grid_points = 101\n")
+            argv = ["--config", str(cfg), "--out", str(out), command]
+            if command == "fit-stats":
+                (root / "counts.txt").write_bytes(counts)
+                argv += ["--counts", str(root / "counts.txt"), "--m", m]
+            elif command == "ej":
+                for flag, payload in (("--fit-report", report), ("--calibration", sidecar)):
+                    if payload is not None:
+                        (root / f"{flag[2:]}.json").write_text(json.dumps(payload))
+                        argv += [flag, str(root / f"{flag[2:]}.json")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+                if command == "fit-stats" and code == 0:
+                    # Hand the fitted distribution on, as the pipeline does.
+                    command = "ej"
+                    report_path = str(out / "fit_report.json")
+                    code = main(["--config", str(cfg), "--out", str(out), "ej", "--fit-report", report_path])
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3)
+            if code:
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            if command == "transmission" and code == 2:
+                # transmission reads no input file: only validate may reject its config.
+                assert not out.exists()
+            if command == "ej" and code == 0:
+                rows = (out / "ej_pmf.csv").read_text().splitlines()[1:]
+                values = np.array([[float(v) for v in row.split(",")] for row in rows])
+                assert np.isfinite(values).all()
+                assert abs(values[:, 1].sum() - 1.0) <= _pmf_error_allowance(values[:, 1])
+                report_out = json.loads((out / "ej_report.json").read_text())
+                assert all(math.isfinite(report_out[key]) for key in ("mean_ghz", "std_ghz"))
 
 
 class TestConfigHandling:
@@ -848,6 +1084,19 @@ def test_cli_import_leaves_scipy_special_unloaded():
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
     assert not _loaded_by_cli_import("concurrent.futures")
+
+
+def test_pipeline_run_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use: about 11 ms and 0.8 MB per run.
+    config = tmp_path / "pipeline.cfg"
+    directory = write_structure_dir(tmp_path)
+    config.write_text(f"paths.structures = {directory}\ntransport.grid_points = 101\n")
+    argv = ["--config", str(config), "--out", str(tmp_path / "out"), "pipeline"]
+    probe = (
+        f"import io, contextlib, sys, jjvar.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = jjvar.cli.main({argv!r})\nprint(code, 'numpy.ma' in sys.modules)"
+    )
+    assert _run_fresh(probe) == "0 False"
 
 
 def test_analyze_run_loads_no_scipy(tmp_path):

@@ -9,6 +9,7 @@ from jjvar import motifs
 from jjvar.motifs import (
     MOTIF_CLASSES,
     MotifRecord,
+    classify_batch,
     classify_h,
     classify_structure,
     motif_statistics,
@@ -17,8 +18,10 @@ from jjvar.structure import (
     DEFAULT_CUTOFFS,
     AtomicStructure,
     CellList,
+    StructureBatch,
     neighbor_graph,
     oxide_region,
+    oxide_regions,
     surface_sites,
 )
 
@@ -56,6 +59,24 @@ def dense_cells(draw):
     lengths = [rmax * draw(st.floats(2.01, 4.0)) if p else s.cell[ax, ax] for ax, p in enumerate(pbc)]
     s = AtomicStructure(cell=np.diag(lengths), pbc=pbc, species=s.species, positions=s.positions)
     return s, overrides
+
+
+@st.composite
+def dense_batches(draw):
+    """One to four dense clusters sharing one set of cutoff overrides, each
+    left open or put in a cell periodic on some axes (as in dense_cells)."""
+    overrides = draw(
+        st.dictionaries(st.sampled_from(sorted(DEFAULT_CUTOFFS)), st.floats(0.5, 3.0), max_size=4)
+    )
+    rmax = max({**DEFAULT_CUTOFFS, **overrides}.values())
+    structures = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = draw(dense_clusters())
+        pbc = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+        lengths = [rmax * draw(st.floats(2.01, 4.0)) if p else s.cell[ax, ax] for ax, p in enumerate(pbc)]
+        cell = np.diag(lengths)
+        structures.append(AtomicStructure(cell=cell, pbc=pbc, species=s.species, positions=s.positions))
+    return structures, overrides
 
 
 def classifier_rows(s, overrides=None):
@@ -229,6 +250,26 @@ class TestPrecedenceAndStability:
         for i in np.flatnonzero(held):
             assert rows.neighbors(i) == full.neighbors(i)
         assert not held[s.indices_of("Al")].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_batches())
+    # The nine fixtures in one batch: every branch, the O-O chain walk and the
+    # two-O case among them, with batch indices offset from local ones.
+    @example(([f[1] for f in nine_motif_fixtures()], {}))
+    def test_array_classes_match_classify_h(self, case):
+        structures, overrides = case
+        expected = []
+        for s in structures:
+            graph = neighbor_graph(s, overrides)
+            try:
+                surface = surface_sites(s, oxide_region(s))
+            except ValueError:
+                surface = None
+            h_atoms = s.indices_of("H")
+            expected.append([classify_h(s, graph, int(h), surface=surface) for h in h_atoms])
+        batch = StructureBatch(structures)
+        _, members = oxide_regions(batch)
+        assert classify_batch(batch, cutoffs=overrides, members=members) == expected
 
     def test_order_independence(self):
         rng = np.random.default_rng(29)

@@ -570,6 +570,90 @@ class TestSurfaceSites:
             surface_sites(s, region, bin_width=0.0)
 
 
+def reference_region(s, padding=0.5):
+    """One structure's oxide region or its rejection message, by the
+    per-structure formulas: sorted O heights, the widest gap against the gap
+    across a periodic z boundary, and an interval census."""
+    z = s.positions[:, 2]
+    o = s.indices_of("O")
+    if not o.size:
+        return "structure contains no O atoms; cannot locate an oxide region"
+    z_o = np.sort(z[o])
+    if s.pbc[2] and o.size > 1:
+        across = z_o[0] + abs(s.cell[2, 2]) - z_o[-1]
+        widest = np.diff(z_o).max()
+        if widest > across:
+            return (
+                f"O atoms straddle the periodic z boundary: a {widest:.6g} A gap between "
+                f"O heights is wider than the {across:.6g} A gap across the boundary"
+            )
+    lo, hi = float(z_o[0] - padding), float(z_o[-1] + padding)
+    inside = (z >= lo) & (z <= hi)
+    counts = [int(np.count_nonzero(inside[s.indices_of(k)])) for k in SPECIES]
+    return structure.OxideRegion(lo, hi, tuple(np.flatnonzero(inside).tolist()), *counts)
+
+
+def reference_surface(s, members, depth, bin_width):
+    """Surface sites among `members` by one np.unique over the lateral cells
+    of one structure."""
+    members = np.array(members, dtype=int)
+    pos = s.positions[members]
+    keys = []
+    for axis in range(2):
+        coords = pos[:, axis]
+        if s.pbc[axis]:
+            span, wrapped = abs(s.cell[axis, axis]), np.mod(coords, abs(s.cell[axis, axis]))
+        else:
+            span, wrapped = coords.max() - coords.min(), coords - coords.min()
+        nbins = max(1, math.ceil(span / bin_width)) if span > 0 else 1
+        keys.append(np.minimum((wrapped / bin_width).astype(int), nbins - 1))
+    _, cell = np.unique(keys[0] * (keys[1].max() + 1) + keys[1], return_inverse=True)
+    heights = np.full(cell.max() + 1, -np.inf)
+    np.maximum.at(heights, cell, pos[:, 2])
+    return frozenset(members[pos[:, 2] >= heights[cell] - depth].tolist())
+
+
+@st.composite
+def oxide_batches(draw):
+    """One to five slabs: random Al/O/H columns in a cell periodic or not on
+    each axis, some shifted along z so that the oxide straddles the boundary."""
+    structures = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 30))
+        lengths = np.array([draw(st.floats(5.0, 20.0)) for _ in range(3)])
+        frac = st.floats(-0.2, 1.2)
+        rows = st.lists(st.tuples(frac, frac, st.floats(0.0, 0.5)), min_size=n, max_size=n)
+        pos = np.array(draw(rows))
+        pos = pos.reshape(n, 3) * lengths
+        shift = draw(st.sampled_from([0.0, 0.0, 0.8])) * lengths[2]
+        pos[:, 2] = np.mod(pos[:, 2] + shift, lengths[2])
+        pbc = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+        species = tuple(draw(st.lists(st.sampled_from(SPECIES), min_size=n, max_size=n)))
+        cell = np.diag(lengths)
+        structures.append(AtomicStructure(cell=cell, pbc=pbc, species=species, positions=pos))
+    return structures, draw(st.sampled_from([0.5, 2.0])), draw(st.sampled_from([1.5, 4.0]))
+
+
+class TestBatchReductions:
+    @given(oxide_batches())
+    def test_regions_and_surface_match_per_structure_reference(self, case):
+        structures, depth, bin_width = case
+        batch = structure.StructureBatch(structures)
+        regions, members = structure.oxide_regions(batch)
+        mask = structure.surface_mask(batch, members, depth, bin_width)
+        for c, s in enumerate(structures):
+            expected = reference_region(s)
+            assert regions[c] == expected
+            local = mask[batch.offsets[c] : batch.offsets[c + 1]]
+            if isinstance(expected, str):
+                assert not members[batch.offsets[c] : batch.offsets[c + 1]].any()
+                assert not local.any()
+            else:
+                assert frozenset(np.flatnonzero(local).tolist()) == reference_surface(
+                    s, expected.members, depth, bin_width
+                )
+
+
 class TestGasArithmetic:
     def test_effective_time_reference_values(self):
         t_eff_ps = effective_time(750, 8.46e-3, 3.0)
