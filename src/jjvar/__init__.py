@@ -6,15 +6,8 @@ hydrogen motif classification (motifs), tight-binding NEGF transport
 the pipeline CLI (cli).
 """
 
-from .josephson import (
-    EjDistribution,
-    EjTransform,
-    JunctionParams,
-    convert_energy,
-    ej_distribution,
-    ej_single,
-)
-from .motifs import MOTIF_CLASSES, MotifRecord, classify_h, classify_structure, motif_statistics
+from .josephson import EjDistribution, ej_distribution, ej_single
+from .motifs import MOTIF_CLASSES, MotifRecord, classify_h, motif_statistics
 from .stats import BetaBinomial, CountSample, FitResult, fit, read_counts
 from .structure import (
     AtomicStructure,
@@ -22,11 +15,8 @@ from .structure import (
     OxideRegion,
     effective_time,
     ideal_gas_count,
-    neighbor_graph,
-    oxide_region,
     parse_xyz,
     stoichiometry,
-    surface_sites,
 )
 from .transport import (
     JunctionModel,

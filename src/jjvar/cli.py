@@ -350,18 +350,14 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
     model_jj = cal_jj.model
     model_jjh = transport.apply_defect(model_jj, delta_v)
 
+    # The Fermi level is the lead on-site energy, the grid's centre.
     e_f = model_jj.fermi_energy
-    ends = []
-    for end in (e_f - cfg.grid_halfwidth, e_f + cfg.grid_halfwidth):
-        # The sum can round past the reach `transmission` checks; step back inside.
-        while abs(end - model_jj.lead_onsite) > transport.MAX_ENERGY_OFFSET:
-            end = math.nextafter(end, e_f)
-        ends.append(end)
-    grid = np.linspace(*ends, cfg.grid_points)
+    grid = transport.energy_grid(e_f, cfg.grid_halfwidth, cfg.grid_points)
     curve_jj = transport.transmission(model_jj, grid)
     curve_jjh = transport.transmission(model_jjh, grid)
+    window = (e_f - transport.SHIFT_WINDOW, e_f + transport.SHIFT_WINDOW)
     shift = transport.fit_transmission_shift(
-        curve_jj, curve_jjh, window=(e_f - 2.0, e_f + 2.0), shift_bounds=(-1.0, 1.0)
+        curve_jj, curve_jjh, window=window, shift_bounds=(-1.0, 1.0)
     )
 
     paths = []
@@ -418,12 +414,15 @@ def cmd_ej(
         t_jj = _json_number(payload, calibration, "jj", "transmission")
         t_jjh = _json_number(payload, calibration, "jj_h", "transmission")
 
-    params = josephson.JunctionParams(
-        gap_mev=cfg.gap_mev, area=cfg.area, patch_area=cfg.patch_area, md_area=cfg.md_area
-    )
-    e_jj = josephson.ej_single(t_jj, params.gap_mev, params.area, params.patch_area)
-    e_jjh = josephson.ej_single(t_jjh, params.gap_mev, params.area, params.patch_area)
-    distribution = josephson.ej_distribution(dist, params, e_jj, e_jjh)
+    e_jj = josephson.ej_single(t_jj, cfg.gap_mev, cfg.area, cfg.patch_area)
+    e_jjh = josephson.ej_single(t_jjh, cfg.gap_mev, cfg.area, cfg.patch_area)
+    try:
+        distribution = josephson.ej_distribution(dist, e_jj, e_jjh, cfg.patch_area, cfg.md_area)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{exc}; they scale with junction.gap_mev, junction.area and junction.patch_area, "
+            "the slope also with 1/junction.md_area"
+        ) from None
 
     report_path = out / "ej_report.json"
     _write_json(
@@ -431,8 +430,8 @@ def cmd_ej(
         {
             "e_jj_ghz": e_jj,
             "e_jjh_ghz": e_jjh,
-            "slope": distribution.transform.slope,
-            "offset": distribution.transform.offset,
+            "slope": distribution.slope,
+            "offset": distribution.offset,
             "mean_ghz": distribution.mean(),
             "std_ghz": distribution.std(),
             "counts": {"alpha": dist.alpha, "beta": dist.beta, "M": dist.trials},

@@ -11,9 +11,10 @@ Values parse as int, float or bare string, by the key's type.  Unknown keys
 and keys given twice are rejected.  CLI flags override file values.
 `PipelineConfig.validate` then rejects non-finite numbers, non-positive
 lengths, areas and targets, a zero lead hopping, a grid half-width beyond
-`transport.MAX_ENERGY_OFFSET`, a malformed `stats.m` or one above
-`stats.MAX_TRIALS`, and `stats.alpha`, `stats.beta` and `stats.trials` that
-`stats.BetaBinomial` refuses, naming the offending key.
+`transport.MAX_ENERGY_OFFSET`, an energy grid whose points are not distinct or
+that leaves the curve-shift fit fewer than 3 points, a malformed `stats.m` or
+one above `stats.MAX_TRIALS`, and `stats.alpha`, `stats.beta` and
+`stats.trials` that `stats.BetaBinomial` refuses, naming the offending key.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .stats import MAX_TRIALS, BetaBinomial
-from .transport import MAX_ENERGY_OFFSET
+from .transport import MAX_ENERGY_OFFSET, SHIFT_WINDOW, energy_grid
 
 __all__ = [
     "MAX_BARRIER_SITES",
@@ -139,6 +142,26 @@ class PipelineConfig:
         if not 1 <= self.barrier_sites <= MAX_BARRIER_SITES:
             raise ConfigError(
                 f"barrier needs 1 to {MAX_BARRIER_SITES} sites, got {self.barrier_sites}"
+            )
+        grid = energy_grid(self.lead_onsite, self.grid_halfwidth, self.grid_points)
+        if not (grid[1:] > grid[:-1]).all():  # as `transmission` requires
+            raise ConfigError(
+                f"transport.grid_halfwidth must be wide enough for {self.grid_points} distinct "
+                f"energies around transport.lead_onsite = {self.lead_onsite}, "
+                f"got {self.grid_halfwidth}"
+            )
+        # The curve-shift fit reads the energies within SHIFT_WINDOW of the Fermi
+        # level, the lead on-site energy, that lie in the open lead band.
+        lo, hi = self.lead_onsite - SHIFT_WINDOW, self.lead_onsite + SHIFT_WINDOW
+        window = grid[np.searchsorted(grid, lo) : np.searchsorted(grid, hi, side="right")]
+        usable = np.count_nonzero(np.abs(window - self.lead_onsite) < 2.0 * abs(self.lead_hopping))
+        if usable < 3:
+            key = "transport.lead_hopping" if window.size >= 3 else "transport.grid_points"
+            raise ConfigError(
+                f"{key} must be large enough to leave the curve-shift fit 3 grid energies within "
+                f"{SHIFT_WINDOW:g} eV of transport.lead_onsite and inside the lead band "
+                f"|E - transport.lead_onsite| < 2|transport.lead_hopping|, got {usable} of "
+                f"{self.grid_points} at transport.lead_hopping = {self.lead_hopping}"
             )
         if not self.bounds_lo < self.bounds_hi:
             raise ConfigError(f"bad calibration bounds [{self.bounds_lo}, {self.bounds_hi}]")

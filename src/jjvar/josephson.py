@@ -31,41 +31,7 @@ import numpy as np
 from .constants import GHZ_TO_JOULE, MEV_TO_JOULE
 from .stats import BetaBinomial
 
-__all__ = [
-    "EjDistribution",
-    "EjTransform",
-    "JunctionParams",
-    "convert_energy",
-    "ej_distribution",
-    "ej_single",
-]
-
-_TO_JOULE = {"meV": MEV_TO_JOULE, "GHz": GHZ_TO_JOULE, "J": 1.0}
-
-
-def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert between meV, GHz (E/h) and J; exact via SI constants."""
-    try:
-        scale_in = _TO_JOULE[from_unit]
-        scale_out = _TO_JOULE[to_unit]
-    except KeyError as exc:
-        raise ValueError(f"unknown energy unit {exc.args[0]!r}; supported: meV, GHz, J") from None
-    return value * scale_in / scale_out
-
-
-@dataclass(frozen=True)
-class JunctionParams:
-    """Geometry and gap of the modeled junction (areas in A^2, gap in meV)."""
-
-    gap_mev: float = 0.20
-    area: float = 2000.0 * 2000.0  # 200 x 200 nm^2
-    patch_area: float = 9.61 * 8.32  # transport cross-section A0
-    md_area: float = 34.17 * 34.17  # count reference area A1
-
-    def __post_init__(self) -> None:
-        for name in ("gap_mev", "area", "patch_area", "md_area"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+__all__ = ["EjDistribution", "ej_distribution", "ej_single"]
 
 
 def ej_single(transmission: float, gap_mev: float, area: float, patch_area: float) -> float:
@@ -76,56 +42,50 @@ def ej_single(transmission: float, gap_mev: float, area: float, patch_area: floa
     if transmission < 0:
         raise ValueError(f"transmission must be non-negative, got {transmission}")
     ej_mev = 0.25 * gap_mev * (transmission * area / patch_area)
-    return convert_energy(ej_mev, "meV", "GHz")
-
-
-@dataclass(frozen=True)
-class EjTransform:
-    """Linear map n -> E_J: slope per count in the reference area, offset (GHz)."""
-
-    slope: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.slope) and math.isfinite(self.offset)):
-            raise ValueError("transform parameters must be finite")
-
-    def __call__(self, n) -> np.ndarray:
-        return self.offset + self.slope * np.asarray(n, dtype=float)
+    return ej_mev * MEV_TO_JOULE / GHZ_TO_JOULE
 
 
 @dataclass(frozen=True)
 class EjDistribution:
-    """Closed-form Josephson-energy distribution induced by the count statistics."""
+    """Closed-form Josephson-energy distribution induced by the count
+    statistics: E_J = offset + slope * n (GHz) at count n."""
 
     counts: BetaBinomial
-    transform: EjTransform
+    slope: float
+    offset: float
 
     def support(self) -> np.ndarray:
         """E_J values (GHz) at each count n = 0..M."""
-        return self.transform(np.arange(self.counts.trials + 1))
+        return self.offset + self.slope * np.arange(self.counts.trials + 1, dtype=float)
 
     def probabilities(self) -> np.ndarray:
         return self.counts.pmf_vector()
 
     def mean(self) -> float:
-        return float(self.transform(self.counts.mean()))
+        return self.offset + self.slope * self.counts.mean()
 
     def std(self) -> float:
-        return abs(self.transform.slope) * self.counts.std()
+        return abs(self.slope) * self.counts.std()
 
 
 def ej_distribution(
     counts: BetaBinomial,
-    params: JunctionParams,
     ej_clean: float,
     ej_contaminated: float,
+    patch_area: float,
+    md_area: float,
 ) -> EjDistribution:
-    """Distribution of E_J for counts n over the reference area.
+    """Distribution of E_J for counts n over the reference area `md_area`.
 
     The junction holds N = (area / md_area) n contaminated patches, so the
     mixture is linear in n with slope (patch_area / md_area) times the
-    clean/contaminated energy difference.
+    clean/contaminated energy difference.  Raises ValueError when either
+    energy or the slope is not finite.
     """
-    slope = (params.patch_area / params.md_area) * (ej_contaminated - ej_clean)
-    return EjDistribution(counts=counts, transform=EjTransform(slope=slope, offset=ej_clean))
+    slope = (patch_area / md_area) * (ej_contaminated - ej_clean)
+    if not all(math.isfinite(v) for v in (ej_clean, ej_contaminated, slope)):
+        raise ValueError(
+            f"E_J(JJ) = {ej_clean} GHz, E_J(JJ-H) = {ej_contaminated} GHz and the slope "
+            f"{slope} GHz per count must be finite"
+        )
+    return EjDistribution(counts=counts, slope=slope, offset=ej_clean)

@@ -21,8 +21,10 @@ classification stays total: a hydroxyl/water with no Al in reach keeps its
 O-derived label (Al-OH / Al-H2O / Al-O2-H), an H with neither an O nor an Al
 bond is interstitial even when an O lies within the Al-H cutoff.
 
-A motif is a surface motif when the H or one of its host O atoms is a
-surface site.
+`classify_batch` classifies every H atom of a batch of structures and flags
+a motif as a surface motif when the H or one of its host O atoms is a
+surface site; `classify_h` is its per-H route, and the reference the array
+classification is tested against.
 """
 
 from __future__ import annotations
@@ -33,16 +35,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .structure import (
-    SPECIES,
-    AtomicStructure,
-    BondGraph,
-    CellList,
-    ConfigurationError,
-    StructureBatch,
-    oxide_regions,
-    surface_mask,
-)
+from .structure import SPECIES, AtomicStructure, BondGraph, CellList, StructureBatch, surface_mask
 
 __all__ = [
     "MOTIF_CLASSES",
@@ -50,7 +43,6 @@ __all__ = [
     "MotifRecord",
     "classify_batch",
     "classify_h",
-    "classify_structure",
     "motif_statistics",
 ]
 
@@ -125,18 +117,13 @@ def _chain_reaches_al(graph: BondGraph, start_o: int) -> tuple[bool, int | None,
     return False, None, None
 
 
-def classify_h(
-    structure: AtomicStructure,
-    graph: BondGraph,
-    h: int,
-    *,
-    surface: frozenset[int] | None = None,
-) -> MotifRecord:
+def classify_h(structure: AtomicStructure | StructureBatch, graph: BondGraph, h: int) -> MotifRecord:
     """Classify hydrogen atom `h` from the bonds of H and O atoms in `graph`.
 
     An Al-bonded H with no O bond is Al-H-O when an O lies within the graph's
     Al-H cutoff of it; that O is `graph.bridge_o[h]`, which the bond query
-    picks from the same candidate pairs as the H atom's bonds.
+    picks from the same candidate pairs as the H atom's bonds.  The record
+    is not flagged as a surface motif; `classify_batch` sets that flag.
     """
     if structure.species[h] != "H":
         raise ValueError(f"atom {h} is {structure.species[h]}, not H")
@@ -157,7 +144,7 @@ def classify_h(
                 al = next((a for a in per_o_al[o] if a not in host_al), None)
                 if al is not None:
                     host_al.append(al)
-            return _record(h, label, host_o, host_al, surface)
+            return _record(h, label, host_o, host_al)
         # Not every O is Al-anchored: treat the nearest O as the host hydroxyl.
         o_bonded = [min(o_bonded, key=lambda p: (p[1], p[0]))]
 
@@ -181,56 +168,27 @@ def classify_h(
             label, host_o = "Al-O2-H", [o, o_o[0]]
         else:
             label, host_o = "Al-OH", [o]
-        return _record(h, label, host_o, host_al, surface)
+        return _record(h, label, host_o, host_al)
 
     # No covalently bonded O: hydride-like branches.  Only an H with an Al
     # bond has an O partner: the nearest O (lowest index on ties) if it lies
     # within the Al-H cutoff.
     if not al_bonded:
-        return _record(h, "interstitial", [], [], surface)
+        return _record(h, "interstitial", [], [])
     host_al = _by_distance(al_bonded)
     partner = graph.bridge_o.get(h)
     if partner is not None:
-        return _record(h, "Al-H-O", [partner], host_al[:1], surface)
+        return _record(h, "Al-H-O", [partner], host_al[:1])
     label = "Al-H" if len(host_al) == 1 else "Al-H-Al"
-    return _record(h, label, [], host_al[:2], surface)
+    return _record(h, label, [], host_al[:2])
 
 
-def _record(
-    h: int,
-    label: str,
-    host_o: list[int],
-    host_al: list[int],
-    surface: frozenset[int] | None,
-) -> MotifRecord:
-    flagged = False
-    if surface is not None:
-        flagged = h in surface or any(o in surface for o in host_o)
-    return MotifRecord(
-        h_index=h,
-        label=label,
-        host_o=tuple(host_o),
-        host_al=tuple(host_al),
-        surface=flagged,
-    )
-
-
-def classify_structure(
-    structure: AtomicStructure, graph: BondGraph | None = None, *, cutoffs: Mapping | None = None
-) -> list[MotifRecord]:
-    """`classify_batch` on a batch of one, with surface flags from the oxide
-    region located here; a structure without one gets no surface flags.
-    Raises ConfigurationError when the structure cannot be bonded."""
-    batch = StructureBatch([structure])
-    (records,) = classify_batch(batch, graph, cutoffs=cutoffs, members=oxide_regions(batch)[1])
-    if isinstance(records, str):
-        raise ConfigurationError(records)
-    return records
+def _record(h: int, label: str, host_o: list[int], host_al: list[int]) -> MotifRecord:
+    return MotifRecord(h, label, tuple(host_o), tuple(host_al), surface=False)
 
 
 def classify_batch(
     batch: StructureBatch,
-    graph: BondGraph | None = None,
     *,
     cutoffs: Mapping | None = None,
     members: np.ndarray | None = None,
@@ -240,25 +198,24 @@ def classify_batch(
     """Per structure of `batch`, the records of its H atoms (indices local to
     the structure), or the message of the bond-query error that rejects it.
 
-    Without a `graph`, bonds are made only for the rows `classify_h` reads:
-    one `CellList` query over the batch (at the default cutoffs, overridden
-    by `cutoffs`) on the H atoms of every structure that can be bonded, then
-    on the O atoms their rows bond to and on the O-O frontier until it is
-    empty.  Each of those rows, and `bridge_o`, equals its value in
-    `neighbor_graph`, so the records do too.  Surface sites among `members`
-    (a mask of oxide members, as `oxide_regions` gives) flag motifs.
+    Bonds are made only for the rows `classify_h` reads: one `CellList`
+    query over the batch (at the default cutoffs, overridden by `cutoffs`)
+    on the H atoms of every structure that can be bonded, then on the O
+    atoms their rows bond to and on the O-O frontier until it is empty.
+    Each of those rows, and `bridge_o`, equals its value in the graph with
+    every atom as a centre, so the records do too.  Surface sites among
+    `members` (a mask of oxide members, as `oxide_regions` gives) flag
+    motifs; without `members` no motif is flagged.
 
     The classes follow `classify_h`'s precedence, decided with array
     operations on the CSR rows for all H at once.  An H bonded to two or
     more O, or whose one O has an O neighbour and is no water O, goes
     through `classify_h`, which walks the O-O chain.
     """
-    errors, h = [None] * batch.count, np.flatnonzero(batch.kind == _H)
-    if graph is None:
-        index = CellList(batch, cutoffs)
-        errors = index.errors
-        h = h[np.array([e is None for e in errors], dtype=bool)[batch.cell_of[h]]]
-        graph = index.graph(h)
+    index = CellList(batch, cutoffs)
+    h = np.flatnonzero(batch.kind == _H)
+    h = h[np.array([e is None for e in index.errors], dtype=bool)[batch.cell_of[h]]]
+    graph = index.graph(h)
     surface = np.zeros(len(batch), dtype=bool)
     if members is not None:
         surface = surface_mask(batch, members, depth=surface_depth, bin_width=surface_bin)
@@ -322,7 +279,7 @@ def classify_batch(
         records[k] = MotifRecord(i - b, rec.label, ho, ha, flag)
     records = iter(records)
     held = np.bincount(batch.cell_of[h], minlength=batch.count).tolist()
-    return [error or list(itertools.islice(records, n)) for error, n in zip(errors, held)]
+    return [error or list(itertools.islice(records, n)) for error, n in zip(index.errors, held)]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Extended-XYZ parsing, minimum-image bond graphs from species-pair distance
 cutoffs, oxide-region identification with stoichiometry, lateral-grid surface
 detection, and the small gas-exposure arithmetic (ideal-gas reference count,
-effective oxidation time).  The analyses run on a `StructureBatch`, several
-structures laid end to end; the one-structure functions are its batch of one.
+effective oxidation time).  The analyses take a `StructureBatch`, several
+structures laid end to end; a single structure is a batch of one.
 
 Minimum-image handling is restricted to orthorhombic cells; triclinic
 periodic cells are rejected.
@@ -34,14 +34,11 @@ __all__ = [
     "StructureBatch",
     "effective_time",
     "ideal_gas_count",
-    "neighbor_graph",
-    "oxide_region",
     "oxide_regions",
     "parse_xyz",
     "read_structure",
     "stoichiometry",
     "surface_mask",
-    "surface_sites",
 ]
 
 SPECIES = ("Al", "O", "H")
@@ -101,10 +98,6 @@ class AtomicStructure:
 
     def __len__(self) -> int:
         return len(self.species)
-
-    def indices_of(self, species: str) -> np.ndarray:
-        """Ascending indices of the atoms of `species`."""
-        return np.flatnonzero(np.array(self.species, dtype=str) == species)
 
 
 def parse_xyz(text: str) -> AtomicStructure:
@@ -277,7 +270,7 @@ class StructureBatch:
 class BondGraph:
     """Symmetric distance-cutoff adjacency under the minimum-image convention.
 
-    `atoms` is the structure or batch whose atoms it bonds.  Stored as CSR
+    `atoms` is the batch whose atoms it bonds.  Stored as CSR
     arrays: the neighbours of atom i are `indices[indptr[i]:indptr[i + 1]]`,
     ascending, at `distances` in the same slots.  Per-atom lists are built on
     demand.  A graph from `CellList.graph` holds only the rows named there;
@@ -288,7 +281,7 @@ class BondGraph:
 
     def __init__(
         self,
-        atoms: AtomicStructure | StructureBatch,
+        atoms: StructureBatch,
         indptr: np.ndarray,
         indices: np.ndarray,
         distances: np.ndarray,
@@ -300,9 +293,6 @@ class BondGraph:
         self.distances = distances
         self.bridge_o = bridge_o
 
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         """(index, distance) pairs sorted by atom index."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -311,11 +301,6 @@ class BondGraph:
     def neighbors_of_species(self, i: int, species: str) -> list[tuple[int, float]]:
         kinds = self.atoms.species
         return [(j, d) for j, d in self.neighbors(i) if kinds[j] == species]
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-        upper = rows < self.indices
-        return set(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
 
 # Most bins per axis.  On a wide axis the bins stay wide enough that
@@ -379,8 +364,8 @@ def _bond_error(orthorhombic, pbc: np.ndarray, lengths: np.ndarray, rmax: float)
 
 
 class CellList:
-    """Linked-cell index of the atoms of a structure or a batch of structures,
-    for bond queries.
+    """Linked-cell index of the atoms of a batch of structures, for bond
+    queries.
 
     Built once per batch and cutoff set; `graph` then bonds any set of centre
     atoms.  The reach is the largest cutoff plus a 1e-9 relative and absolute
@@ -401,8 +386,8 @@ class CellList:
     centre in such a structure.
     """
 
-    def __init__(self, atoms: AtomicStructure | StructureBatch, cutoffs: Mapping | None = None):
-        batch = self.batch = atoms if isinstance(atoms, StructureBatch) else StructureBatch([atoms])
+    def __init__(self, batch: StructureBatch, cutoffs: Mapping | None = None):
+        self.batch = batch
         cut = _normalize_cutoffs(cutoffs)
         rmax = max(cut.values())
         self.errors = [
@@ -536,11 +521,6 @@ class CellList:
         return BondGraph(self.batch, indptr, cols[order], dist[order], bridge_o)
 
 
-def neighbor_graph(structure: AtomicStructure, cutoffs: Mapping | None = None) -> BondGraph:
-    """The full bond graph: `CellList.graph` with every atom as a centre."""
-    return CellList(structure, cutoffs).graph(np.arange(len(structure)))
-
-
 @dataclass(frozen=True)
 class OxideRegion:
     """z-interval holding the oxide, its member atoms and composition."""
@@ -557,13 +537,15 @@ class OxideRegion:
             raise ValueError(f"empty z-interval [{self.z_lo}, {self.z_hi}]")
 
 
-def oxide_regions(
-    batch: StructureBatch, padding: float = 0.5
-) -> tuple[list[OxideRegion | str], np.ndarray]:
+# Padding of the oxide z-interval beyond its lowest and highest O atom, A.
+_OXIDE_PADDING = 0.5
+
+
+def oxide_regions(batch: StructureBatch) -> tuple[list[OxideRegion | str], np.ndarray]:
     """Each structure's oxide region, or the message that says why it has
     none, and the mask of the batch atoms inside a region.
 
-    The oxide is the z-interval spanning all O atoms plus padding.
+    The oxide is the z-interval spanning all O atoms plus `_OXIDE_PADDING`.
     Membership is interval-based (robust against under-coordinated amorphous
     edges).  On a periodic z axis the O atoms must not straddle the boundary:
     if the widest gap between consecutive O heights is wider than the gap
@@ -584,7 +566,7 @@ def oxide_regions(
     widest = batch.runs(np.maximum, gap, cell_o, -np.inf)
     across = lowest + batch.lengths[:, 2] - highest
     straddles = batch.pbc[:, 2] & (widest > across)
-    z_lo, z_hi = lowest - padding, highest + padding
+    z_lo, z_hi = lowest - _OXIDE_PADDING, highest + _OXIDE_PADDING
     located = has_o & ~straddles & (z_lo < z_hi)
     regions: list = []
     for c in range(batch.count):
@@ -611,15 +593,6 @@ def oxide_regions(
             except ValueError as exc:
                 regions[c] = str(exc)
     return regions, inside
-
-
-def oxide_region(structure: AtomicStructure, padding: float = 0.5) -> OxideRegion:
-    """The oxide region of one structure (see `oxide_regions`); raises
-    ValueError when it has none."""
-    (region,), _ = oxide_regions(StructureBatch([structure]), padding)
-    if isinstance(region, str):
-        raise ValueError(region)
-    return region
 
 
 def stoichiometry(region: OxideRegion) -> tuple[float, float]:
@@ -671,21 +644,6 @@ def surface_mask(
     mask = np.zeros(len(batch), dtype=bool)
     mask[idx[order[z >= heights - depth]]] = True
     return mask
-
-
-def surface_sites(
-    structure: AtomicStructure,
-    region: OxideRegion,
-    depth: float = 2.0,
-    bin_width: float = 4.0,
-) -> frozenset[int]:
-    """The surface sites (see `surface_mask`) among the members of `region`."""
-    members = np.zeros(len(structure), dtype=bool)
-    members[list(region.members)] = True
-    mask = surface_mask(StructureBatch([structure]), members, depth, bin_width)
-    if not region.members:
-        raise ValueError("empty oxide region")
-    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def effective_time(n_sim: float, n_ref: float, t_sim: float) -> float:

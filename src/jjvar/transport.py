@@ -41,6 +41,7 @@ __all__ = [
     "apply_defect",
     "calibrate_barrier",
     "default_model",
+    "energy_grid",
     "fit_transmission_shift",
     "lead_surface_gf",
     "transfer_matrix_transmission",
@@ -54,6 +55,13 @@ DEFAULT_BARRIER_SITES = 12
 DEFAULT_BAND_OFFSET = 2.85
 # Largest distance from the lead on-site energy that `transmission` accepts, eV.
 MAX_ENERGY_OFFSET = 20.0
+# Half-width of the energy window around the Fermi level that the CLI fits
+# the curve shift over, eV.
+SHIFT_WINDOW = 2.0
+# Bisection stops at |T - target| <= _CALIBRATION_REL_TOL * target, or fails
+# after _CALIBRATION_MAX_ITER halvings.
+_CALIBRATION_REL_TOL = 1e-3
+_CALIBRATION_MAX_ITER = 200
 
 
 class NumericalError(RuntimeError):
@@ -183,6 +191,18 @@ def lead_surface_gf(onsite: float, hopping: float, energy):
     return np.where(pick_minus, g_minus, g_plus)[()]
 
 
+def energy_grid(centre: float, halfwidth: float, points: int) -> np.ndarray:
+    """`points` evenly spaced energies over centre ± halfwidth, for a grid
+    centred on the lead on-site energy.  Where an end rounds past
+    MAX_ENERGY_OFFSET from the centre, it steps back inside by ulps."""
+    ends = []
+    for end in (centre - halfwidth, centre + halfwidth):
+        while abs(end - centre) > MAX_ENERGY_OFFSET:
+            end = math.nextafter(end, centre)
+        ends.append(end)
+    return np.linspace(*ends, points)
+
+
 def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -> TransmissionCurve:
     """Landauer transmission on an energy grid, in the exact retarded limit.
 
@@ -277,15 +297,10 @@ class CalibrationResult:
 
 
 def calibrate_barrier(
-    target: float,
-    barrier_sites: int = DEFAULT_BARRIER_SITES,
-    *,
-    bounds: tuple[float, float] = (0.0, 30.0),
-    rel_tol: float = 1e-3,
-    max_iter: int = 200,
-    base: JunctionModel | None = None,
+    target: float, *, base: JunctionModel, bounds: tuple[float, float] = (0.0, 30.0)
 ) -> CalibrationResult:
-    """Bisect the uniform barrier height until T(E_F) matches `target`.
+    """Bisect the uniform barrier height of `base` (above its lead on-site
+    energy, on all its barrier sites) until T(E_F) matches `target`.
 
     The transmission must be monotone decreasing in the height over
     `bounds`, verified by an endpoint check; an unbracketed target raises
@@ -297,23 +312,22 @@ def calibrate_barrier(
     if not lo < hi:
         raise ValueError(f"invalid bounds {bounds}")
 
-    def build(height: float) -> JunctionModel:
-        if base is not None:
-            return dataclasses.replace(
-                base, barrier_onsite=(base.lead_onsite + height,) * base.barrier_length
-            )
-        return default_model(barrier_sites=barrier_sites, height=height)
+    tol = _CALIBRATION_REL_TOL * target
+    e_fermi = base.fermi_energy
 
-    e_fermi = build(lo).fermi_energy
+    def build(height: float) -> JunctionModel:
+        return dataclasses.replace(
+            base, barrier_onsite=(base.lead_onsite + height,) * base.barrier_length
+        )
 
     def evaluate(height: float) -> float:
         return float(transmission(build(height), [e_fermi]).values[0])
 
     t_lo = evaluate(lo)
     t_hi = evaluate(hi)
-    if abs(t_lo - target) <= rel_tol * target:
+    if abs(t_lo - target) <= tol:
         return CalibrationResult(lo, t_lo, target, 0, build(lo))
-    if abs(t_hi - target) <= rel_tol * target:
+    if abs(t_hi - target) <= tol:
         return CalibrationResult(hi, t_hi, target, 0, build(hi))
     if not (t_hi < target < t_lo):
         raise CalibrationError(
@@ -322,18 +336,18 @@ def calibrate_barrier(
             endpoints=(t_lo, t_hi),
         )
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, _CALIBRATION_MAX_ITER + 1):
         height = 0.5 * (lo + hi)
         t_mid = evaluate(height)
-        if abs(t_mid - target) <= rel_tol * target:
+        if abs(t_mid - target) <= tol:
             return CalibrationResult(height, t_mid, target, iteration, build(height))
         if t_mid > target:
             lo = height
         else:
             hi = height
     raise NumericalError(
-        f"barrier calibration did not reach |T - target|/target <= {rel_tol} "
-        f"within {max_iter} bisections"
+        f"barrier calibration did not reach |T - target|/target <= {_CALIBRATION_REL_TOL} "
+        f"within {_CALIBRATION_MAX_ITER} bisections"
     )
 
 

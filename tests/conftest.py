@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from jjvar.structure import AtomicStructure
+from jjvar.structure import (
+    AtomicStructure,
+    BondGraph,
+    CellList,
+    StructureBatch,
+    oxide_regions,
+    surface_mask,
+)
 
 # Property tests draw the same examples on every run and keep no example
 # database, so a tier-1 run repeats exactly.
@@ -29,6 +36,24 @@ def to_xyz(structure: AtomicStructure, comment: str = "") -> str:
     for s, p in zip(structure.species, structure.positions):
         parts.append(f"{s} {p[0]:.10f} {p[1]:.10f} {p[2]:.10f}")
     return "\n".join(parts) + "\n"
+
+
+def indices_of(structure: AtomicStructure, species: str) -> np.ndarray:
+    """Ascending indices of the atoms of `species`."""
+    return np.flatnonzero(np.array(structure.species, dtype=str) == species)
+
+
+def full_graph(structure: AtomicStructure, cutoffs=None) -> BondGraph:
+    """The bond graph of one structure with every atom as a centre, so every
+    row is held."""
+    return CellList(StructureBatch([structure]), cutoffs).graph(np.arange(len(structure)))
+
+
+def sites_of(structure: AtomicStructure, depth=2.0, bin_width=4.0) -> frozenset[int]:
+    """The surface sites among the oxide members of one structure."""
+    batch = StructureBatch([structure])
+    mask = surface_mask(batch, oxide_regions(batch)[1], depth, bin_width)
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def make_molecule(species, positions):

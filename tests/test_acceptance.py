@@ -12,16 +12,10 @@ import numpy as np
 import pytest
 
 from jjvar.cli import main
-from jjvar.josephson import JunctionParams, ej_distribution, ej_single
-from jjvar.motifs import classify_h, classify_structure
+from jjvar.josephson import ej_distribution, ej_single
+from jjvar.motifs import classify_batch
 from jjvar.stats import BetaBinomial, CountSample, fit
-from jjvar.structure import (
-    AtomicStructure,
-    neighbor_graph,
-    oxide_region,
-    stoichiometry,
-    surface_sites,
-)
+from jjvar.structure import AtomicStructure, StructureBatch, oxide_regions, stoichiometry
 from jjvar.transport import (
     apply_defect,
     calibrate_barrier,
@@ -116,8 +110,8 @@ def test_criterion_05_perfect_chain_transmission():
 
 
 def test_criterion_06_calibration_to_reference_transmissions():
-    cal_jj = calibrate_barrier(1.61e-5, barrier_sites=12)
-    cal_jjh = calibrate_barrier(1.74e-5, barrier_sites=12)
+    cal_jj = calibrate_barrier(1.61e-5, base=default_model(barrier_sites=12))
+    cal_jjh = calibrate_barrier(1.74e-5, base=default_model(barrier_sites=12))
     assert abs(cal_jj.transmission - 1.61e-5) <= 1e-3 * 1.61e-5
     delta_v = cal_jjh.height - cal_jj.height
     contaminated = apply_defect(cal_jj.model, delta_v)
@@ -141,7 +135,7 @@ def test_criterion_06_calibration_to_reference_transmissions():
 
 
 def test_criterion_07_tunneling_decay():
-    height = calibrate_barrier(1.61e-5).height
+    height = calibrate_barrier(1.61e-5, base=default_model()).height
     lengths = np.arange(4, 17)
     log_t = np.array(
         [
@@ -160,13 +154,11 @@ def test_criterion_07_tunneling_decay():
 
 def test_criterion_08_headline_ej_distribution():
     start = time.perf_counter()
-    params = JunctionParams(
-        gap_mev=0.20, area=2000.0 * 2000.0, patch_area=9.61 * 8.32, md_area=34.17 * 34.17
-    )
+    gap_mev, area, patch_area, md_area = 0.20, 2000.0 * 2000.0, 9.61 * 8.32, 34.17 * 34.17
     counts = BetaBinomial(17.69, 15.36, 40)
-    e_jj = ej_single(1.61e-5, params.gap_mev, params.area, params.patch_area)
-    e_jjh = ej_single(1.74e-5, params.gap_mev, params.area, params.patch_area)
-    dist = ej_distribution(counts, params, e_jj, e_jjh)
+    e_jj = ej_single(1.61e-5, gap_mev, area, patch_area)
+    e_jjh = ej_single(1.74e-5, gap_mev, area, patch_area)
+    dist = ej_distribution(counts, e_jj, e_jjh, patch_area, md_area)
     elapsed = time.perf_counter() - start
     assert dist.mean() == pytest.approx(10.92, abs=0.05)
     assert dist.std() == pytest.approx(0.26, abs=0.02)
@@ -179,23 +171,23 @@ def test_criterion_08_headline_ej_distribution():
 
 
 def test_criterion_09_motif_fixtures_and_surface_flags():
+    fixtures = nine_motif_fixtures()
+    per_fixture = classify_batch(StructureBatch([structure for _, structure, _ in fixtures]))
     correct = 0
-    for label, structure, h_indices in nine_motif_fixtures():
-        graph = neighbor_graph(structure)
-        if all(classify_h(structure, graph, h).label == label for h in h_indices):
-            correct += 1
+    for (label, _, h_indices), records in zip(fixtures, per_fixture):
+        labels = {rec.h_index: rec.label for rec in records}
+        correct += int(all(labels[h] == label for h in h_indices))
     assert correct == 9
 
-    surface_ok = 0
+    # A top-layer H flagged, an H under a second O layer not: (H index, flag).
     top = make_oxide_slab(n_h=1)
-    records = classify_structure(top)
-    surface_ok += int(len(records) == 1 and records[0].surface)
     buried = make_molecule(
         ["Al", "O", "O", "H"], [(0, 0, 0), (0, 0, 1.8), (0, 0, 5.0), (0.95, 0, 1.6)]
     )
-    graph = neighbor_graph(buried)
-    sites = surface_sites(buried, oxide_region(buried), depth=2.0, bin_width=4.0)
-    surface_ok += int(not classify_h(buried, graph, 3, surface=sites).surface)
+    batch = StructureBatch([top, buried])
+    flags = classify_batch(batch, members=oxide_regions(batch)[1])
+    found = [[(rec.h_index, rec.surface) for rec in records] for records in flags]
+    surface_ok = int(found[0] == [(len(top) - 1, True)]) + int(found[1] == [(3, False)])
     assert surface_ok == 2
     report(9, f"motif fixtures {correct}/9, surface flags {surface_ok}/2")
 
@@ -204,7 +196,7 @@ def test_criterion_10_engineered_stoichiometry():
     # 812 Al : 1015 O : 48 H gives x = 1015/812 = 1.25 and
     # 100*48/1875 = 2.56 at.% exactly
     rng = np.random.default_rng(10)
-    xs, hs = [], []
+    structures = []
     for _ in range(5):
         species = ("Al",) * 812 + ("O",) * 1015 + ("H",) * 48
         z = np.concatenate(
@@ -217,9 +209,9 @@ def test_criterion_10_engineered_stoichiometry():
             species=species,
             positions=np.column_stack([xy, z]),
         )
-        x, h = stoichiometry(oxide_region(s))
-        xs.append(x)
-        hs.append(h)
+        structures.append(s)
+    regions, _ = oxide_regions(StructureBatch(structures))
+    xs, hs = zip(*(stoichiometry(region) for region in regions))
     assert all(x == 1.25 for x in xs)
     assert all(h == pytest.approx(2.56, rel=1e-15) for h in hs)
     report(10, "engineered ensemble: x = 1.25 and 2.56 at.% H reproduced exactly (5/5 samples)")

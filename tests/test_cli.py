@@ -1,12 +1,15 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
+import ast
 import contextlib
 import dataclasses
 import fnmatch
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -21,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jjvar
-from jjvar import cli, transport
+from jjvar import cli, structure, transport
 from jjvar.cli import _write_csv, _write_json, main
 from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
 from jjvar.motifs import MOTIF_CLASSES
@@ -153,23 +156,26 @@ class TestAnalyze:
 
 
     def test_bonds_only_the_classifier_rows(self, tmp_path, monkeypatch, slab_dir):
-        full_graphs = []
-        full = jjvar.structure.neighbor_graph
+        # A cell too short to bond sorts after the three slabs, in the same batch.
+        (slab_dir / "short.xyz").write_text(to_xyz(make_oxide_slab(n_h=1, lateral=1)))
+        queries = []
+        graph = structure.CellList.graph
 
-        def spy(*args, **kwargs):
-            full_graphs.append(args)
-            return full(*args, **kwargs)
+        def spy(self, centres):
+            queries.append((self.batch, np.asarray(centres)))
+            return graph(self, centres)
 
-        jjvar_modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "jjvar"]
-        for module in jjvar_modules:
-            for attr, value in list(vars(module).items()):
-                if value is full:
-                    monkeypatch.setattr(module, attr, spy)
+        monkeypatch.setattr(structure.CellList, "graph", spy)
         out = tmp_path / "out"
         assert main(["--out", str(out), "analyze", "--structures", str(slab_dir)]) == 0
-        assert full_graphs == []
+        (batch, centres), *_ = queries
+        bondable = batch.cell_of < 3
+        h_atoms = [i for i, s in enumerate(batch.species) if s == "H" and bondable[i]]
+        assert len(h_atoms) == 1 + 2 + 3
+        assert centres.tolist() == h_atoms
         # The hydride branch takes its O partner from the bond query, so no
         # module binds a per-H distance scan any more.
+        jjvar_modules = [m for name, m in sys.modules.items() if name.partition(".")[0] == "jjvar"]
         assert not any(hasattr(module, "mic_distances") for module in jjvar_modules)
         assert len((out / "motifs.csv").read_text().splitlines()) == 1 + (1 + 2 + 3)
 
@@ -276,6 +282,15 @@ class TestEjCommand:
         assert main(["--config", str(config), "--out", str(out), "ej"]) == 0
         report = json.loads((out / "ej_report.json").read_text())
         assert report["std_ghz"] == 0.0
+
+    def test_non_finite_ej_names_the_junction_keys(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("junction.gap_mev = 1e308\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "out"), "ej"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: E_J(JJ) = inf GHz") and err.count("\n") == 1
+        for key in ("junction.gap_mev", "junction.area", "junction.patch_area"):
+            assert key in err
 
     def test_missing_upstream_exits_2(self, tmp_path):
         code = main(
@@ -709,7 +724,16 @@ _COUNT_LINES = st.integers(0, 60).map(str) | st.sampled_from(
 )
 _CONFIG_ENTRIES = st.tuples(
     st.sampled_from(
-        ["stats.alpha", "stats.beta", "stats.trials", "transport.lead_onsite", "transport.grid_halfwidth"]
+        [
+            "stats.alpha",
+            "stats.beta",
+            "stats.trials",
+            "transport.lead_onsite",
+            "transport.grid_halfwidth",
+            "junction.gap_mev",
+            "junction.area",
+            "junction.patch_area",
+        ]
     ),
     st.floats(-25.0, 25.0).map(repr)
     | st.integers(-5, 2000).map(str)
@@ -778,6 +802,7 @@ class TestUpstreamFileFuzz:
         m=st.sampled_from(["fixed=60", "scan"]),
         report=st.none() | fit_reports(),
         sidecar=st.none() | calibration_sidecars(),
+        grid=st.none() | st.integers(2, 201),
     )
     # An underflowing variance: a ZeroDivisionError traceback at the parent.
     @example(
@@ -787,6 +812,7 @@ class TestUpstreamFileFuzz:
         m="scan",
         report=None,
         sidecar=None,
+        grid=None,
     )
     @example(
         command="ej",
@@ -795,6 +821,7 @@ class TestUpstreamFileFuzz:
         m="scan",
         report={"alpha": 1e-300, "beta": 1e-300, "M": 1000},
         sidecar=None,
+        grid=None,
     )
     # An overflowing alpha + beta: exit 0 with an all-nan PMF at the parent.
     @example(
@@ -804,6 +831,7 @@ class TestUpstreamFileFuzz:
         m="scan",
         report=None,
         sidecar=None,
+        grid=None,
     )
     @example(
         command="ej",
@@ -812,6 +840,7 @@ class TestUpstreamFileFuzz:
         m="scan",
         report={"alpha": 1e308, "beta": 1e308, "M": 40},
         sidecar=None,
+        grid=None,
     )
     # A grid end that rounds past the 20 eV reach: a late exit 2 at the parent.
     @example(
@@ -821,14 +850,38 @@ class TestUpstreamFileFuzz:
         m="scan",
         report=None,
         sidecar=None,
+        grid=None,
     )
-    def test_exit_code_contract(self, command, config, counts, m, report, sidecar):
+    # A grid too coarse for the shift fit, a grid of coincident energies and a
+    # non-finite E_J: at the parent, late exits 2 with lines naming no key.
+    @example(
+        command="transmission", config=[], counts=b"1\n", m="scan", report=None, sidecar=None, grid=3
+    )
+    @example(
+        command="transmission",
+        config=[("transport.grid_halfwidth", "5e-324")],
+        counts=b"1\n",
+        m="scan",
+        report=None,
+        sidecar=None,
+        grid=None,
+    )
+    @example(
+        command="ej",
+        config=[("junction.gap_mev", "1e308")],
+        counts=b"1\n",
+        m="scan",
+        report=None,
+        sidecar=None,
+        grid=None,
+    )
+    def test_exit_code_contract(self, command, config, counts, m, report, sidecar, grid):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             out = root / "out"
             cfg = root / "cfg.txt"
             entries = "".join(f"{key} = {value}\n" for key, value in config)
-            cfg.write_text(entries + "transport.grid_points = 101\n")
+            cfg.write_text(entries + f"transport.grid_points = {grid or 101}\n")
             argv = ["--config", str(cfg), "--out", str(out), command]
             if command == "fit-stats":
                 (root / "counts.txt").write_bytes(counts)
@@ -950,6 +1003,11 @@ class TestConfigHandling:
             ("surface.bin = nan", "analyze"),
             ("cutoff.al_o = -1", "analyze"),
             ("transport.lead_hopping = 0", "transmission"),
+            ("transport.lead_hopping = 0.001", "transmission"),
+            ("transport.grid_points = 3", "transmission"),
+            ("transport.grid_halfwidth = 5e-324", "transmission"),
+            ("junction.gap_mev = 0", "ej"),
+            ("junction.area = -1", "ej"),
             ("stats.m = scan=5", "fit-stats"),
             ("stats.m = scan=3:", "fit-stats"),
             ("stats.m = fixed=1.5", "fit-stats"),
@@ -1072,6 +1130,22 @@ def _run_fresh(probe: str) -> str:
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh `import jjvar.cli` loads `module`."""
     return _run_fresh(f"import sys, jjvar.cli; print({module!r} in sys.modules)") == "True"
+
+
+def test_every_export_resolves():
+    # A stale `__all__` entry breaks `from jjvar.<module> import *`.
+    for info in pkgutil.iter_modules(jjvar.__path__):
+        exec(f"from jjvar.{info.name} import *", {})
+    tree = ast.parse(Path(jjvar.__file__).read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert getattr(jjvar, name) is getattr(importlib.import_module(f"jjvar.{module}"), name)
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

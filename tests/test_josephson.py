@@ -1,21 +1,23 @@
-"""Energy conversions, the Ambegaokar-Baratoff chain, and the E_J distribution."""
+"""The meV -> GHz conversion, the Ambegaokar-Baratoff chain, and the E_J distribution."""
 
 import math
 
 import numpy as np
 import pytest
 
+from jjvar.config import PipelineConfig
 from jjvar.constants import ELEMENTARY_CHARGE, HBAR, PLANCK_H
-from jjvar.josephson import (
-    EjTransform,
-    JunctionParams,
-    convert_energy,
-    ej_distribution,
-    ej_single,
-)
+from jjvar.josephson import ej_distribution, ej_single
 from jjvar.stats import BetaBinomial
 
-REFERENCE_PARAMS = JunctionParams()  # gap 0.20 meV, A 200x200 nm^2, A0 9.61x8.32, A1 34.17^2
+# The junction.* defaults: gap 0.20 meV, A 200x200 nm^2, A0 9.61x8.32, A1 34.17^2.
+REFERENCE_PARAMS = PipelineConfig()
+
+
+def reference_distribution(counts, ej_clean, ej_contaminated):
+    return ej_distribution(
+        counts, ej_clean, ej_contaminated, REFERENCE_PARAMS.patch_area, REFERENCE_PARAMS.md_area
+    )
 
 
 def mixed_ej(n_patches, params, ej_clean, ej_contaminated):
@@ -25,14 +27,15 @@ def mixed_ej(n_patches, params, ej_clean, ej_contaminated):
 
 
 def transform_ej(n_patches, params, ej_clean, ej_contaminated):
-    """E_J of N contaminated patches through the transform ej_distribution builds.
+    """E_J of N contaminated patches through the linear map n -> offset + slope n
+    that ej_distribution builds.
 
-    The transform takes a count n over the reference area; N patches over
-    the junction are n = N md_area / area.
+    The map takes a count n over the reference area; N patches over the
+    junction are n = N md_area / area.
     """
     counts = BetaBinomial(17.69, 15.36, 40)
-    transform = ej_distribution(counts, params, ej_clean, ej_contaminated).transform
-    return float(transform(n_patches * params.md_area / params.area))
+    dist = ej_distribution(counts, ej_clean, ej_contaminated, params.patch_area, params.md_area)
+    return dist.offset + dist.slope * (n_patches * params.md_area / params.area)
 
 
 class TestConstants:
@@ -45,23 +48,8 @@ class TestConvertEnergy:
         # 1e-3 * e / h / 1e9 with exact SI constants
         expected = 1e-3 * ELEMENTARY_CHARGE / PLANCK_H / 1e9
         assert expected == pytest.approx(241.798924, rel=1e-8)
-        assert convert_energy(1.0, "meV", "GHz") == pytest.approx(expected, rel=1e-12)
-
-    def test_zero_any_pair(self):
-        for a in ("meV", "GHz", "J"):
-            for b in ("meV", "GHz", "J"):
-                assert convert_energy(0.0, a, b) == 0.0
-
-    def test_round_trips(self):
-        value = 3.7521
-        for a in ("meV", "GHz", "J"):
-            for b in ("meV", "GHz", "J"):
-                back = convert_energy(convert_energy(value, a, b), b, a)
-                assert back == pytest.approx(value, rel=1e-12)
-
-    def test_unknown_unit(self):
-        with pytest.raises(ValueError):
-            convert_energy(1.0, "meV", "eV")
+        # (gap / 4) T A / A0 = 1 meV
+        assert ej_single(1.0, 4.0, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestEjSingle:
@@ -122,7 +110,7 @@ class TestEjDistribution:
         counts = BetaBinomial(17.69, 15.36, 40)
         e_jj = ej_single(1.61e-5, 0.20, REFERENCE_PARAMS.area, REFERENCE_PARAMS.patch_area)
         e_jjh = ej_single(1.74e-5, 0.20, REFERENCE_PARAMS.area, REFERENCE_PARAMS.patch_area)
-        return ej_distribution(counts, REFERENCE_PARAMS, e_jj, e_jjh), e_jj, e_jjh
+        return reference_distribution(counts, e_jj, e_jjh), e_jj, e_jjh
 
     def test_headline_numbers(self):
         dist, _, _ = self._reference_distribution()
@@ -140,7 +128,7 @@ class TestEjDistribution:
 
     def test_degenerate_transmissions(self):
         counts = BetaBinomial(17.69, 15.36, 40)
-        dist = ej_distribution(counts, REFERENCE_PARAMS, 9.7, 9.7)
+        dist = reference_distribution(counts, 9.7, 9.7)
         assert dist.std() == 0.0
         assert dist.mean() == pytest.approx(9.7)
 
@@ -162,24 +150,23 @@ class TestEjDistribution:
 
     def test_std_scales_with_transmission_gap(self):
         counts = BetaBinomial(17.69, 15.36, 40)
-        d1 = ej_distribution(counts, REFERENCE_PARAMS, 9.7, 10.1)
-        d2 = ej_distribution(counts, REFERENCE_PARAMS, 9.7, 10.5)
+        d1 = reference_distribution(counts, 9.7, 10.1)
+        d2 = reference_distribution(counts, 9.7, 10.5)
         assert d2.std() == pytest.approx(2.0 * d1.std(), rel=1e-12)
 
     def test_mean_monotone_in_contaminated_energy(self):
         counts = BetaBinomial(17.69, 15.36, 40)
         means = [
-            ej_distribution(counts, REFERENCE_PARAMS, 9.7, e_jjh).mean()
+            reference_distribution(counts, 9.7, e_jjh).mean()
             for e_jjh in (9.7, 10.0, 10.5, 11.0)
         ]
         assert means == sorted(means)
 
     def test_transform_validation(self):
-        with pytest.raises(ValueError):
-            EjTransform(slope=float("nan"), offset=0.0)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            JunctionParams(gap_mev=0.0)
-        with pytest.raises(ValueError):
-            JunctionParams(area=-1.0)
+        counts = BetaBinomial(17.69, 15.36, 40)
+        for e_jj, e_jjh in ((math.inf, 9.7), (9.7, math.inf), (math.nan, 9.7)):
+            with pytest.raises(ValueError, match="must be finite"):
+                reference_distribution(counts, e_jj, e_jjh)
+        # Finite energies whose slope overflows.
+        with pytest.raises(ValueError, match="must be finite"):
+            ej_distribution(counts, 0.0, 1e300, 1e10, 1e-10)

@@ -1,5 +1,7 @@
 """Motif classification: nine-class fixtures, totality, ensemble statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,21 +13,18 @@ from jjvar.motifs import (
     MotifRecord,
     classify_batch,
     classify_h,
-    classify_structure,
     motif_statistics,
 )
-from jjvar.structure import (
-    DEFAULT_CUTOFFS,
-    AtomicStructure,
-    CellList,
-    StructureBatch,
-    neighbor_graph,
-    oxide_region,
-    oxide_regions,
-    surface_sites,
-)
+from jjvar.structure import DEFAULT_CUTOFFS, AtomicStructure, CellList, StructureBatch, oxide_regions
 
-from conftest import make_molecule, make_oxide_slab, nine_motif_fixtures
+from conftest import (
+    full_graph,
+    indices_of,
+    make_molecule,
+    make_oxide_slab,
+    nine_motif_fixtures,
+    sites_of,
+)
 
 
 @st.composite
@@ -80,18 +79,32 @@ def dense_batches(draw):
 
 
 def classifier_rows(s, overrides=None):
-    """The graph `classify_structure` builds when given none."""
-    return CellList(s, overrides).graph(s.indices_of("H"))
+    """The graph `classify_batch` builds for `s` alone."""
+    return CellList(StructureBatch([s]), overrides).graph(indices_of(s, "H"))
+
+
+def classify_one(s, cutoffs=None):
+    """The records `classify_batch` gives `s` alone, with surface flags from
+    its oxide region."""
+    batch = StructureBatch([s])
+    (records,) = classify_batch(batch, cutoffs=cutoffs, members=oxide_regions(batch)[1])
+    return records
+
+
+def with_surface_flag(record, sites):
+    """`record` flagged as a surface motif iff its H or a host O is in `sites`."""
+    flag = record.h_index in sites or any(o in sites for o in record.host_o)
+    return dataclasses.replace(record, surface=flag)
 
 
 def reference_bridge_o(s, graph, overrides) -> dict[int, int]:
     """The hydride branch's O partner by an all-O scan: for each H bonded to
     an Al and to no O, its nearest O (lowest index on ties) if that lies within
     the Al-H cutoff."""
-    o_all = s.indices_of("O")
+    o_all = indices_of(s, "O")
     lengths = np.diag(s.cell)
     partners = {}
-    for h in s.indices_of("H"):
+    for h in indices_of(s, "H"):
         h = int(h)
         if not graph.neighbors_of_species(h, "Al") or graph.neighbors_of_species(h, "O"):
             continue
@@ -112,26 +125,26 @@ class TestNineClasses:
         ids=[f[0] for f in nine_motif_fixtures()],
     )
     def test_fixture_classifies(self, label, structure, h_indices):
-        graph = neighbor_graph(structure)
+        graph = full_graph(structure)
         for h in h_indices:
             record = classify_h(structure, graph, h)
             assert record.label == label
 
     def test_water_both_hydrogens(self):
         label, structure, h_indices = [f for f in nine_motif_fixtures() if f[0] == "Al-H2O"][0]
-        graph = neighbor_graph(structure)
+        graph = full_graph(structure)
         labels = {classify_h(structure, graph, h).label for h in h_indices}
         assert labels == {"Al-H2O"}
 
     def test_non_hydrogen_rejected(self):
         _, structure, _ = nine_motif_fixtures()[0]
-        graph = neighbor_graph(structure)
+        graph = full_graph(structure)
         with pytest.raises(ValueError):
             classify_h(structure, graph, 0)  # atom 0 is O
 
     def test_hosts_match_arity(self):
         for label, structure, h_indices in nine_motif_fixtures():
-            graph = neighbor_graph(structure)
+            graph = full_graph(structure)
             for h in h_indices:
                 rec = classify_h(structure, graph, h)
                 if rec.label == "Al-OH":
@@ -156,7 +169,7 @@ class TestPrecedenceAndStability:
             ["O", "H", "Al", "Al", "Al"],
             [(0, 0, 0), (0, 0, 0.97), (1.9, 0, -0.4), (-1.9, 0, -0.4), (0, 1.9, -0.4)],
         )
-        graph = neighbor_graph(structure)
+        graph = full_graph(structure)
         rec = classify_h(structure, graph, 1)
         assert rec.label == "Al-OH-Al"
         assert len(rec.host_al) == 2
@@ -165,7 +178,7 @@ class TestPrecedenceAndStability:
         # The O sits 1.5 A from the H: outside the O-H cutoff, inside the Al-H one.
         lone = make_molecule(["O", "H"], [(0, 0, 0), (1.5, 0, 0)])
         hydride = make_molecule(["O", "H", "Al"], [(0, 0, 0), (1.5, 0, 0), (3.2, 0, 0)])
-        for build in (neighbor_graph, classifier_rows):
+        for build in (full_graph, classifier_rows):
             graph = build(lone)
             assert graph.bridge_o == {}
             assert classify_h(lone, graph, 1).label == "interstitial"
@@ -185,7 +198,7 @@ class TestPrecedenceAndStability:
                     species=structure.species,
                     positions=structure.positions + jitter,
                 )
-                graph = neighbor_graph(moved)
+                graph = full_graph(moved)
                 for h in h_indices:
                     assert classify_h(moved, graph, h).label == label
 
@@ -200,16 +213,16 @@ class TestPrecedenceAndStability:
                 species=species,
                 positions=rng.uniform(0, 12, size=(n, 3)),
             )
-            graph = neighbor_graph(s)
-            for h in s.indices_of("H"):
+            graph = full_graph(s)
+            for h in indices_of(s, "H"):
                 record = classify_h(s, graph, int(h))
                 assert record.label in MOTIF_CLASSES
 
     @settings(max_examples=100, deadline=None)
     @given(dense_clusters())
     def test_records_total_with_typed_hosts_on_dense_clusters(self, s):
-        records = classify_structure(s)
-        assert [rec.h_index for rec in records] == list(s.indices_of("H"))
+        records = classify_one(s)
+        assert [rec.h_index for rec in records] == indices_of(s, "H").tolist()
         for rec in records:
             assert rec.label in MOTIF_CLASSES
             assert all(s.species[o] == "O" for o in rec.host_o)
@@ -242,14 +255,15 @@ class TestPrecedenceAndStability:
     )
     def test_classifier_rows_give_the_full_graph_records(self, case):
         s, overrides = case
-        full = neighbor_graph(s, overrides)
+        full = full_graph(s, overrides)
         rows = classifier_rows(s, overrides)
-        assert classify_structure(s, cutoffs=overrides) == classify_structure(s, full)
+        (records,) = classify_batch(StructureBatch([s]), cutoffs=overrides)
+        assert records == [classify_h(s, full, int(h)) for h in indices_of(s, "H")]
         assert rows.bridge_o == full.bridge_o == reference_bridge_o(s, full, overrides)
         held = np.diff(rows.indptr) > 0
         for i in np.flatnonzero(held):
             assert rows.neighbors(i) == full.neighbors(i)
-        assert not held[s.indices_of("Al")].any()
+        assert not held[indices_of(s, "Al")].any()
 
     @settings(max_examples=150, deadline=None)
     @given(dense_batches())
@@ -260,13 +274,9 @@ class TestPrecedenceAndStability:
         structures, overrides = case
         expected = []
         for s in structures:
-            graph = neighbor_graph(s, overrides)
-            try:
-                surface = surface_sites(s, oxide_region(s))
-            except ValueError:
-                surface = None
-            h_atoms = s.indices_of("H")
-            expected.append([classify_h(s, graph, int(h), surface=surface) for h in h_atoms])
+            graph, sites = full_graph(s, overrides), sites_of(s)
+            h_atoms = indices_of(s, "H")
+            expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
         _, members = oxide_regions(batch)
         assert classify_batch(batch, cutoffs=overrides, members=members) == expected
@@ -286,15 +296,15 @@ class TestPrecedenceAndStability:
             species=tuple(species[i] for i in order),
             positions=pos[order],
         )
-        labels1 = sorted(r.label for r in classify_structure(s1, neighbor_graph(s1)))
-        labels2 = sorted(r.label for r in classify_structure(s2, neighbor_graph(s2)))
+        labels1 = sorted(r.label for r in classify_one(s1))
+        labels2 = sorted(r.label for r in classify_one(s2))
         assert labels1 == labels2
 
 
 class TestSurfaceFlag:
     def test_top_layer_h_is_surface(self):
         slab = make_oxide_slab(n_h=1)
-        records = classify_structure(slab)
+        records = classify_one(slab)
         assert len(records) == 1
         assert records[0].surface
 
@@ -303,10 +313,8 @@ class TestSurfaceFlag:
         species = ["Al", "O", "O", "H"]
         positions = [(0, 0, 0), (0, 0, 1.8), (0, 0, 5.0), (0.95, 0, 1.6)]
         s = make_molecule(species, positions)
-        graph = neighbor_graph(s)
-        region = oxide_region(s)
-        surface = surface_sites(s, region, depth=2.0, bin_width=4.0)
-        rec = classify_h(s, graph, 3, surface=surface)
+        (rec,) = classify_one(s)
+        assert rec.h_index == 3
         assert not rec.surface
 
 

@@ -16,16 +16,28 @@ from jjvar.structure import (
     AtomicStructure,
     ConfigurationError,
     ParseError,
+    StructureBatch,
     effective_time,
     ideal_gas_count,
-    neighbor_graph,
-    oxide_region,
+    oxide_regions,
     parse_xyz,
     stoichiometry,
-    surface_sites,
 )
 
-from conftest import make_molecule, to_xyz
+from conftest import full_graph, indices_of, make_molecule, sites_of, to_xyz
+
+
+def edge_set(graph):
+    """The bonded pairs (i, j), i < j, of `graph`."""
+    rows = np.repeat(np.arange(len(graph.indptr) - 1), np.diff(graph.indptr))
+    upper = rows < graph.indices
+    return set(zip(rows[upper].tolist(), graph.indices[upper].tolist()))
+
+
+def region_of(s):
+    """The oxide region of `s` alone, or the message that says why it has none."""
+    (region,), _ = oxide_regions(StructureBatch([s]))
+    return region
 
 
 def brute_force_edges(structure, cutoffs=None):
@@ -246,14 +258,14 @@ class TestNeighborGraph:
             species=("O", "O"),
             positions=[[0.2, 5, 5], [9.8, 5, 5]],
         )
-        g = neighbor_graph(s)
+        g = full_graph(s)
         assert g.neighbors(0) == [(1, pytest.approx(0.4))]
 
     def test_oh_cutoff(self):
         near = make_molecule(["O", "H"], [(0, 0, 0), (0.97, 0, 0)])
         far = make_molecule(["O", "H"], [(0, 0, 0), (1.5, 0, 0)])
-        assert neighbor_graph(near).neighbors(0) == [(1, pytest.approx(0.97))]
-        assert neighbor_graph(far).neighbors(0) == []
+        assert full_graph(near).neighbors(0) == [(1, pytest.approx(0.97))]
+        assert full_graph(far).neighbors(0) == []
 
     def test_against_brute_force_gas(self):
         rng = np.random.default_rng(21)
@@ -264,15 +276,15 @@ class TestNeighborGraph:
             species=species,
             positions=rng.uniform(0, 10, size=(100, 3)),
         )
-        g = neighbor_graph(s)
-        assert g.edge_set() == brute_force_edges(s)
+        g = full_graph(s)
+        assert edge_set(g) == brute_force_edges(s)
 
     def test_against_brute_force_slab(self):
         from conftest import make_oxide_slab
 
         s = make_oxide_slab(n_h=3, jitter=0.15, seed=5)
-        g = neighbor_graph(s)
-        assert g.edge_set() == brute_force_edges(s)
+        g = full_graph(s)
+        assert edge_set(g) == brute_force_edges(s)
 
     def test_against_brute_force_wrapped_mixed_pbc(self):
         # Atoms up to a quarter cell outside [0, L) on the periodic axes (the
@@ -291,8 +303,8 @@ class TestNeighborGraph:
             species=tuple(rng.choice(["Al", "O", "H"], size=120)),
             positions=pos,
         )
-        g = neighbor_graph(s)
-        assert g.edge_set() == brute_force_edges(s)
+        g = full_graph(s)
+        assert edge_set(g) == brute_force_edges(s)
         for i in range(len(s)):
             for j, d in g.neighbors(i):
                 delta = [float(c) for c in pos[j] - pos[i]]
@@ -308,7 +320,7 @@ class TestNeighborGraph:
             species=tuple(rng.choice(["Al", "O"], size=60)),
             positions=rng.uniform(0, 9, size=(60, 3)),
         )
-        g = neighbor_graph(s)
+        g = full_graph(s)
         for i in range(len(s)):
             for j, d in g.neighbors(i):
                 back = dict(g.neighbors(j))
@@ -322,30 +334,30 @@ class TestNeighborGraph:
             positions=[[0, 0, 0], [2, 0, 0]],
         )
         # The default cutoffs (largest 2.2 A) fit this cell; an Al-Al one of 3 A does not.
-        neighbor_graph(s)
+        full_graph(s)
         with pytest.raises(ConfigurationError):
-            neighbor_graph(s, {("Al", "Al"): 3.0})
+            full_graph(s, {("Al", "Al"): 3.0})
 
     def test_al_al_unbonded_by_default(self):
         s = make_molecule(["Al", "Al", "O"], [(0, 0, 0), (2.5, 0, 0), (0, 1.8, 0)])
-        assert neighbor_graph(s).edge_set() == {(0, 2)}
-        assert neighbor_graph(s, {("Al", "Al"): 3.0}).edge_set() == {(0, 1), (0, 2)}
+        assert edge_set(full_graph(s)) == {(0, 2)}
+        assert edge_set(full_graph(s, {("Al", "Al"): 3.0})) == {(0, 1), (0, 2)}
 
     def test_triclinic_rejected(self):
         cell = np.array([[10.0, 0, 0], [3.0, 10.0, 0], [0, 0, 10.0]])
         s = AtomicStructure(cell=cell, pbc=(True, True, True), species=("Al",), positions=[[1, 1, 1]])
         with pytest.raises(ConfigurationError):
-            neighbor_graph(s)
+            full_graph(s)
 
     def test_cutoff_override(self):
         s = make_molecule(["O", "H"], [(0, 0, 0), (1.5, 0, 0)])
-        g = neighbor_graph(s, {("O", "H"): 1.8})
+        g = full_graph(s, {("O", "H"): 1.8})
         assert g.neighbors(0) == [(1, pytest.approx(1.5))]
 
     @given(cells_and_cutoffs())
     def test_csr_equals_all_pairs_reference(self, case):
         s, overrides = case
-        g = neighbor_graph(s, overrides)
+        g = full_graph(s, overrides)
         indptr, indices, distances = all_pairs_csr(s, overrides)
         assert np.array_equal(g.indptr, indptr)
         assert np.array_equal(g.indices, indices)
@@ -360,7 +372,7 @@ class TestNeighborGraph:
             species=("Al",) * n,
             positions=np.full((n, 3), 1.0),
         )
-        g = neighbor_graph(s)
+        g = full_graph(s)
         assert g.indptr.tolist() == [0] * (n + 1)
         assert g.indices.size == 0 and g.distances.size == 0
 
@@ -371,9 +383,9 @@ class TestNeighborGraph:
         al_al = {("Al", "Al"): 3.0}
         # No bin index may overflow its integer type on the way.
         with np.errstate(all="raise"):
-            g = neighbor_graph(s, al_al)
+            g = full_graph(s, al_al)
         assert g.indptr.tolist() == [0, 1, 2, 3, 4, 4]
-        assert g.edge_set() == brute_force_edges(s, al_al) == {(0, 1), (2, 3)}
+        assert edge_set(g) == brute_force_edges(s, al_al) == {(0, 1), (2, 3)}
 
     @pytest.mark.parametrize("length", [1e9, 1e100])
     def test_huge_periodic_cell(self, length):
@@ -386,7 +398,7 @@ class TestNeighborGraph:
             species=("O", "H", "H", "Al"),
             positions=[[0, 0, 0], [1, 0, 0], [length - 0.5, 0, 0], [length / 2] * 3],
         )
-        g = neighbor_graph(s)
+        g = full_graph(s)
         assert g.indptr.tolist() == [0, 2, 3, 4, 4]
         assert g.indices.tolist() == [1, 2, 0, 0]
         half = 0.5 if length == 1e9 else 0.0
@@ -401,7 +413,7 @@ class TestOxideRegion:
         s = AtomicStructure(
             cell=np.diag([30.0, 30.0, 30.0]), pbc=(False,) * 3, species=tuple(species), positions=pos
         )
-        region = oxide_region(s)
+        region = region_of(s)
         assert region.z_lo == pytest.approx(4.5)
         assert region.z_hi == pytest.approx(8.5)
         assert region.n_o == 10
@@ -409,13 +421,12 @@ class TestOxideRegion:
 
     def test_all_oxygen(self):
         s = make_molecule(["O", "O", "O"], [(0, 0, 0), (0, 0, 2), (0, 0, 4)])
-        region = oxide_region(s)
+        region = region_of(s)
         assert len(region.members) == 3
 
     def test_no_oxygen(self):
         s = make_molecule(["Al", "Al"], [(0, 0, 0), (0, 0, 2)])
-        with pytest.raises(ValueError):
-            oxide_region(s)
+        assert region_of(s) == "structure contains no O atoms; cannot locate an oxide region"
 
     def test_oxide_straddling_periodic_z_boundary_rejected(self):
         # O at z = 0.5 and 19.5 in a 20 A cell: on a periodic z axis the oxide
@@ -424,10 +435,9 @@ class TestOxideRegion:
         pos = [(0, 0, 1.0), (1, 0, 0.5), (1, 0, 19.5), (0, 0, 19.0), (0, 0, 10.0)]
         cell = np.diag([10.0, 10.0, 20.0])
         wrapped = AtomicStructure(cell=cell, pbc=(True,) * 3, species=species, positions=pos)
-        with pytest.raises(ValueError, match="straddle the periodic z boundary"):
-            oxide_region(wrapped)
+        assert "O atoms straddle the periodic z boundary" in region_of(wrapped)
         open_z = AtomicStructure(cell=cell, pbc=(True, True, False), species=species, positions=pos)
-        assert oxide_region(open_z).n_al == 3
+        assert region_of(open_z).n_al == 3
 
 
 class TestStoichiometry:
@@ -437,7 +447,7 @@ class TestStoichiometry:
         s = AtomicStructure(
             cell=np.diag([40.0, 10.0, 10.0]), pbc=(False,) * 3, species=tuple(species), positions=pos
         )
-        x, h = stoichiometry(oxide_region(s))
+        x, h = stoichiometry(region_of(s))
         assert x == pytest.approx(1.25)
         assert h == 0.0
 
@@ -447,14 +457,14 @@ class TestStoichiometry:
         s = AtomicStructure(
             cell=np.diag([40.0, 10.0, 10.0]), pbc=(False,) * 3, species=tuple(species), positions=pos
         )
-        x, h = stoichiometry(oxide_region(s))
+        x, h = stoichiometry(region_of(s))
         assert x == pytest.approx(1.25)
         assert h == pytest.approx(100.0 * 2 / 92)
 
     def test_zero_al(self):
         s = make_molecule(["O", "O"], [(0, 0, 0), (1, 0, 0)])
         with pytest.raises(ValueError):
-            stoichiometry(oxide_region(s))
+            stoichiometry(region_of(s))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -470,7 +480,7 @@ class TestStoichiometry:
             species=tuple(species[i] for i in order),
             positions=pos[order],
         )
-        assert stoichiometry(oxide_region(s1)) == stoichiometry(oxide_region(s2))
+        assert stoichiometry(region_of(s1)) == stoichiometry(region_of(s2))
 
     def test_ensemble_near_target(self):
         rng = np.random.default_rng(33)
@@ -485,7 +495,7 @@ class TestStoichiometry:
                 species=tuple(species),
                 positions=pos,
             )
-            xs.append(stoichiometry(oxide_region(s))[0])
+            xs.append(stoichiometry(region_of(s))[0])
         assert 1.23 <= float(np.mean(xs)) <= 1.27
 
 
@@ -504,8 +514,7 @@ def make_terrace(heights, spacing=1.0):
 class TestSurfaceSites:
     def test_flat_slab_top_layer(self):
         s = make_terrace(np.full((4, 4), 5.0), spacing=2.0)
-        region = oxide_region(s)
-        sites = surface_sites(s, region, depth=2.0, bin_width=4.0)
+        sites = sites_of(s, depth=2.0, bin_width=4.0)
         for idx in range(len(s)):
             z = s.positions[idx][2]
             assert (idx in sites) == (z >= 3.0)
@@ -514,8 +523,7 @@ class TestSurfaceSites:
         heights = np.full((8, 8), 6.0)
         heights[4, 4] = 3.0  # 3 A deep pit
         s = make_terrace(heights, spacing=4.0)  # one column per 4 A cell
-        region = oxide_region(s)
-        sites = surface_sites(s, region, depth=2.0, bin_width=4.0)
+        sites = sites_of(s, depth=2.0, bin_width=4.0)
         pit_top = [
             i
             for i in range(len(s))
@@ -527,9 +535,9 @@ class TestSurfaceSites:
         rng = np.random.default_rng(6)
         heights = rng.integers(3, 9, size=(5, 5)).astype(float)
         s = make_terrace(heights, spacing=2.0)
-        region = oxide_region(s)
+        region = region_of(s)
         depth, bin_width = 2.0, 4.0
-        sites = surface_sites(s, region, depth=depth, bin_width=bin_width)
+        sites = sites_of(s, depth=depth, bin_width=bin_width)
 
         # independent per-atom re-evaluation with explicit cell arithmetic
         # (same documented partition: far-edge atoms fold into the last bin)
@@ -553,21 +561,20 @@ class TestSurfaceSites:
     def test_depth_monotonicity(self):
         rng = np.random.default_rng(13)
         s = make_terrace(rng.integers(3, 9, size=(4, 4)).astype(float), spacing=2.0)
-        region = oxide_region(s)
+        region = region_of(s)
         previous = frozenset()
         for depth in (0.5, 1.5, 3.0, 50.0):
-            sites = surface_sites(s, region, depth=depth, bin_width=4.0)
+            sites = sites_of(s, depth=depth, bin_width=4.0)
             assert previous <= sites
             previous = sites
         assert previous == frozenset(region.members)
 
     def test_invalid_arguments(self):
         s = make_terrace(np.full((2, 2), 3.0))
-        region = oxide_region(s)
         with pytest.raises(ValueError):
-            surface_sites(s, region, depth=-1.0)
+            sites_of(s, depth=-1.0)
         with pytest.raises(ValueError):
-            surface_sites(s, region, bin_width=0.0)
+            sites_of(s, bin_width=0.0)
 
 
 def reference_region(s, padding=0.5):
@@ -575,7 +582,7 @@ def reference_region(s, padding=0.5):
     per-structure formulas: sorted O heights, the widest gap against the gap
     across a periodic z boundary, and an interval census."""
     z = s.positions[:, 2]
-    o = s.indices_of("O")
+    o = indices_of(s, "O")
     if not o.size:
         return "structure contains no O atoms; cannot locate an oxide region"
     z_o = np.sort(z[o])
@@ -589,7 +596,7 @@ def reference_region(s, padding=0.5):
             )
     lo, hi = float(z_o[0] - padding), float(z_o[-1] + padding)
     inside = (z >= lo) & (z <= hi)
-    counts = [int(np.count_nonzero(inside[s.indices_of(k)])) for k in SPECIES]
+    counts = [int(np.count_nonzero(inside[indices_of(s, k)])) for k in SPECIES]
     return structure.OxideRegion(lo, hi, tuple(np.flatnonzero(inside).tolist()), *counts)
 
 

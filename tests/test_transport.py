@@ -173,7 +173,7 @@ class TestTransmission:
         assert np.array_equal(curve.channels, inside.astype(int))
 
     def test_continuity_on_fine_grid(self):
-        model = calibrate_barrier(1.61e-5).model
+        model = calibrate_barrier(1.61e-5, base=default_model()).model
         grid = np.arange(-5.0, 5.0, 1e-3)
         curve = transmission(model, grid)
         inside = np.abs(grid) < 0.98 * model.band_halfwidth()
@@ -260,33 +260,33 @@ class TestTransferMatrix:
 
 class TestCalibration:
     def test_default_target(self):
-        result = calibrate_barrier(1.61e-5)
+        result = calibrate_barrier(1.61e-5, base=default_model())
         assert abs(result.transmission - 1.61e-5) <= 1e-3 * 1.61e-5
         check = transmission(result.model, np.array([0.0])).values[0]
         assert check == pytest.approx(result.transmission, rel=1e-12)
 
     def test_transparent_target_returns_lower_bound(self):
-        result = calibrate_barrier(1.0, bounds=(0.0, 10.0))
+        result = calibrate_barrier(1.0, base=default_model(), bounds=(0.0, 10.0))
         assert result.height == 0.0
         assert result.transmission == pytest.approx(1.0, abs=1e-10)
 
     def test_unbracketed_target(self):
         with pytest.raises(CalibrationError) as err:
-            calibrate_barrier(0.5, bounds=(8.0, 20.0))
+            calibrate_barrier(0.5, base=default_model(), bounds=(8.0, 20.0))
         assert err.value.endpoints is not None
         assert all(t < 0.5 for t in err.value.endpoints)
 
 
 class TestDefects:
     def test_zero_shift_identity(self):
-        model = calibrate_barrier(1.61e-5).model
+        model = calibrate_barrier(1.61e-5, base=default_model()).model
         grid = np.linspace(-3, 3, 301)
         base = transmission(model, grid).values
         shifted = transmission(apply_defect(model, 0.0), grid).values
         np.testing.assert_array_equal(base, shifted)
 
     def test_negative_shift_raises_fermi_transmission(self):
-        model = calibrate_barrier(1.61e-5).model
+        model = calibrate_barrier(1.61e-5, base=default_model()).model
         values = [
             transmission(apply_defect(model, dv), np.array([0.0])).values[0]
             for dv in (0.0, -0.2, -0.4)
@@ -305,7 +305,7 @@ class TestDefects:
         assert shifted.barrier_onsite[0] == model.barrier_onsite[0]
 
     def test_fitted_shift_tracks_applied_shift(self):
-        model = calibrate_barrier(1.61e-5).model
+        model = calibrate_barrier(1.61e-5, base=default_model()).model
         grid = np.linspace(-5, 5, 2001)
         reference = transmission(model, grid)
         shifted = transmission(apply_defect(model, -0.3), grid)
@@ -321,7 +321,7 @@ class TestDefects:
 
 class TestTunnelingDecay:
     def test_r_squared_over_lengths(self):
-        height = calibrate_barrier(1.61e-5).height
+        height = calibrate_barrier(1.61e-5, base=default_model()).height
         lengths = np.arange(4, 17)
         log_t = []
         for n in lengths:
@@ -411,8 +411,8 @@ def shift_fit_cases(draw):
 
 def _cli_shift_case(points):
     """The curves, window and shift bounds of `jjvar transmission --grid points`."""
-    clean = calibrate_barrier(1.61e-5)
-    delta_v = calibrate_barrier(1.74e-5).height - clean.height
+    clean = calibrate_barrier(1.61e-5, base=default_model())
+    delta_v = calibrate_barrier(1.74e-5, base=default_model()).height - clean.height
     grid = np.linspace(-5.0, 5.0, points)
     return (
         transmission(clean.model, grid),
