@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
 import sys
@@ -18,26 +19,49 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import josephson, motifs, stats, structure, transport
-from .config import ConfigError, PipelineConfig, load_config
+from . import stats
+from .config import SHIFT_WINDOW, ConfigError, PipelineConfig, energy_grid, load_config
+
+
+def _lazy(name: str):
+    """The submodule `name` of this package, executed on first attribute
+    access.  It is in sys.modules at once, so an import of it finds this
+    object; a module imported already is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A subcommand executes only the stage modules it uses: `fit-stats --counts`
+# none of these, `transmission` only transport, `analyze` structure and
+# motifs.  No module-level statement may read an attribute of them.
+structure = _lazy("structure")
+motifs = _lazy("motifs")
+transport = _lazy("transport")
+josephson = _lazy("josephson")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_INPUT_ERRORS = (
-    ConfigError,
-    structure.ParseError,
-    structure.ConfigurationError,
-    stats.DegenerateDataError,
-    OSError,
-    ValueError,
-)
-_NUMERICAL_ERRORS = (
-    stats.FitConvergenceError,
-    transport.CalibrationError,
-    transport.NumericalError,
-)
+# ConfigError, structure.ParseError, structure.ConfigurationError and
+# stats.DegenerateDataError are ValueErrors.
+_INPUT_ERRORS = (OSError, ValueError)
+
+
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit EXIT_NUMERICAL, all RuntimeErrors, so none is
+    an input error.  Named where an exception is caught, after the input
+    errors, so that neither a module-level statement nor an input error
+    executes transport."""
+    return (stats.FitConvergenceError, transport.CalibrationError, transport.NumericalError)
 
 
 def _json_ready(obj):
@@ -352,10 +376,10 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
 
     # The Fermi level is the lead on-site energy, the grid's centre.
     e_f = model_jj.fermi_energy
-    grid = transport.energy_grid(e_f, cfg.grid_halfwidth, cfg.grid_points)
+    grid = energy_grid(e_f, cfg.grid_halfwidth, cfg.grid_points)
     curve_jj = transport.transmission(model_jj, grid)
     curve_jjh = transport.transmission(model_jjh, grid)
-    window = (e_f - transport.SHIFT_WINDOW, e_f + transport.SHIFT_WINDOW)
+    window = (e_f - SHIFT_WINDOW, e_f + SHIFT_WINDOW)
     shift = transport.fit_transmission_shift(
         curve_jj, curve_jjh, window=window, shift_bounds=(-1.0, 1.0)
     )
@@ -488,12 +512,12 @@ def cmd_pipeline(cfg: PipelineConfig, out: Path) -> tuple[int, Path]:
                     "artifacts": [p.name for p in artifacts],
                 }
             )
-        except _NUMERICAL_ERRORS as exc:
-            manifest.append({"name": name, "status": "failed", "artifacts": [], "error": str(exc)})
-            failed_code = EXIT_NUMERICAL
         except _INPUT_ERRORS as exc:
             manifest.append({"name": name, "status": "failed", "artifacts": [], "error": str(exc)})
             failed_code = EXIT_INPUT
+        except _numerical_errors() as exc:
+            manifest.append({"name": name, "status": "failed", "artifacts": [], "error": str(exc)})
+            failed_code = EXIT_NUMERICAL
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, {"seed": cfg.seed, "stages": manifest})
     return failed_code, manifest_path
@@ -577,12 +601,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"manifest: {manifest_path}")
             return code
         return EXIT_OK
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except _numerical_errors() as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ Grammar (one entry per line):
 Values parse as int, float or bare string, by the key's type.  Unknown keys
 and keys given twice are rejected.  CLI flags override file values.
 `PipelineConfig.validate` then rejects non-finite numbers, non-positive
-lengths, areas and targets, a zero lead hopping, a grid half-width beyond
-`transport.MAX_ENERGY_OFFSET`, an energy grid whose points are not distinct or
-that leaves the curve-shift fit fewer than 3 points, a malformed `stats.m` or
-one above `stats.MAX_TRIALS`, and `stats.alpha`, `stats.beta` and
-`stats.trials` that `stats.BetaBinomial` refuses, naming the offending key.
+lengths, areas and targets, a lead hopping that is zero or beyond
+`MAX_LEAD_HOPPING`, a grid half-width beyond `MAX_ENERGY_OFFSET`, an energy
+grid whose points are not distinct or that leaves the curve-shift fit fewer
+than 3 points, a malformed `stats.m` or one above `stats.MAX_TRIALS`, and
+`stats.alpha`, `stats.beta` and `stats.trials` that `stats.BetaBinomial`
+refuses, naming the offending key.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ from pathlib import Path
 import numpy as np
 
 from .stats import MAX_TRIALS, BetaBinomial
-from .transport import MAX_ENERGY_OFFSET, SHIFT_WINDOW, energy_grid
 
 __all__ = [
     "MAX_BARRIER_SITES",
+    "MAX_ENERGY_OFFSET",
     "MAX_GRID_POINTS",
+    "MAX_LEAD_HOPPING",
+    "SHIFT_WINDOW",
     "ConfigError",
     "PipelineConfig",
+    "energy_grid",
     "parse_config_text",
 ]
 
@@ -41,6 +45,28 @@ __all__ = [
 # and past these a run would end in a memory error, not a result.
 MAX_GRID_POINTS = 10**7
 MAX_BARRIER_SITES = 10**4
+# Largest |transport.lead_hopping| accepted, eV.  The lead self-energy squares
+# the hopping (4 t^2 in the surface Green's function); past about 1.3e154 eV
+# the square overflows.
+MAX_LEAD_HOPPING = 1e150
+# Largest distance from the lead on-site energy that `transport.transmission`
+# accepts, eV.
+MAX_ENERGY_OFFSET = 20.0
+# Half-width of the energy window around the Fermi level that the CLI fits
+# the curve shift over, eV.
+SHIFT_WINDOW = 2.0
+
+
+def energy_grid(centre: float, halfwidth: float, points: int) -> np.ndarray:
+    """`points` evenly spaced energies over centre ± halfwidth, for a grid
+    centred on the lead on-site energy.  Where an end rounds past
+    MAX_ENERGY_OFFSET from the centre, it steps back inside by ulps."""
+    ends = []
+    for end in (centre - halfwidth, centre + halfwidth):
+        while abs(end - centre) > MAX_ENERGY_OFFSET:
+            end = math.nextafter(end, centre)
+        ends.append(end)
+    return np.linspace(*ends, points)
 
 
 class ConfigError(ValueError):
@@ -129,6 +155,11 @@ class PipelineConfig:
         if self.lead_hopping == 0:
             # A lead without hopping has no band, so no channel conducts.
             raise ConfigError(f"transport.lead_hopping must be non-zero, got {self.lead_hopping}")
+        if not abs(self.lead_hopping) <= MAX_LEAD_HOPPING:
+            raise ConfigError(
+                f"transport.lead_hopping must be at most {MAX_LEAD_HOPPING:g} eV in magnitude, "
+                f"got {self.lead_hopping}"
+            )
         if not self.grid_halfwidth <= MAX_ENERGY_OFFSET:
             # The grid is centred on the lead on-site energy.
             raise ConfigError(

@@ -301,6 +301,10 @@ def _mle_fixed_m(
     # likelihood, or rounding noise could keep it wandering (as it does at
     # the ln alpha, ln beta = 30 box edge for large M).
     ll_slack = 1e-10 * max(1.0, abs(ll0))
+    # The likelihood at exp(u), exp(v), once evaluated: an accepted step's
+    # likelihood is the next iterate's.  It is not ll0, as exp(log(start))
+    # may differ from start.
+    ll_cur = None
     for iterations in range(1, max_iter + 1):
         a, b = math.exp(u), math.exp(v)
         g_nat = _gradient(t, a, b)
@@ -321,25 +325,26 @@ def _mle_fixed_m(
             break
         if not np.all(np.isfinite(step)):
             break
-        ll_here = _log_likelihood(t, a, b)
+        if ll_cur is None:
+            ll_cur = _log_likelihood(t, a, b)
         lam = 1.0
         for _ in range(40):
             u_new = min(max(u + lam * step[0], -30.0), 30.0)
             v_new = min(max(v + lam * step[1], -30.0), 30.0)
             ll_new = _log_likelihood(t, math.exp(u_new), math.exp(v_new))
-            neutral_ok = lam == 1.0 and ll_new >= ll_here - ll_slack
-            if math.isfinite(ll_new) and (ll_new > ll_here or neutral_ok) and (u_new, v_new) != (u, v):
-                u, v = u_new, v_new
+            neutral_ok = lam == 1.0 and ll_new >= ll_cur - ll_slack
+            if math.isfinite(ll_new) and (ll_new > ll_cur or neutral_ok) and (u_new, v_new) != (u, v):
+                u, v, ll_cur = u_new, v_new, ll_new
                 break
             lam *= 0.5
         else:
             # No step length raises the likelihood: stop at the best point.
             break
-        ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
         if ll_cur >= best[0]:
             best = (ll_cur, u, v)
 
-    ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
+    if ll_cur is None:
+        ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
     if ll_cur >= best[0]:
         best = (ll_cur, u, v)
     # Never report a likelihood below the initializer's.

@@ -32,6 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import MAX_ENERGY_OFFSET, SHIFT_WINDOW, energy_grid
+
 __all__ = [
     "CalibrationError",
     "CalibrationResult",
@@ -41,7 +43,6 @@ __all__ = [
     "apply_defect",
     "calibrate_barrier",
     "default_model",
-    "energy_grid",
     "fit_transmission_shift",
     "lead_surface_gf",
     "transfer_matrix_transmission",
@@ -53,11 +54,6 @@ DEFAULT_BARRIER_SITES = 12
 # Barrier conduction edge 2.85 eV above the Fermi level: with barrier hopping
 # t_b the band bottom is onsite - 2|t_b|.
 DEFAULT_BAND_OFFSET = 2.85
-# Largest distance from the lead on-site energy that `transmission` accepts, eV.
-MAX_ENERGY_OFFSET = 20.0
-# Half-width of the energy window around the Fermi level that the CLI fits
-# the curve shift over, eV.
-SHIFT_WINDOW = 2.0
 # Bisection stops at |T - target| <= _CALIBRATION_REL_TOL * target, or fails
 # after _CALIBRATION_MAX_ITER halvings.
 _CALIBRATION_REL_TOL = 1e-3
@@ -189,18 +185,6 @@ def lead_surface_gf(onsite: float, hopping: float, energy):
         np.abs(g_minus) <= np.abs(g_plus),
     )
     return np.where(pick_minus, g_minus, g_plus)[()]
-
-
-def energy_grid(centre: float, halfwidth: float, points: int) -> np.ndarray:
-    """`points` evenly spaced energies over centre ± halfwidth, for a grid
-    centred on the lead on-site energy.  Where an end rounds past
-    MAX_ENERGY_OFFSET from the centre, it steps back inside by ulps."""
-    ends = []
-    for end in (centre - halfwidth, centre + halfwidth):
-        while abs(end - centre) > MAX_ENERGY_OFFSET:
-            end = math.nextafter(end, centre)
-        ends.append(end)
-    return np.linspace(*ends, points)
 
 
 def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -> TransmissionCurve:

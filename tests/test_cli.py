@@ -1,10 +1,8 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
-import ast
 import contextlib
 import dataclasses
 import fnmatch
-import importlib
 import io
 import json
 import math
@@ -26,7 +24,13 @@ from hypothesis import strategies as st
 import jjvar
 from jjvar import cli, structure, transport
 from jjvar.cli import _write_csv, _write_json, main
-from jjvar.config import _KEY_MAP, MAX_BARRIER_SITES, MAX_GRID_POINTS, PipelineConfig
+from jjvar.config import (
+    _KEY_MAP,
+    MAX_BARRIER_SITES,
+    MAX_GRID_POINTS,
+    MAX_LEAD_HOPPING,
+    PipelineConfig,
+)
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import MAX_TRIALS, BetaBinomial
 
@@ -685,6 +689,13 @@ def _m_above_bound(value: str) -> bool:
     return len(digits) > 6 or bool(digits) and int(digits) > MAX_TRIALS
 
 
+def _hopping_above_bound(value: str) -> bool:
+    try:
+        return not abs(float(value.strip().strip('"').strip("'"))) <= MAX_LEAD_HOPPING
+    except ValueError:
+        return False
+
+
 class TestConfigContentFuzz:
     """Any config file content ends in exit 0, 2 or 3, never a traceback."""
 
@@ -699,17 +710,22 @@ class TestConfigContentFuzz:
     @example(entries=[("stats.m", "scan=1:100001")], junk=b"", at=0)
     @example(entries=[("seed", "1")], junk=b"\xff", at=7)
     @example(entries=[("stats.trials", _HUGE), ("junction.area", "1e999")], junk=b"", at=0)
+    @example(entries=[("transport.lead_hopping", "1e200")], junk=b"", at=0)
     def test_exit_code_contract(self, entries, junk, at):
         text = "".join(f"{key} = {value}\n" for key, value in entries).encode()
         keys = [key.lower() for key, _ in entries]
         duplicate = any(keys.count(key) > 1 for key in keys if key in _KEY_MAP)
-        m_above = any(key.lower() == "stats.m" and _m_above_bound(value) for key, value in entries)
+        above_bound = any(
+            key.lower() == "stats.m" and _m_above_bound(value)
+            or key.lower() == "transport.lead_hopping" and _hopping_above_bound(value)
+            for key, value in entries
+        )
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "cfg.txt"
             config.write_bytes(text[:at] + junk + text[at:])
             code = main(["--config", str(config), "--out", str(Path(tmp) / "out"), "ej"])
         assert code in (0, 2, 3)
-        if duplicate or m_above:
+        if duplicate or above_bound:
             assert code == 2
 
 
@@ -1004,6 +1020,7 @@ class TestConfigHandling:
             ("cutoff.al_o = -1", "analyze"),
             ("transport.lead_hopping = 0", "transmission"),
             ("transport.lead_hopping = 0.001", "transmission"),
+            ("transport.lead_hopping = 1e200", "transmission"),
             ("transport.grid_points = 3", "transmission"),
             ("transport.grid_halfwidth = 5e-324", "transmission"),
             ("junction.gap_mev = 0", "ej"),
@@ -1136,16 +1153,57 @@ def test_every_export_resolves():
     # A stale `__all__` entry breaks `from jjvar.<module> import *`.
     for info in pkgutil.iter_modules(jjvar.__path__):
         exec(f"from jjvar.{info.name} import *", {})
-    tree = ast.parse(Path(jjvar.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
-        assert getattr(jjvar, name) is getattr(importlib.import_module(f"jjvar.{module}"), name)
+
+
+def _jjvar_modules_executed(argv: list[str]) -> str:
+    """"CODE [modules]": main's exit code and the jjvar modules a fresh
+    interpreter executes to run `main(argv)`, import of jjvar.cli included."""
+    probe = (
+        "import contextlib, io, pathlib, sys\n"
+        "ran = []\n"
+        "sys.addaudithook(lambda event, args: event == 'exec' and ran.append(args[0]))\n"
+        "import jjvar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = jjvar.cli.main({argv!r})\n"
+        "package = pathlib.Path(jjvar.__file__).parent\n"
+        "paths = [pathlib.Path(getattr(c, 'co_filename', '')) for c in ran]\n"
+        "print(code, sorted(p.stem for p in paths if p.parent == package))"
+    )
+    return _run_fresh(probe)
+
+
+@pytest.mark.parametrize("counts, code", [(None, 0), ("5\n5\n", 2)], ids=["fit", "input-error"])
+def test_fit_stats_on_counts_executes_no_stage_module(tmp_path, counts, code):
+    path = tmp_path / "counts.txt"
+    if counts is None:
+        write_counts_file(path, k=50)
+    else:
+        path.write_text(counts)
+    argv = ["--out", str(tmp_path / "out"), "fit-stats", "--counts", str(path), "--m", "fixed=40"]
+    assert _jjvar_modules_executed(argv) == f"{code} ['__init__', 'cli', 'config', 'stats']"
+
+
+def test_transmission_executes_only_transport(tmp_path):
+    argv = ["--out", str(tmp_path / "out"), "transmission", "--grid", "21"]
+    assert _jjvar_modules_executed(argv) == "0 ['__init__', 'cli', 'config', 'stats', 'transport']"
+
+
+def test_analyze_executes_no_transport_or_josephson(tmp_path):
+    directory = write_structure_dir(tmp_path, h_counts=(1,))
+    argv = ["--out", str(tmp_path / "out"), "analyze", "--structures", str(directory)]
+    executed = "0 ['__init__', 'cli', 'config', 'constants', 'motifs', 'stats', 'structure']"
+    assert _jjvar_modules_executed(argv) == executed
+
+
+def test_cli_binds_the_stage_modules_imported_around_it():
+    # A spy set on a module imported before or after jjvar.cli must see the
+    # calls the CLI makes.
+    probe = (
+        "import jjvar.structure as before, jjvar.cli as cli, jjvar.transport as after\n"
+        "from jjvar import motifs\n"
+        "print(cli.structure is before, cli.transport is after, cli.motifs is motifs)"
+    )
+    assert _run_fresh(probe) == "True True True"
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
