@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,55 +73,51 @@ class ConfigError(ValueError):
     """Bad configuration file or value."""
 
 
+def _key(key: str, default, *, positive: bool = False):
+    """A `PipelineConfig` field set by `key` in a config file; `positive`
+    makes `validate` require a value above zero (an unset None is skipped)."""
+    return field(default=default, metadata={"key": key, "positive": positive})
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    # paths.*
-    structures: str | None = None
-    counts: str | None = None
-    out: str = "out"
-    # top level
-    seed: int = 0
-    # stats.*
-    m_strategy: str = "scan"
-    alpha: float = 17.69
-    beta: float = 15.36
-    trials: int = 40
-    # cutoff.* (pair overrides, A)
-    cutoff_al_o: float | None = None
-    cutoff_al_h: float | None = None
-    cutoff_o_o: float | None = None
-    cutoff_o_h: float | None = None
-    # surface.*
-    surface_depth: float = 2.0
-    surface_bin: float = 4.0
-    # transport.*
-    lead_onsite: float = 0.0
-    lead_hopping: float = 3.0
-    barrier_sites: int = 12
-    bounds_lo: float = 0.0
-    bounds_hi: float = 30.0
-    grid_points: int = 2001
-    grid_halfwidth: float = 5.0
-    target_jj: float = 1.61e-5
-    target_jjh: float = 1.74e-5
-    # junction.*
-    gap_mev: float = 0.20
-    area: float = 2000.0 * 2000.0
-    patch_area: float = 9.61 * 8.32
-    md_area: float = 34.17 * 34.17
+    structures: str | None = _key("paths.structures", None)
+    counts: str | None = _key("paths.counts", None)
+    out: str = _key("paths.out", "out")
+    seed: int = _key("seed", 0)
+    m_strategy: str = _key("stats.m", "scan")
+    alpha: float = _key("stats.alpha", 17.69)
+    beta: float = _key("stats.beta", 15.36)
+    trials: int = _key("stats.trials", 40)
+    # Pair cutoff overrides, A: `cutoff.<a>_<b>` is the (A, B) species pair.
+    cutoff_al_o: float | None = _key("cutoff.al_o", None, positive=True)
+    cutoff_al_h: float | None = _key("cutoff.al_h", None, positive=True)
+    cutoff_o_o: float | None = _key("cutoff.o_o", None, positive=True)
+    cutoff_o_h: float | None = _key("cutoff.o_h", None, positive=True)
+    surface_depth: float = _key("surface.depth", 2.0, positive=True)
+    surface_bin: float = _key("surface.bin", 4.0, positive=True)
+    lead_onsite: float = _key("transport.lead_onsite", 0.0)
+    lead_hopping: float = _key("transport.lead_hopping", 3.0)
+    barrier_sites: int = _key("transport.barrier_sites", 12)
+    bounds_lo: float = _key("transport.bounds_lo", 0.0)
+    bounds_hi: float = _key("transport.bounds_hi", 30.0)
+    grid_points: int = _key("transport.grid_points", 2001)
+    grid_halfwidth: float = _key("transport.grid_halfwidth", 5.0, positive=True)
+    target_jj: float = _key("transport.target_jj", 1.61e-5, positive=True)
+    target_jjh: float = _key("transport.target_jjh", 1.74e-5, positive=True)
+    gap_mev: float = _key("junction.gap_mev", 0.20, positive=True)
+    area: float = _key("junction.area", 2000.0 * 2000.0, positive=True)
+    patch_area: float = _key("junction.patch_area", 9.61 * 8.32, positive=True)
+    md_area: float = _key("junction.md_area", 34.17 * 34.17, positive=True)
 
     def cutoff_overrides(self) -> dict[tuple[str, str], float]:
-        pairs = {
-            "cutoff_al_o": ("Al", "O"),
-            "cutoff_al_h": ("Al", "H"),
-            "cutoff_o_o": ("O", "O"),
-            "cutoff_o_h": ("O", "H"),
-        }
-        return {
-            pair: getattr(self, name)
-            for name, pair in pairs.items()
-            if getattr(self, name) is not None
-        }
+        overrides = {}
+        for f in fields(self):
+            section, _, pair = f.metadata["key"].partition(".")
+            if section == "cutoff" and getattr(self, f.name) is not None:
+                a, b = pair.split("_")
+                overrides[a.capitalize(), b.capitalize()] = getattr(self, f.name)
+        return overrides
 
     def m_fit_args(self) -> dict:
         """`stats.fit` keyword arguments for `stats.m`: {} for 'scan',
@@ -147,11 +143,11 @@ class PipelineConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{_FIELD_KEYS[f.name]} must be finite, got {value}")
-        for name in _POSITIVE_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{_FIELD_KEYS[name]} must be positive, got {value}")
+                raise ConfigError(f"{f.metadata['key']} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["positive"] and value is not None and not value > 0:
+                raise ConfigError(f"{f.metadata['key']} must be positive, got {value}")
         if self.lead_hopping == 0:
             # A lead without hopping has no band, so no channel conducts.
             raise ConfigError(f"transport.lead_hopping must be non-zero, got {self.lead_hopping}")
@@ -207,72 +203,23 @@ class PipelineConfig:
             raise ConfigError(f"stats.{exc}") from None
 
 
-_KEY_MAP = {
-    "paths.structures": "structures",
-    "paths.counts": "counts",
-    "paths.out": "out",
-    "seed": "seed",
-    "stats.m": "m_strategy",
-    "stats.alpha": "alpha",
-    "stats.beta": "beta",
-    "stats.trials": "trials",
-    "cutoff.al_o": "cutoff_al_o",
-    "cutoff.al_h": "cutoff_al_h",
-    "cutoff.o_o": "cutoff_o_o",
-    "cutoff.o_h": "cutoff_o_h",
-    "surface.depth": "surface_depth",
-    "surface.bin": "surface_bin",
-    "transport.lead_onsite": "lead_onsite",
-    "transport.lead_hopping": "lead_hopping",
-    "transport.barrier_sites": "barrier_sites",
-    "transport.bounds_lo": "bounds_lo",
-    "transport.bounds_hi": "bounds_hi",
-    "transport.grid_points": "grid_points",
-    "transport.grid_halfwidth": "grid_halfwidth",
-    "transport.target_jj": "target_jj",
-    "transport.target_jjh": "target_jjh",
-    "junction.gap_mev": "gap_mev",
-    "junction.area": "area",
-    "junction.patch_area": "patch_area",
-    "junction.md_area": "md_area",
-}
-
-_FIELD_KEYS = {field: key for key, field in _KEY_MAP.items()}
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-
-# Lengths, areas, energies and transmissions that only make sense above zero;
-# an unset cutoff override (None) is skipped.
-_POSITIVE_FIELDS = (
-    "cutoff_al_o",
-    "cutoff_al_h",
-    "cutoff_o_o",
-    "cutoff_o_h",
-    "surface_depth",
-    "surface_bin",
-    "grid_halfwidth",
-    "target_jj",
-    "target_jjh",
-    "gap_mev",
-    "area",
-    "patch_area",
-    "md_area",
-)
+_KEY_MAP = {f.metadata["key"]: f for f in fields(PipelineConfig)}
 
 
-def _parse_value(field_name: str, raw: str):
+def _parse_value(f: Field, raw: str, lineno: int):
     raw = raw.strip().strip('"').strip("'")
-    ftype = _FIELD_TYPES[field_name]
-    if "str" in ftype:
+    if "str" in f.type:
         return raw
-    if "int" in ftype and "float" not in ftype:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{field_name}: expected integer, got {raw!r}") from None
+    if "int" in f.type and "float" not in f.type:
+        parse, expected = int, "integer"
+    else:
+        parse, expected = float, "number"
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ConfigError(f"{field_name}: expected number, got {raw!r}") from None
+        raise ConfigError(
+            f"line {lineno}: {f.metadata['key']}: expected {expected}, got {raw!r}"
+        ) from None
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
@@ -292,8 +239,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         if first_line.setdefault(key, lineno) != lineno:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {first_line[key]})")
         # partition splits at the first '=', so values like fixed=40 survive.
-        field_name = _KEY_MAP[key]
-        updates[field_name] = _parse_value(field_name, raw)
+        updates[_KEY_MAP[key].name] = _parse_value(_KEY_MAP[key], raw, lineno)
     return replace(config, **updates)
 
 

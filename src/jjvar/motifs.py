@@ -58,18 +58,18 @@ MOTIF_CLASSES = (
     "Al-O-H-O-Al",
 )
 
-# Canonical (n_O, n_Al) host arity per class; host lists are truncated to the
-# nearest atoms when coordination exceeds it.
+# Host O atoms per class, at most; the host list keeps the nearest O atoms
+# when more are bonded.
 _ARITY = {
-    "Al-OH": (1, 1),
-    "Al-OH-Al": (1, 2),
-    "Al-H2O": (1, 1),
-    "Al-O2-H": (2, 1),
-    "Al-H": (0, 1),
-    "Al-H-Al": (0, 2),
-    "Al-H-O": (1, 1),
-    "interstitial": (0, 0),
-    "Al-O-H-O-Al": (2, 2),
+    "Al-OH": 1,
+    "Al-OH-Al": 1,
+    "Al-H2O": 1,
+    "Al-O2-H": 2,
+    "Al-H": 0,
+    "Al-H-Al": 0,
+    "Al-H-O": 1,
+    "interstitial": 0,
+    "Al-O-H-O-Al": 2,
 }
 
 _LABEL = {label: k for k, label in enumerate(MOTIF_CLASSES)}
@@ -83,17 +83,14 @@ class MotifRecord:
     h_index: int
     label: str
     host_o: tuple[int, ...]
-    host_al: tuple[int, ...]
     surface: bool
 
     def __post_init__(self) -> None:
         if self.label not in MOTIF_CLASSES:
             raise ValueError(f"unknown motif class {self.label!r}")
-        max_o, max_al = _ARITY[self.label]
-        if len(self.host_o) > max_o or len(self.host_al) > max_al:
+        if len(self.host_o) > _ARITY[self.label]:
             raise ValueError(
-                f"{self.label} hosts exceed class arity {(_ARITY[self.label])}: "
-                f"{len(self.host_o)} O, {len(self.host_al)} Al"
+                f"{self.label} has at most {_ARITY[self.label]} host O, got {len(self.host_o)}"
             )
 
 
@@ -101,8 +98,8 @@ def _by_distance(pairs: list[tuple[int, float]]) -> list[int]:
     return [j for j, _ in sorted(pairs, key=lambda p: (p[1], p[0]))]
 
 
-def _chain_reaches_al(graph: BondGraph, start_o: int) -> tuple[bool, int | None, int | None]:
-    """Walk O-O bonds outward from start_o; report the first O with an Al host."""
+def _chain_reaches_al(graph: BondGraph, start_o: int) -> int | None:
+    """Walk O-O bonds outward from start_o; the first O with an Al host, or None."""
     seen = {start_o}
     frontier = _by_distance(graph.neighbors_of_species(start_o, "O"))
     while frontier:
@@ -110,11 +107,10 @@ def _chain_reaches_al(graph: BondGraph, start_o: int) -> tuple[bool, int | None,
         if o in seen:
             continue
         seen.add(o)
-        als = _by_distance(graph.neighbors_of_species(o, "Al"))
-        if als:
-            return True, o, als[0]
+        if graph.neighbors_of_species(o, "Al"):
+            return o
         frontier.extend(j for j in _by_distance(graph.neighbors_of_species(o, "O")) if j not in seen)
-    return False, None, None
+    return None
 
 
 def classify_h(structure: AtomicStructure | StructureBatch, graph: BondGraph, h: int) -> MotifRecord:
@@ -129,62 +125,49 @@ def classify_h(structure: AtomicStructure | StructureBatch, graph: BondGraph, h:
         raise ValueError(f"atom {h} is {structure.species[h]}, not H")
 
     o_bonded = graph.neighbors_of_species(h, "O")
-    al_bonded = graph.neighbors_of_species(h, "Al")
-
-    label: str
-    host_o: list[int] = []
-    host_al: list[int] = []
 
     if len(o_bonded) >= 2:
-        per_o_al = {o: _by_distance(graph.neighbors_of_species(o, "Al")) for o, _ in o_bonded}
-        if all(per_o_al[o] for o, _ in o_bonded):
-            label = "Al-O-H-O-Al"
-            host_o = _by_distance(o_bonded)[:2]
-            for o in host_o:
-                al = next((a for a in per_o_al[o] if a not in host_al), None)
-                if al is not None:
-                    host_al.append(al)
-            return _record(h, label, host_o, host_al)
+        if all(graph.neighbors_of_species(o, "Al") for o, _ in o_bonded):
+            return _record(h, "Al-O-H-O-Al", _by_distance(o_bonded)[:2])
         # Not every O is Al-anchored: treat the nearest O as the host hydroxyl.
         o_bonded = [min(o_bonded, key=lambda p: (p[1], p[0]))]
 
     if len(o_bonded) == 1:
         o = o_bonded[0][0]
-        other_h = [j for j, _ in graph.neighbors_of_species(o, "H") if j != h]
-        o_al = _by_distance(graph.neighbors_of_species(o, "Al"))
+        other_h = any(j != h for j, _ in graph.neighbors_of_species(o, "H"))
+        n_al = len(graph.neighbors_of_species(o, "Al"))
         o_o = _by_distance(graph.neighbors_of_species(o, "O"))
-        reaches, chain_o, chain_al = _chain_reaches_al(graph, o)
-        if other_h and o_al:
-            label, host_o, host_al = "Al-H2O", [o], o_al[:1]
-        elif o_o and reaches:
-            label, host_o, host_al = "Al-O2-H", [o, chain_o], [chain_al]
-        elif len(o_al) == 1:
-            label, host_o, host_al = "Al-OH", [o], o_al[:1]
-        elif len(o_al) >= 2:
-            label, host_o, host_al = "Al-OH-Al", [o], o_al[:2]
+        chain_o = _chain_reaches_al(graph, o)
+        if other_h and n_al:
+            label, host_o = "Al-H2O", [o]
+        elif chain_o is not None:
+            label, host_o = "Al-O2-H", [o, chain_o]
+        elif n_al == 1:
+            label, host_o = "Al-OH", [o]
+        elif n_al >= 2:
+            label, host_o = "Al-OH-Al", [o]
         elif other_h:
             label, host_o = "Al-H2O", [o]
         elif o_o:
             label, host_o = "Al-O2-H", [o, o_o[0]]
         else:
             label, host_o = "Al-OH", [o]
-        return _record(h, label, host_o, host_al)
+        return _record(h, label, host_o)
 
     # No covalently bonded O: hydride-like branches.  Only an H with an Al
     # bond has an O partner: the nearest O (lowest index on ties) if it lies
     # within the Al-H cutoff.
-    if not al_bonded:
-        return _record(h, "interstitial", [], [])
-    host_al = _by_distance(al_bonded)
+    n_al = len(graph.neighbors_of_species(h, "Al"))
+    if not n_al:
+        return _record(h, "interstitial", [])
     partner = graph.bridge_o.get(h)
     if partner is not None:
-        return _record(h, "Al-H-O", [partner], host_al[:1])
-    label = "Al-H" if len(host_al) == 1 else "Al-H-Al"
-    return _record(h, label, [], host_al[:2])
+        return _record(h, "Al-H-O", [partner])
+    return _record(h, "Al-H" if n_al == 1 else "Al-H-Al", [])
 
 
-def _record(h: int, label: str, host_o: list[int], host_al: list[int]) -> MotifRecord:
-    return MotifRecord(h, label, tuple(host_o), tuple(host_al), surface=False)
+def _record(h: int, label: str, host_o: list[int]) -> MotifRecord:
+    return MotifRecord(h, label, tuple(host_o), surface=False)
 
 
 def classify_batch(
@@ -221,16 +204,10 @@ def classify_batch(
         surface = surface_mask(batch, members, depth=surface_depth, bin_width=surface_bin)
     kind, col = batch.kind, graph.indices
     row = np.repeat(np.arange(len(kind)), np.diff(graph.indptr))
-    # Per row: bonds per species, the nearest and next-nearest Al by
-    # (distance, index), and an O (the O of a row with exactly one).  Slot -1
-    # is spare, so a -1 index reads "none".
+    # Per row: bonds per species and an O (the O of a row with exactly one).
+    # Slot -1 is spare, so a -1 index reads "none".
     bonds = np.bincount(row * 3 + kind[col], minlength=3 * len(kind) + 3).reshape(-1, 3)
-    al = np.flatnonzero(kind[col] == _AL)
-    al = al[np.lexsort((col[al], graph.distances[al], row[al]))]
-    lead = np.diff(row[al], prepend=-1) != 0
-    runner_up = ~lead & np.append(False, lead[:-1])
-    al1, al2, o_of = np.full((3, len(kind) + 1), -1)
-    al1[row[al][lead]], al2[row[al][runner_up]] = col[al][lead], col[al][runner_up]
+    o_of = np.full(len(kind) + 1, -1)
     o = np.flatnonzero(kind[col] == _O)
     o_of[row[o]] = col[o]
 
@@ -252,31 +229,21 @@ def classify_batch(
         ],
         _LABEL["interstitial"],
     )
-    single = water | hydroxyl
-    host_o = np.where(single, o, partner)
+    host_o = np.where(water | hydroxyl, o, partner)
     flagged = surface[h] | ((host_o >= 0) & surface[host_o])
-    second_al = np.where(hydroxyl, al2[o], np.where(hydride & (partner < 0), al2[h], -1))
-    hosts = (host_o, np.where(single, al1[o], al1[h]), second_al)
     # In local indices, -1 for none; a routed H gets its hosts from classify_h.
     base = batch.offsets[batch.cell_of[h]]
-    host_o, al_a, al_b = (np.where((x >= 0) & ~routed, x - base, -1).tolist() for x in hosts)
+    host_o = np.where((host_o >= 0) & ~routed, host_o - base, -1).tolist()
     local_h, label, flagged = (h - base).tolist(), label.tolist(), flagged.tolist()
     records = [
-        MotifRecord(
-            i,
-            MOTIF_CLASSES[c],
-            (ho,) if ho >= 0 else (),
-            (a, b) if b >= 0 else (a,) if a >= 0 else (),
-            f,
-        )
-        for i, c, ho, a, b, f in zip(local_h, label, host_o, al_a, al_b, flagged)
+        MotifRecord(i, MOTIF_CLASSES[c], (ho,) if ho >= 0 else (), f)
+        for i, c, ho, f in zip(local_h, label, host_o, flagged)
     ]
     for k in np.flatnonzero(routed).tolist():
         i, b = int(h[k]), int(base[k])
         rec = classify_h(batch, graph, i)
         flag = bool(surface[i] or surface[list(rec.host_o)].any())
-        ho, ha = (tuple(j - b for j in ids) for ids in (rec.host_o, rec.host_al))
-        records[k] = MotifRecord(i - b, rec.label, ho, ha, flag)
+        records[k] = MotifRecord(i - b, rec.label, tuple(j - b for j in rec.host_o), flag)
     records = iter(records)
     held = np.bincount(batch.cell_of[h], minlength=batch.count).tolist()
     return [error or list(itertools.islice(records, n)) for error, n in zip(index.errors, held)]

@@ -237,13 +237,13 @@ class _Tails(NamedTuple):
     const: float  # sum over samples of ln C(M, c)
 
 
-def _tails(hist: np.ndarray, m: int) -> _Tails:
-    """Tail counts for trial number m >= max count, from the histogram `hist`."""
+def _tails(hist: np.ndarray, m: int, log_fact: np.ndarray) -> _Tails:
+    """Tail counts for trial number m >= max count, from the histogram `hist`;
+    `log_fact[k]` is ln k! for k = 0..m at least."""
     n = int(hist.sum())
     cdf = np.full(m, float(n))  # cdf[k] = #{c <= k}
     k = min(m, hist.size)
     cdf[:k] = np.cumsum(hist)[:k]
-    log_fact = _log_rising(1.0, m).sum(axis=0)
     c = np.arange(hist.size)
     const = n * log_fact[m] - float(hist @ (log_fact[c] + log_fact[m - c]))
     return _Tails(np.arange(m, dtype=float), n - cdf, cdf[::-1].copy(), n, const)
@@ -254,17 +254,17 @@ def _log_likelihood(t: _Tails, alpha: float, beta: float) -> float:
         t.const
         + t.a @ np.log(alpha + t.j)
         + t.b @ np.log(beta + t.j)
-        - t.n * np.sum(np.log(alpha + beta + t.j))
+        - t.n * np.log(alpha + beta + t.j).sum()
     )
 
 
 def _gradient(t: _Tails, alpha: float, beta: float) -> np.ndarray:
-    common = t.n * np.sum(1.0 / (alpha + beta + t.j))
+    common = t.n * (1.0 / (alpha + beta + t.j)).sum()
     return np.array([t.a @ (1.0 / (alpha + t.j)) - common, t.b @ (1.0 / (beta + t.j)) - common])
 
 
 def _hessian(t: _Tails, alpha: float, beta: float) -> np.ndarray:
-    common = t.n * np.sum((alpha + beta + t.j) ** -2.0)
+    common = t.n * ((alpha + beta + t.j) ** -2.0).sum()
     haa = common - t.a @ (alpha + t.j) ** -2.0
     hbb = common - t.b @ (beta + t.j) ** -2.0
     return np.array([[haa, common], [common, hbb]])
@@ -309,7 +309,7 @@ def _mle_fixed_m(
         a, b = math.exp(u), math.exp(v)
         g_nat = _gradient(t, a, b)
         g = np.array([a * g_nat[0], b * g_nat[1]])
-        if np.max(np.abs(g)) <= gtol:
+        if np.abs(g).max() <= gtol:
             converged = True
             break
         h_nat = _hessian(t, a, b)
@@ -385,15 +385,15 @@ def fit(
         raise DegenerateDataError("need at least two distinct count values to fit")
     moments = (float(counts.mean()), float(counts.var()))
 
-    def fit_m(m: int):
-        t = _tails(hist, m)
+    def fit_m(m: int, log_fact: np.ndarray):
+        t = _tails(hist, m, log_fact)
         return _mle_fixed_m(t, m, _moment_estimate(*moments, m), tol, max_iter)
 
     if trials is not None:
         if cmax > trials:
             raise ValueError(f"count {cmax} exceeds fixed trial number {trials}")
         _check_trials(int(trials), "trial number")
-        return FitResult(*fit_m(int(trials)))
+        return FitResult(*fit_m(int(trials), _log_rising(1.0, int(trials)).sum(axis=0)))
 
     lo, hi = scan_range if scan_range is not None else (cmax, min(cmax + 60, MAX_TRIALS))
     lo = max(int(lo), cmax, 1)
@@ -401,10 +401,13 @@ def fit(
     _check_trials(hi, "scan bound")
     if hi < lo:
         raise ValueError(f"empty scan range [{lo}, {hi}]")
+    # One ln k! table for the whole scan: cumsum adds in order, so each
+    # prefix is the table of a smaller M, bit for bit.
+    log_fact = _log_rising(1.0, hi).sum(axis=0)
     best = None
     table = []
     for m in range(lo, hi + 1):
-        result = fit_m(m)
+        result = fit_m(m, log_fact)
         table.append((m, result[1]))
         if best is None or result[1] > best[1]:
             best = result

@@ -523,11 +523,10 @@ class CellList:
 
 @dataclass(frozen=True)
 class OxideRegion:
-    """z-interval holding the oxide, its member atoms and composition."""
+    """z-interval holding the oxide and its composition."""
 
     z_lo: float
     z_hi: float
-    members: tuple[int, ...]
     n_al: int
     n_o: int
     n_h: int
@@ -582,14 +581,11 @@ def oxide_regions(batch: StructureBatch) -> tuple[list[OxideRegion | str], np.nd
     z_lo[~located], z_hi[~located] = np.inf, -np.inf
     inside = (z >= z_lo[batch.cell_of]) & (z <= z_hi[batch.cell_of])
     census = np.bincount(batch.cell_of[inside] * 3 + batch.kind[inside], minlength=3 * batch.count)
-    members = np.flatnonzero(inside)
-    local = members - batch.offsets[batch.cell_of[members]]
-    members = np.split(local, np.searchsorted(members, batch.offsets[1:-1]))
     for c, region in enumerate(regions):
         if isinstance(region, tuple):
             try:
                 counts = census[3 * c : 3 * c + 3].tolist()
-                regions[c] = OxideRegion(*region, tuple(members[c].tolist()), *counts)
+                regions[c] = OxideRegion(*region, *counts)
             except ValueError as exc:
                 regions[c] = str(exc)
     return regions, inside

@@ -111,11 +111,6 @@ class JunctionModel:
     def band_halfwidth(self) -> float:
         return 2.0 * abs(self.lead_hopping)
 
-    def open_channels(self, energy) -> np.ndarray:
-        """Open lead channel count per energy (0 or 1 for a single orbital)."""
-        e = np.asarray(energy, dtype=float)
-        return (np.abs(e - self.lead_onsite) < self.band_halfwidth()).astype(int)
-
 
 def default_model(
     barrier_sites: int = DEFAULT_BARRIER_SITES, height: float | None = None, **kwargs
@@ -193,8 +188,8 @@ def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -
     T = Gamma_L Gamma_R |G_1N|^2, with G_1N from one forward recursion over
     the barrier sites evaluated on the whole grid at once:
     g_j = 1 / (E - eps_j - t_b^2 g_{j-1}), the lead self-energy added on the
-    first and last sites, and G_1N = g_1 prod_{j>1} t_b g_j.  Energies
-    without an open lead channel have T = 0.  The grid must stay within
+    first and last sites, and G_1N = g_1 prod_{j>1} t_b g_j.  A lead channel
+    is open where Gamma > 0; elsewhere T = 0.  The grid must stay within
     MAX_ENERGY_OFFSET = 20 eV of the lead band center.  Raises NumericalError
     if the device Green's function is singular at an open-channel energy.
     """
@@ -225,7 +220,7 @@ def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -
         raise NumericalError(f"singular device Green's function at E = {energy[singular][0]} eV")
     full = np.zeros(grid.shape)
     full[is_open] = values
-    return TransmissionCurve(energies=grid, values=full, channels=model.open_channels(grid))
+    return TransmissionCurve(energies=grid, values=full, channels=is_open.astype(int))
 
 
 def transfer_matrix_transmission(model: JunctionModel, energy: float) -> float:

@@ -30,6 +30,7 @@ from jjvar.config import (
     MAX_GRID_POINTS,
     MAX_LEAD_HOPPING,
     PipelineConfig,
+    parse_config_text,
 )
 from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import MAX_TRIALS, BetaBinomial
@@ -1008,7 +1009,23 @@ class TestConfigHandling:
         config = tmp_path / "cfg.txt"
         config.write_text("transport.barrier_sites = true\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
-        assert "barrier_sites: expected integer" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "barrier_sites: expected integer" in err
+        assert err == "error: line 1: transport.barrier_sites: expected integer, got 'true'\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("transport.grid_points = 1e3", "transport.grid_points: expected integer, got '1e3'"),
+            ("stats.alpha = x", "stats.alpha: expected number, got 'x'"),
+            ("SEED = abc", "seed: expected integer, got 'abc'"),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_key_and_line(self, tmp_path, capsys, text, expected):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"# a value of the wrong type\n{text}\n")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "ej"]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {expected}\n"
 
     @pytest.mark.parametrize(
         "line, command",
@@ -1047,6 +1064,61 @@ class TestConfigHandling:
         assert err.startswith(f"error: {key} must be ")
         assert "warning" not in err
         assert not (tmp_path / "o").exists()
+
+
+_FIELDS = dataclasses.fields(PipelineConfig)
+# Values of each field type that a config line carries: no surrounding
+# whitespace or quotes, which the parser strips, and no line break.
+_FIELD_VALUES = {
+    "str": st.text(
+        st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="\"'"), min_size=1
+    ),
+    "int": st.integers(-(10**30), 10**30),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+def _field_values(f: dataclasses.Field):
+    return next(values for name, values in _FIELD_VALUES.items() if name in f.type)
+
+
+class TestConfigKeys:
+    def test_each_field_has_its_own_key(self):
+        keys = [f.metadata["key"] for f in _FIELDS]
+        assert len(set(keys)) == len(keys) == len(_KEY_MAP)
+        assert all(re.fullmatch(r"([a-z]+\.)?[a-z_]+", key) for key in keys)
+        assert {key: f.name for key, f in _KEY_MAP.items()} == {
+            f.metadata["key"]: f.name for f in _FIELDS
+        }
+
+    @pytest.mark.parametrize("f", _FIELDS, ids=lambda f: f.metadata["key"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_written_value_parses_back(self, f, data):
+        value = data.draw(_field_values(f))
+        text = repr(value) if isinstance(value, float) else str(value)
+        cfg = parse_config_text(f"{f.metadata['key']} = {text}\n")
+        assert getattr(cfg, f.name) == value
+        assert type(getattr(cfg, f.name)) is type(value)
+        assert dataclasses.replace(cfg, **{f.name: getattr(PipelineConfig(), f.name)}) == (
+            PipelineConfig()
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(cutoff=st.floats(min_value=1e-3, max_value=10.0))
+    def test_cutoff_keys_name_the_bonded_species_pairs(self, cutoff):
+        overridable = set()
+        for f in _FIELDS:
+            section, _, pair = f.metadata["key"].partition(".")
+            if section != "cutoff":
+                continue
+            overrides = parse_config_text(f"{f.metadata['key']} = {cutoff!r}\n").cutoff_overrides()
+            (((a, b), value),) = overrides.items()
+            assert (value, f"{a}_{b}".lower()) == (cutoff, pair)
+            merged = structure._normalize_cutoffs(overrides)
+            assert merged[tuple(sorted((a, b)))] == cutoff
+            overridable.add(tuple(sorted((a, b))))
+        assert overridable == {tuple(sorted(pair)) for pair in structure.DEFAULT_CUTOFFS}
 
 
 def _reference_csv(path: Path, header: list[str], columns: list) -> None:

@@ -147,20 +147,18 @@ class TestNineClasses:
             graph = full_graph(structure)
             for h in h_indices:
                 rec = classify_h(structure, graph, h)
-                if rec.label == "Al-OH":
-                    assert len(rec.host_o) == 1 and len(rec.host_al) == 1
-                elif rec.label == "Al-OH-Al":
-                    assert len(rec.host_o) == 1 and len(rec.host_al) == 2
+                if rec.label in ("Al-OH", "Al-OH-Al"):
+                    assert len(rec.host_o) == 1
                 elif rec.label == "Al-O-H-O-Al":
-                    assert len(rec.host_o) == 2 and len(rec.host_al) == 2
+                    assert len(rec.host_o) == 2
                 elif rec.label == "interstitial":
-                    assert rec.host_o == () and rec.host_al == ()
+                    assert rec.host_o == ()
 
     def test_record_rejects_excess_hosts(self):
         with pytest.raises(ValueError):
-            MotifRecord(h_index=0, label="Al-OH", host_o=(1, 2), host_al=(3,), surface=False)
+            MotifRecord(h_index=0, label="Al-OH", host_o=(1, 2), surface=False)
         with pytest.raises(ValueError):
-            MotifRecord(h_index=0, label="bogus", host_o=(), host_al=(), surface=False)
+            MotifRecord(h_index=0, label="bogus", host_o=(), surface=False)
 
 
 class TestPrecedenceAndStability:
@@ -172,7 +170,6 @@ class TestPrecedenceAndStability:
         graph = full_graph(structure)
         rec = classify_h(structure, graph, 1)
         assert rec.label == "Al-OH-Al"
-        assert len(rec.host_al) == 2
 
     def test_o_partner_looked_up_only_for_al_bonded_h(self):
         # The O sits 1.5 A from the H: outside the O-H cutoff, inside the Al-H one.
@@ -185,7 +182,7 @@ class TestPrecedenceAndStability:
             graph = build(hydride)
             assert graph.bridge_o == {1: 0}
             rec = classify_h(hydride, graph, 1)
-            assert (rec.label, rec.host_o, rec.host_al) == ("Al-H-O", (0,), (2,))
+            assert (rec.label, rec.host_o) == ("Al-H-O", (0,))
 
     def test_perturbation_stability(self):
         rng = np.random.default_rng(17)
@@ -226,9 +223,7 @@ class TestPrecedenceAndStability:
         for rec in records:
             assert rec.label in MOTIF_CLASSES
             assert all(s.species[o] == "O" for o in rec.host_o)
-            assert all(s.species[al] == "Al" for al in rec.host_al)
-            max_o, max_al = motifs._ARITY[rec.label]
-            assert len(rec.host_o) <= max_o and len(rec.host_al) <= max_al
+            assert len(rec.host_o) <= motifs._ARITY[rec.label]
 
     @settings(max_examples=150, deadline=None)
     @given(dense_cells())
@@ -322,15 +317,8 @@ class TestEnsembleStatistics:
     def _records(self, labels, surface=()):
         out = []
         for i, label in enumerate(labels):
-            arity = {"Al-OH": ((1,), (2,)), "Al-OH-Al": ((1,), (2, 3))}
-            host_o, host_al = arity.get(label, ((), ()))
-            if label in ("Al-H",):
-                host_o, host_al = (), (2,)
-            out.append(
-                MotifRecord(
-                    h_index=i, label=label, host_o=host_o, host_al=host_al, surface=i in surface
-                )
-            )
+            host_o = (1,) if label in ("Al-OH", "Al-OH-Al") else ()
+            out.append(MotifRecord(h_index=i, label=label, host_o=host_o, surface=i in surface))
         return out
 
     def test_single_sample_split(self):

@@ -40,6 +40,11 @@ def region_of(s):
     return region
 
 
+def members_of(s):
+    """The indices of the atoms of `s` alone inside its oxide region."""
+    return np.flatnonzero(oxide_regions(StructureBatch([s]))[1])
+
+
 def brute_force_edges(structure, cutoffs=None):
     """All-image pair scan: explicit minimum over the 27 periodic translations."""
     cut = {tuple(sorted(k)): v for k, v in DEFAULT_CUTOFFS.items()}
@@ -421,8 +426,8 @@ class TestOxideRegion:
 
     def test_all_oxygen(self):
         s = make_molecule(["O", "O", "O"], [(0, 0, 0), (0, 0, 2), (0, 0, 4)])
-        region = region_of(s)
-        assert len(region.members) == 3
+        assert region_of(s).n_o == 3
+        assert members_of(s).tolist() == [0, 1, 2]
 
     def test_no_oxygen(self):
         s = make_molecule(["Al", "Al"], [(0, 0, 0), (0, 0, 2)])
@@ -535,13 +540,12 @@ class TestSurfaceSites:
         rng = np.random.default_rng(6)
         heights = rng.integers(3, 9, size=(5, 5)).astype(float)
         s = make_terrace(heights, spacing=2.0)
-        region = region_of(s)
         depth, bin_width = 2.0, 4.0
         sites = sites_of(s, depth=depth, bin_width=bin_width)
 
         # independent per-atom re-evaluation with explicit cell arithmetic
         # (same documented partition: far-edge atoms fold into the last bin)
-        members = list(region.members)
+        members = members_of(s).tolist()
         xy = s.positions[members][:, :2]
         mins, maxs = xy.min(axis=0), xy.max(axis=0)
         nbins = [max(1, math.ceil((maxs[ax] - mins[ax]) / bin_width)) for ax in range(2)]
@@ -561,13 +565,12 @@ class TestSurfaceSites:
     def test_depth_monotonicity(self):
         rng = np.random.default_rng(13)
         s = make_terrace(rng.integers(3, 9, size=(4, 4)).astype(float), spacing=2.0)
-        region = region_of(s)
         previous = frozenset()
         for depth in (0.5, 1.5, 3.0, 50.0):
             sites = sites_of(s, depth=depth, bin_width=4.0)
             assert previous <= sites
             previous = sites
-        assert previous == frozenset(region.members)
+        assert previous == frozenset(members_of(s).tolist())
 
     def test_invalid_arguments(self):
         s = make_terrace(np.full((2, 2), 3.0))
@@ -578,13 +581,14 @@ class TestSurfaceSites:
 
 
 def reference_region(s, padding=0.5):
-    """One structure's oxide region or its rejection message, by the
-    per-structure formulas: sorted O heights, the widest gap against the gap
-    across a periodic z boundary, and an interval census."""
+    """One structure's oxide region or its rejection message, and the indices
+    of its atoms inside the region, by the per-structure formulas: sorted O
+    heights, the widest gap against the gap across a periodic z boundary, and
+    an interval census."""
     z = s.positions[:, 2]
     o = indices_of(s, "O")
     if not o.size:
-        return "structure contains no O atoms; cannot locate an oxide region"
+        return "structure contains no O atoms; cannot locate an oxide region", []
     z_o = np.sort(z[o])
     if s.pbc[2] and o.size > 1:
         across = z_o[0] + abs(s.cell[2, 2]) - z_o[-1]
@@ -593,11 +597,11 @@ def reference_region(s, padding=0.5):
             return (
                 f"O atoms straddle the periodic z boundary: a {widest:.6g} A gap between "
                 f"O heights is wider than the {across:.6g} A gap across the boundary"
-            )
+            ), []
     lo, hi = float(z_o[0] - padding), float(z_o[-1] + padding)
     inside = (z >= lo) & (z <= hi)
     counts = [int(np.count_nonzero(inside[indices_of(s, k)])) for k in SPECIES]
-    return structure.OxideRegion(lo, hi, tuple(np.flatnonzero(inside).tolist()), *counts)
+    return structure.OxideRegion(lo, hi, *counts), np.flatnonzero(inside).tolist()
 
 
 def reference_surface(s, members, depth, bin_width):
@@ -649,15 +653,16 @@ class TestBatchReductions:
         regions, members = structure.oxide_regions(batch)
         mask = structure.surface_mask(batch, members, depth, bin_width)
         for c, s in enumerate(structures):
-            expected = reference_region(s)
+            expected, inside = reference_region(s)
             assert regions[c] == expected
-            local = mask[batch.offsets[c] : batch.offsets[c + 1]]
+            span = slice(batch.offsets[c], batch.offsets[c + 1])
+            assert np.flatnonzero(members[span]).tolist() == inside
+            local = mask[span]
             if isinstance(expected, str):
-                assert not members[batch.offsets[c] : batch.offsets[c + 1]].any()
                 assert not local.any()
             else:
                 assert frozenset(np.flatnonzero(local).tolist()) == reference_surface(
-                    s, expected.members, depth, bin_width
+                    s, inside, depth, bin_width
                 )
 
 
