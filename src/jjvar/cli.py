@@ -14,10 +14,10 @@ import importlib.util
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
+from types import ModuleType
 from typing import NamedTuple
-
-import numpy as np
 
 from . import stats
 from .config import SHIFT_WINDOW, ConfigError, PipelineConfig, energy_grid, load_config
@@ -41,7 +41,8 @@ def _lazy(name: str):
 
 # A subcommand executes only the stage modules it uses: `fit-stats --counts`
 # none of these, `transmission` only transport, `analyze` structure and
-# motifs.  No module-level statement may read an attribute of them.
+# motifs.  No module-level statement may read an attribute of them.  These
+# four alone import numpy, so `--help` and `fit-stats --counts` run without.
 structure = _lazy("structure")
 motifs = _lazy("motifs")
 transport = _lazy("transport")
@@ -59,9 +60,13 @@ _INPUT_ERRORS = (OSError, ValueError)
 def _numerical_errors() -> tuple[type[Exception], ...]:
     """The exceptions that exit EXIT_NUMERICAL, all RuntimeErrors, so none is
     an input error.  Named where an exception is caught, after the input
-    errors, so that neither a module-level statement nor an input error
-    executes transport."""
-    return (stats.FitConvergenceError, transport.CalibrationError, transport.NumericalError)
+    errors.  transport's are named once it has run (a lazy module's type is
+    a ModuleType subclass until then): before, it raised none, and reading
+    them would execute it."""
+    errors = (stats.FitConvergenceError,)
+    if type(transport) is ModuleType:
+        errors += (transport.CalibrationError, transport.NumericalError)
+    return errors
 
 
 def _json_ready(obj):
@@ -69,11 +74,10 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        return value if math.isfinite(value) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if hasattr(obj, "dtype"):  # a numpy scalar
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     return obj
 
 
@@ -88,17 +92,17 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def _is_float_column(column) -> bool:
-    if isinstance(column, np.ndarray):
+    if hasattr(column, "dtype"):  # a numpy array
         return column.dtype.kind == "f"
     return len(column) > 0 and isinstance(column[0], float)
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns (1-D arrays or lists, one type each) as CSV
-    rows under `header`: floats with 12 significant digits, other values as
-    str() gives them.  Each block is one `%` over the row template repeated
-    per row and the block's values interleaved row by row; `%.12g` and `%s`
-    give the same text as `format(v, ".12g")` and `str(v)`."""
+    """Write equal-length columns (1-D numpy arrays or sequences, one type
+    each) as CSV rows under `header`: floats with 12 significant digits,
+    other values as str() gives them.  Each block is one `%` over the row
+    template repeated per row and the block's values interleaved row by row;
+    `%.12g` and `%s` give the same text as `format(v, ".12g")` and `str(v)`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     template = ",".join("%.12g" if _is_float_column(c) else "%s" for c in columns) + "\n"
     width = len(columns)
@@ -109,7 +113,7 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
             flat = [None] * (rows * width)
             for k, c in enumerate(columns):
                 block = c[start : start + rows]
-                flat[k::width] = block.tolist() if isinstance(block, np.ndarray) else block
+                flat[k::width] = block.tolist() if hasattr(block, "tolist") else block
             fh.write(template * rows % tuple(flat))
 
 
@@ -290,8 +294,9 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = 
     report_path = out / "fit_report.json"
     _write_json(report_path, report)
 
-    support = np.arange(result.dist.trials + 1)
-    observed = np.bincount(np.array(sample.counts), minlength=support.size)
+    support = range(result.dist.trials + 1)
+    tally = Counter(sample.counts)
+    observed = [tally[n] for n in support]
     hist_path = out / "h_histogram.csv"
     _write_csv(
         hist_path, ["n", "observed", "fitted_pmf"], [support, observed, result.dist.pmf_vector()]
@@ -312,6 +317,8 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
     if scan is None:
         scan = _structure_pass(cfg, census=False, analyze=True)
     results, failures = _collect(scan.files, scan.rows, warned=scan.counts)
+
+    import numpy as np  # loaded already: structure made the rows
 
     names = [name for name, _ in results]
     n_al, n_o, n_h, xs, hs = (np.array(c) for c in zip(*(row for _, (row, _) in results)))

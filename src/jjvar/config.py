@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .stats import MAX_TRIALS, BetaBinomial
 
@@ -57,16 +56,62 @@ MAX_ENERGY_OFFSET = 20.0
 SHIFT_WINDOW = 2.0
 
 
-def energy_grid(centre: float, halfwidth: float, points: int) -> np.ndarray:
-    """`points` evenly spaced energies over centre ± halfwidth, for a grid
-    centred on the lead on-site energy.  Where an end rounds past
-    MAX_ENERGY_OFFSET from the centre, it steps back inside by ulps."""
+def _grid(centre: float, halfwidth: float, points: int) -> tuple[float, float, float]:
+    """(lo, step, hi) of the grid of `points` >= 2 evenly spaced energies over
+    centre ± halfwidth, for a grid centred on the lead on-site energy: energy
+    i is i * step + lo, rounded after each operation, and the last is hi, as
+    np.linspace(lo, hi, points) computes them while step is non-zero.  Where
+    an end rounds past MAX_ENERGY_OFFSET from the centre, it steps back
+    inside by ulps."""
     ends = []
     for end in (centre - halfwidth, centre + halfwidth):
         while abs(end - centre) > MAX_ENERGY_OFFSET:
             end = math.nextafter(end, centre)
         ends.append(end)
-    return np.linspace(*ends, points)
+    lo, hi = ends
+    return lo, (hi - lo) / (points - 1), hi
+
+
+def energy_grid(centre: float, halfwidth: float, points: int):
+    """The energies of `_grid` as a numpy array."""
+    import numpy as np
+
+    lo, step, hi = _grid(centre, halfwidth, points)
+    grid = np.arange(points, dtype=float) * step + lo
+    grid[-1] = hi
+    return grid
+
+
+def _grid_increasing(centre: float, halfwidth: float, points: int) -> bool:
+    """Whether the energies of `_grid` strictly increase.  Each one is off
+    i * step + lo by a few ulps of the largest energy at most, so a step of
+    16 such ulps keeps every pair in order; only a grid spaced closer is
+    built to be compared pair by pair."""
+    lo, step, hi = _grid(centre, halfwidth, points)
+    if step > 16 * math.ulp(max(abs(lo), abs(hi))):
+        return True
+    grid = energy_grid(centre, halfwidth, points)
+    return bool((grid[1:] > grid[:-1]).all())
+
+
+def _shift_fit_points(
+    centre: float, halfwidth: float, points: int, hopping: float
+) -> tuple[int, int]:
+    """(energies within SHIFT_WINDOW of the centre, those of them inside the
+    open lead band |E - centre| < 2|hopping|) of an increasing `_grid`, the
+    energies the CLI fits the curve shift over.  Each bound of the two
+    ranges is a binary search for the first energy that passes a test."""
+    lo, step, hi = _grid(centre, halfwidth, points)
+
+    def first(test) -> int:
+        return bisect_left(
+            range(points), True, key=lambda i: test(hi if i == points - 1 else i * step + lo)
+        )
+
+    band = 2.0 * abs(hopping)
+    window = (first(lambda e: e >= centre - SHIFT_WINDOW), first(lambda e: e > centre + SHIFT_WINDOW))
+    inside = (first(lambda e: e - centre > -band), first(lambda e: e - centre >= band))
+    return window[1] - window[0], max(0, min(window[1], inside[1]) - max(window[0], inside[0]))
 
 
 class ConfigError(ValueError):
@@ -170,20 +215,16 @@ class PipelineConfig:
             raise ConfigError(
                 f"barrier needs 1 to {MAX_BARRIER_SITES} sites, got {self.barrier_sites}"
             )
-        grid = energy_grid(self.lead_onsite, self.grid_halfwidth, self.grid_points)
-        if not (grid[1:] > grid[:-1]).all():  # as `transmission` requires
+        grid = (self.lead_onsite, self.grid_halfwidth, self.grid_points)
+        if not _grid_increasing(*grid):  # as `transmission` requires
             raise ConfigError(
                 f"transport.grid_halfwidth must be wide enough for {self.grid_points} distinct "
                 f"energies around transport.lead_onsite = {self.lead_onsite}, "
                 f"got {self.grid_halfwidth}"
             )
-        # The curve-shift fit reads the energies within SHIFT_WINDOW of the Fermi
-        # level, the lead on-site energy, that lie in the open lead band.
-        lo, hi = self.lead_onsite - SHIFT_WINDOW, self.lead_onsite + SHIFT_WINDOW
-        window = grid[np.searchsorted(grid, lo) : np.searchsorted(grid, hi, side="right")]
-        usable = np.count_nonzero(np.abs(window - self.lead_onsite) < 2.0 * abs(self.lead_hopping))
+        window, usable = _shift_fit_points(*grid, self.lead_hopping)
         if usable < 3:
-            key = "transport.lead_hopping" if window.size >= 3 else "transport.grid_points"
+            key = "transport.lead_hopping" if window >= 3 else "transport.grid_points"
             raise ConfigError(
                 f"{key} must be large enough to leave the curve-shift fit 3 grid energies within "
                 f"{SHIFT_WINDOW:g} eV of transport.lead_onsite and inside the lead band "
@@ -192,10 +233,10 @@ class PipelineConfig:
             )
         if not self.bounds_lo < self.bounds_hi:
             raise ConfigError(f"bad calibration bounds [{self.bounds_lo}, {self.bounds_hi}]")
-        for name in ("structures", "counts"):
-            value = getattr(self, name)
-            if value is not None and not Path(value).exists():
-                raise ConfigError(f"{name} path does not exist: {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("structures", "counts") and value is not None and not Path(value).exists():
+                raise ConfigError(f"{f.metadata['key']} must be an existing path, got {value}")
         self.m_fit_args()
         try:
             BetaBinomial(self.alpha, self.beta, self.trials)

@@ -59,7 +59,7 @@ class EjDistribution:
         return self.offset + self.slope * np.arange(self.counts.trials + 1, dtype=float)
 
     def probabilities(self) -> np.ndarray:
-        return self.counts.pmf_vector()
+        return np.asarray(self.counts.pmf_vector())
 
     def mean(self) -> float:
         return self.offset + self.slope * self.counts.mean()

@@ -86,7 +86,9 @@ class AtomicStructure:
         object.__setattr__(self, "positions", pos)
         if cell.shape != (3, 3) or not np.all(np.isfinite(cell)):
             raise ValueError("cell must be a finite 3x3 matrix")
-        if abs(np.linalg.det(cell)) <= 0:
+        with np.errstate(over="ignore"):  # an infinite volume is positive
+            volume = abs(np.linalg.det(cell))
+        if volume <= 0:
             raise ValueError("cell volume must be positive")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
@@ -137,7 +139,8 @@ def parse_xyz(text: str) -> AtomicStructure:
     if cell is not None:
         pbc = (True, True, True)
     else:
-        extent = positions.max(axis=0) - positions.min(axis=0)
+        with np.errstate(over="ignore"):  # AtomicStructure refuses an infinite extent
+            extent = positions.max(axis=0) - positions.min(axis=0)
         cell = np.diag(extent + 10.0)
         pbc = (False, False, False)
     return AtomicStructure(cell=cell, pbc=pbc, species=species, positions=positions)

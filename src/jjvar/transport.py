@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import MAX_ENERGY_OFFSET, SHIFT_WINDOW, energy_grid
+from .config import MAX_ENERGY_OFFSET
 
 __all__ = [
     "CalibrationError",

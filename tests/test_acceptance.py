@@ -53,7 +53,7 @@ def test_criterion_02_pmf_normalization():
             float(10 ** rng.uniform(-1.3, 1.7)),
             int(rng.integers(0, 201)),
         )
-        worst = max(worst, abs(dist.pmf_vector().sum() - 1.0))
+        worst = max(worst, abs(np.asarray(dist.pmf_vector()).sum() - 1.0))
     assert worst <= 1e-12
     report(2, f"100 random triples, max |sum pmf - 1| = {worst:.2e} <= 1e-12")
 

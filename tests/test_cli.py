@@ -18,11 +18,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jjvar
-from jjvar import cli, structure, transport
+from jjvar import cli, config, structure, transport
 from jjvar.cli import _write_csv, _write_json, main
 from jjvar.config import (
     _KEY_MAP,
@@ -141,6 +141,29 @@ class TestAnalyze:
         assert len(rows) == 3
         summary = json.loads((out / "ensemble_summary.json").read_text())
         assert len(summary["failures"]) == 1
+
+    def test_cell_volume_overflow_analysed_without_warning(self, tmp_path, capsys):
+        # det overflows to inf, a positive volume; pytest makes a numpy
+        # RuntimeWarning an error.
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        (directory / "huge.xyz").write_text(
+            '3\nLattice="1e308 0 0 0 1e308 0 0 0 1e308"\nAl 0 0 0\nO 1.8 0 0\nH 2.8 0 0\n'
+        )
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "stoichiometry.csv").read_text().splitlines()[1].startswith("huge,1,1,1,")
+
+    def test_bounding_box_overflow_skipped_without_warning(self, tmp_path, capsys):
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        (directory / "wide.xyz").write_text("2\nno lattice\nAl -1e308 0 0\nO 1e308 0 0\n")
+        assert main(["--out", str(tmp_path / "o"), "analyze", "--structures", str(directory)]) == 2
+        assert capsys.readouterr().err == (
+            "warning: skipping wide.xyz: cell must be a finite 3x3 matrix\n"
+            "error: all 1 structure files failed to parse\n"
+        )
 
     def test_all_corrupt_exits_2(self, tmp_path):
         directory = tmp_path / "structures"
@@ -1051,16 +1074,20 @@ class TestConfigHandling:
             ("stats.m = fixed=100001", "pipeline"),
             ("stats.m = scan=1:100001", "pipeline"),
             ("transport.grid_halfwidth = 25", "pipeline"),
+            ("paths.counts = /nonexistent/c.txt", "fit-stats"),
+            ("paths.structures = /nonexistent/structures", "analyze"),
             pytest.param(f"stats.m = fixed={_HUGE}", "fit-stats", id="stats.m = fixed=<5000 digits>"),
             pytest.param(f"stats.m = scan=1:{_HUGE}", "fit-stats", id="stats.m = scan=1:<5000 digits>"),
         ],
     )
     def test_bad_value_exits_2_naming_key(self, tmp_path, capsys, slab_dir, line, command):
         config = tmp_path / "cfg.txt"
-        config.write_text(f"paths.structures = {slab_dir}\n{line}\n")
+        key = line.partition(" =")[0]
+        # A line that sets paths.structures itself replaces the slab directory.
+        slabs = "" if key == "paths.structures" else f"paths.structures = {slab_dir}\n"
+        config.write_text(f"{slabs}{line}\n")
         assert main(["--config", str(config), "--out", str(tmp_path / "o"), command]) == 2
         err = capsys.readouterr().err
-        key = line.partition(" =")[0]
         assert err.startswith(f"error: {key} must be ")
         assert "warning" not in err
         assert not (tmp_path / "o").exists()
@@ -1161,6 +1188,73 @@ def csv_tables(draw):
 _FORMAT_LOOKALIKES = ["%", "%s", "%%", "{}", "{0}"]
 
 
+def _linspace_verdict(centre, halfwidth, points, hopping):
+    """(grid increasing, window size, usable points) on np.linspace, as the
+    grid check computed them when it built the grid."""
+    lo, _, hi = config._grid(centre, halfwidth, points)
+    grid = np.linspace(lo, hi, points)
+    increasing = bool((grid[1:] > grid[:-1]).all())
+    if not increasing:
+        return False, None, None
+    first = np.searchsorted(grid, centre - config.SHIFT_WINDOW)
+    window = grid[first : np.searchsorted(grid, centre + config.SHIFT_WINDOW, side="right")]
+    usable = np.count_nonzero(np.abs(window - centre) < 2.0 * abs(hopping))
+    return True, window.size, int(usable)
+
+
+@st.composite
+def _grids(draw):
+    """(lead_onsite, grid_halfwidth, grid_points, lead_hopping); about half
+    of the grids are spaced within a few ulps of their largest energy."""
+    centre = draw(st.floats(-50.0, 50.0) | st.floats(-1e12, 1e12) | st.just(0.0))
+    points = draw(st.integers(2, 20_000))
+    near_ulps = draw(st.booleans())
+    if near_ulps:
+        ulps = draw(st.floats(0.25, 64.0))
+        halfwidth = ulps * math.ulp(abs(centre) + 1e-300) * (points - 1) / 2
+        assume(0.0 < halfwidth <= config.MAX_ENERGY_OFFSET)
+    else:
+        halfwidth = draw(st.floats(5e-324, config.MAX_ENERGY_OFFSET))
+    hopping = draw(st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3))
+    return centre, halfwidth, points, hopping
+
+
+class TestEnergyGrid:
+    """The grid check works on the formula of the grid, not on the grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_grids())
+    # Energies -4, -2, 0, 2, 4: on both window bounds and, at 1 eV hopping,
+    # on both band edges.
+    @example(grid=(0.0, 4.0, 5, 3.0))
+    @example(grid=(0.0, 4.0, 5, 1.0))
+    @example(grid=(0.0, 5.0, MAX_GRID_POINTS, 3.0))
+    @example(grid=(0.0, 5.0, MAX_GRID_POINTS, 1e-3))
+    # 1e9 eV: a step of 8 ulps, so the check builds the grid.
+    @example(grid=(1e9, 5.0, MAX_GRID_POINTS, 3.0))
+    # 1e11 eV: 1 ulp apart, and rounding ties neighbours.
+    @example(grid=(1e11, 0.5 * math.ulp(1e11) * (MAX_GRID_POINTS - 1), MAX_GRID_POINTS, 3.0))
+    def test_matches_linspace(self, grid):
+        increasing, window, usable = _linspace_verdict(*grid)
+        assert config._grid_increasing(*grid[:3]) is increasing
+        if increasing:
+            assert config._shift_fit_points(*grid) == (window, usable)
+        lo, step, hi = config._grid(*grid[:3])
+        if step != 0:  # np.linspace spaces a step that underflows otherwise
+            expected = np.linspace(lo, hi, grid[2])
+            assert config.energy_grid(*grid[:3]).tobytes() == expected.tobytes()
+
+    def test_validate_builds_no_grid(self):
+        cfg = PipelineConfig(grid_points=MAX_GRID_POINTS)
+        tracemalloc.start()
+        try:
+            cfg.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestCsvWriter:
     @settings(max_examples=40, deadline=None)
     @given(csv_tables())
@@ -1253,6 +1347,42 @@ def test_fit_stats_on_counts_executes_no_stage_module(tmp_path, counts, code):
         path.write_text(counts)
     argv = ["--out", str(tmp_path / "out"), "fit-stats", "--counts", str(path), "--m", "fixed=40"]
     assert _jjvar_modules_executed(argv) == f"{code} ['__init__', 'cli', 'config', 'stats']"
+
+
+@pytest.mark.parametrize(
+    "counts, code", [(None, 0), ("5\n5\n", 2), (None, 3)], ids=["fit", "input-error", "unconverged"]
+)
+def test_fit_stats_on_counts_imports_no_numpy(tmp_path, counts, code):
+    path = tmp_path / "counts.txt"
+    if counts is None:
+        write_counts_file(path, k=50)
+    else:
+        path.write_text(counts)
+    argv = ["--out", str(tmp_path / "out"), "fit-stats", "--counts", str(path), "--m", "fixed=40"]
+    # One Newton iteration leaves the fit unconverged, which exits 3.
+    max_iter = 1 if code == 3 else 200
+    probe = (
+        "import contextlib, functools, io, sys, jjvar.cli, jjvar.stats\n"
+        f"jjvar.stats.fit = functools.partial(jjvar.stats.fit, max_iter={max_iter})\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = jjvar.cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert _run_fresh(probe) == f"{code} False"
+
+
+@pytest.mark.parametrize("command", ["fit-stats", "analyze", "transmission", "ej", "pipeline"])
+def test_help_imports_no_numpy(command):
+    probe = (
+        "import contextlib, io, sys, jjvar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        jjvar.cli.main([{command!r}, '--help'])\n"
+        "    except SystemExit as exit:\n"
+        "        code = exit.code\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert _run_fresh(probe) == "0 False"
 
 
 def test_transmission_executes_only_transport(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln, polygamma, psi
 
+import stats_reference
 from jjvar import stats
 from jjvar.stats import (
     MAX_TRIALS,
@@ -52,7 +54,7 @@ class TestPmf:
 
     def test_normalization_reference_parameters(self):
         d = BetaBinomial(17.69, 15.36, 40)
-        assert d.pmf_vector().sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.asarray(d.pmf_vector()).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_argmax_by_exhaustive_enumeration(self):
         d = BetaBinomial(17.69, 15.36, 40)
@@ -86,7 +88,7 @@ class TestPmfProperties:
     @settings(max_examples=200, deadline=None)
     @given(alpha=shape, beta=shape, m=st.integers(0, 200))
     def test_normalized(self, alpha, beta, m):
-        assert abs(BetaBinomial(alpha, beta, m).pmf_vector().sum() - 1.0) <= 1e-12
+        assert abs(np.asarray(BetaBinomial(alpha, beta, m).pmf_vector()).sum() - 1.0) <= 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=shape, beta=shape, m=st.integers(0, 200))
@@ -171,7 +173,7 @@ class TestFit:
             if np.unique(counts).size < 2:
                 continue
             result = fit(CountSample(tuple(int(x) for x in counts)), trials=20)
-            tails = stats._tails(np.bincount(counts), 20, stats._log_rising(1.0, 20).sum(axis=0))
+            tails = stats._tails(np.bincount(counts).tolist(), 20, stats._log_factorials(20))
             start = stats._moment_estimate(float(counts.mean()), float(counts.var()), 20)
             assert result.log_likelihood >= stats._log_likelihood(tails, *start) - 1e-9
 
@@ -282,7 +284,7 @@ class TestHistogramEvaluators:
         counts = rng.integers(0, m + 1, size=int(rng.integers(2, 500)))
         alpha, beta = 10.0 ** rng.uniform(-1.5, 3, size=2)
         # A scan's one ln k! table is built for its largest M.
-        t = stats._tails(np.bincount(counts), m, stats._log_rising(1.0, m + 60).sum(axis=0))
+        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m + 60))
         n, s, c = counts.size, alpha + beta, counts.astype(float)
 
         ll = np.sum(
@@ -304,8 +306,98 @@ class TestHistogramEvaluators:
         gscale = n * m * (1.0 / alpha + 1.0 / beta + 1.0)
         np.testing.assert_allclose(g, [ga, gb], rtol=0, atol=1e-12 * gscale)
         np.testing.assert_allclose(
-            h, [[haa, hab], [hab, hbb]], rtol=0, atol=1e-12 * gscale * (1.0 / alpha + 1.0 / beta + 1.0)
+            h, [haa, hab, hbb], rtol=0, atol=1e-12 * gscale * (1.0 / alpha + 1.0 / beta + 1.0)
         )
+
+
+def _reference_hessian(t, alpha, beta):
+    h = stats_reference._hessian(t, alpha, beta)
+    return h[0, 0], h[0, 1], h[1, 1]
+
+
+# The fit's sums replaced by the numpy reference, behind the interface of stats.
+_REFERENCE_SUMS = {
+    "_tails": lambda hist, m, log_fact: stats_reference._tails(
+        np.asarray(hist), m, np.asarray(log_fact)
+    ),
+    "_log_likelihood": stats_reference._log_likelihood,
+    "_gradient": stats_reference._gradient,
+    "_hessian": _reference_hessian,
+}
+
+
+class TestNumpyReference:
+    """The exactly rounded sums against the numpy array sums they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+        beta=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+        m=st.integers(1, 400),
+        k=st.integers(2, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        at=st.tuples(st.floats(-3.0, 8.0), st.floats(-3.0, 8.0)).map(
+            lambda e: (10.0 ** e[0], 10.0 ** e[1])
+        ),
+    )
+    def test_sums_agree_within_ulps_times_m(self, alpha, beta, m, k, seed, at):
+        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        assume(np.unique(counts).size >= 2)
+        log_fact = stats._log_factorials(m)
+        t = stats._tails(np.bincount(counts).tolist(), m, log_fact)
+        ref = stats_reference._tails(np.bincount(counts), m, np.asarray(log_fact))
+        a, b = at
+        n = counts.size
+
+        def within(value, reference, term):
+            # Both sum M terms of magnitude at most `term`, in different orders.
+            assert abs(value - reference) <= 16 * m * math.ulp(term)
+
+        largest_log = max(abs(math.log(x)) for x in (a, b, a + b, a + m, b + m, a + b + m))
+        within(
+            stats._log_likelihood(t, a, b),
+            stats_reference._log_likelihood(ref, a, b),
+            n * largest_log + abs(t.const) / m,
+        )
+        g, g_ref = stats._gradient(t, a, b), stats_reference._gradient(ref, a, b)
+        within(g[0], g_ref[0], n / a)
+        within(g[1], g_ref[1], n / b)
+        h, h_ref = stats._hessian(t, a, b), stats_reference._hessian(ref, a, b)
+        within(h[0], h_ref[0, 0], n / a**2)
+        within(h[1], h_ref[0, 1], n / (a + b) ** 2)
+        within(h[2], h_ref[1, 1], n / b**2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(0.1, 1000.0),
+        st.floats(0.1, 1000.0),
+        st.integers(2, 300),
+        st.integers(20, 800),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_fits_agree_within_tolerance(self, alpha, beta, m, k, seed):
+        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        assume(np.unique(counts).size >= 2)
+        sample = CountSample(tuple(counts.tolist()))
+        tol = 1e-9  # fit's default
+        result = fit(sample, trials=m, tol=tol)
+        with mock.patch.multiple(stats, **_REFERENCE_SUMS):
+            reference = fit(sample, trials=m, tol=tol)
+        assume(result.converged and reference.converged)
+        # Both stop where the log-parameter gradient is within tol per sample,
+        # so both likelihoods are within tol * n of the maximum, and both
+        # points inside the ellipse where the likelihood is: a distance
+        # sqrt(2 tol n / lambda) along the flattest direction of the Hessian.
+        slack = tol * k
+        assert abs(result.log_likelihood - reference.log_likelihood) <= slack
+        a, b = result.dist.alpha, result.dist.beta
+        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
+        (ga, gb), (haa, hab, hbb) = stats._gradient(t, a, b), stats._hessian(t, a, b)
+        h_log = [[a * a * haa + a * ga, a * b * hab], [a * b * hab, b * b * hbb + b * gb]]
+        flattest = np.abs(np.linalg.eigvalsh(h_log)).min()
+        radius = 2 * math.sqrt(2 * slack / flattest) if flattest > 0 else math.inf
+        assert abs(math.log(a / reference.dist.alpha)) <= radius
+        assert abs(math.log(b / reference.dist.beta)) <= radius
 
 
 class TestCountIO:
