@@ -351,7 +351,8 @@ def _mle_fixed_m(
 
     # Damped Newton on (ln alpha, ln beta); positivity comes for free.  The
     # likelihood `ll_cur` is the current iterate's, and `best` holds the
-    # highest one met, never below the initializer's.
+    # highest one met, never below the initializer's: the result when no
+    # iterate passes the gradient test.
     u, v = math.log(start[0]), math.log(start[1])
     ll0 = ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
     best = (ll0, u, v)
@@ -387,7 +388,11 @@ def _mle_fixed_m(
         if ll_cur >= best[0]:
             best = (ll_cur, u, v)
 
-    if not converged:
+    if converged:
+        # The iterate that passed the gradient test, not `best`: they differ
+        # only by the likelihood-neutral steps accepted near the optimum.
+        best = (ll_cur, u, v)
+    else:
         a, b = math.exp(best[1]), math.exp(best[2])
         ga, gb = _gradient(t, a, b)
         converged = abs(a * ga) <= gtol and abs(b * gb) <= gtol

@@ -9,9 +9,12 @@ Landauer picture,
 
 with lead self-energies from the surface Green's function.  For the
 single-orbital lead the surface Green's function has a closed form, and
-`transmission` evaluates the exact retarded (eta -> 0+) limit with it over
-the whole energy grid at once, by a forward recursive-Green's-function sweep
-along the tridiagonal barrier.
+`transmission` evaluates the exact retarded (eta -> 0+) limit with it by a
+forward recursive-Green's-function sweep along the tridiagonal barrier.  The
+sweep runs over blocks of 4096 energies in grid order, so a curve costs 9
+bytes per energy (float64 T and a bool open-channel mask) plus a fixed
+working set, whatever the grid size; the shift fit reads only the stretch of
+the reference curve its shifted energies can reach.
 
 An independent transfer-matrix solver (Bloch-wave matching, computed via the
 numerically stable backward recurrence) cross-checks the NEGF results, and a
@@ -58,6 +61,9 @@ DEFAULT_BAND_OFFSET = 2.85
 # after _CALIBRATION_MAX_ITER halvings.
 _CALIBRATION_REL_TOL = 1e-3
 _CALIBRATION_MAX_ITER = 200
+# `transmission` sweeps the grid this many energies at a time.  At least the
+# default grid's 2001 points, so that grid is swept in one block.
+_BLOCK = 4096
 
 
 class NumericalError(RuntimeError):
@@ -137,9 +143,23 @@ def default_model(
     )
 
 
+def _check_grid(energies: np.ndarray) -> None:
+    """Raise ValueError unless `energies` is a non-empty, strictly increasing
+    1-D grid of finite energies.  A NaN fails the pairwise test; since the
+    grid increases, its ends decide whether every energy is finite."""
+    if (
+        energies.ndim != 1
+        or energies.size == 0
+        or not (energies[1:] > energies[:-1]).all()
+        or not (math.isfinite(energies[0]) and math.isfinite(energies[-1]))
+    ):
+        raise ValueError("energies must form a strictly increasing 1-D grid of finite energies")
+
+
 @dataclass(frozen=True)
 class TransmissionCurve:
-    """T(E) samples on a strictly increasing energy grid."""
+    """T(E) samples on a strictly increasing energy grid, with the lead's
+    open-channel mask (one orbital: at most one channel per energy)."""
 
     energies: np.ndarray
     values: np.ndarray
@@ -148,15 +168,19 @@ class TransmissionCurve:
     def __post_init__(self) -> None:
         e = np.asarray(self.energies, dtype=float)
         t = np.asarray(self.values, dtype=float)
-        c = np.asarray(self.channels, dtype=int)
+        c = np.asarray(self.channels, dtype=bool)
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", t)
         object.__setattr__(self, "channels", c)
-        if e.ndim != 1 or np.any(np.diff(e) <= 0):
-            raise ValueError("energy grid must be strictly increasing")
+        _check_grid(e)
         if t.shape != e.shape or c.shape != e.shape:
             raise ValueError("values/channels must match the grid shape")
-        if np.any(t < -1e-12) or np.any(t > c + 1e-9):
+        # Reductions, not float temporaries; a NaN value fails every test.
+        if not (
+            t.min() >= -1e-12
+            and t.max(where=c, initial=-np.inf) <= 1.0 + 1e-9
+            and t.max(where=~c, initial=-np.inf) <= 1e-9
+        ):
             raise ValueError("transmission must satisfy 0 <= T <= open channel count")
 
 
@@ -186,20 +210,39 @@ def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -
     """Landauer transmission on an energy grid, in the exact retarded limit.
 
     T = Gamma_L Gamma_R |G_1N|^2, with G_1N from one forward recursion over
-    the barrier sites evaluated on the whole grid at once:
-    g_j = 1 / (E - eps_j - t_b^2 g_{j-1}), the lead self-energy added on the
-    first and last sites, and G_1N = g_1 prod_{j>1} t_b g_j.  A lead channel
-    is open where Gamma > 0; elsewhere T = 0.  The grid must stay within
-    MAX_ENERGY_OFFSET = 20 eV of the lead band center.  Raises NumericalError
-    if the device Green's function is singular at an open-channel energy.
+    the barrier sites: g_j = 1 / (E - eps_j - t_b^2 g_{j-1}), the lead
+    self-energy added on the first and last sites, and G_1N = g_1
+    prod_{j>1} t_b g_j.  The recursion runs on _BLOCK energies at a time, in
+    grid order, so its temporaries take the same memory whatever the grid
+    size.  A lead channel is open where Gamma > 0; elsewhere T = 0.  The grid
+    must be finite, strictly increasing and within MAX_ENERGY_OFFSET = 20 eV
+    of the lead band center.  Raises NumericalError, naming the lowest such
+    energy, if the device Green's function is singular at an open-channel
+    energy.
     """
     grid = np.asarray(energies, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("energies must form a strictly increasing 1-D grid")
-    if np.any(np.abs(grid - model.lead_onsite) > MAX_ENERGY_OFFSET):
+    _check_grid(grid)
+    # The grid increases, so its ends are its farthest energies from the centre.
+    if not (
+        abs(grid[0] - model.lead_onsite) <= MAX_ENERGY_OFFSET
+        and abs(grid[-1] - model.lead_onsite) <= MAX_ENERGY_OFFSET
+    ):
         raise ValueError(
             f"energy grid extends beyond {MAX_ENERGY_OFFSET:g} eV from the lead band center"
         )
+    values = np.zeros(grid.shape)
+    is_open = np.zeros(grid.shape, dtype=bool)
+    for start in range(0, grid.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        opened, open_values = _sweep(model, grid[block])
+        values[block][opened] = open_values
+        is_open[block] = opened
+    return TransmissionCurve(energies=grid, values=values, channels=is_open)
+
+
+def _sweep(model: JunctionModel, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(open-channel mask of `grid`, T at its open energies): the recursion
+    of `transmission` on one block of energies."""
     sigma = model.coupling**2 * lead_surface_gf(model.lead_onsite, model.lead_hopping, grid)
     gamma = -2.0 * sigma.imag
     is_open = gamma > 0.0
@@ -218,9 +261,7 @@ def transmission(model: JunctionModel, energies: Sequence[float] | np.ndarray) -
     singular = ~np.isfinite(values)
     if np.any(singular):
         raise NumericalError(f"singular device Green's function at E = {energy[singular][0]} eV")
-    full = np.zeros(grid.shape)
-    full[is_open] = values
-    return TransmissionCurve(energies=grid, values=full, channels=is_open.astype(int))
+    return is_open, values
 
 
 def transfer_matrix_transmission(model: JunctionModel, energy: float) -> float:
@@ -357,6 +398,39 @@ def apply_defect(
 _SCAN_STRIDE = 10
 
 
+def _positive_reach(curve: TransmissionCurve, q_lo: float, q_hi: float) -> slice:
+    """The stretch of `curve` whose positive points are those with energies
+    in [q_lo, q_hi) plus the two positive points before it and the two from
+    q_hi on (fewer where the curve ends).  Zero runs are read _BLOCK points
+    at a time."""
+    first, last = np.searchsorted(curve.energies, [q_lo, q_hi])
+    before = _second_positive(curve.values[:first][::-1])
+    after = _second_positive(curve.values[last:])
+    return slice(
+        0 if before is None else first - 1 - before,
+        curve.values.size if after is None else last + after + 1,
+    )
+
+
+def _second_positive(values: np.ndarray) -> int | None:
+    """Index of the second positive entry of `values`; None if it has fewer."""
+    seen = 0
+    for start in range(0, values.size, _BLOCK):
+        hits = np.flatnonzero(values[start : start + _BLOCK] > 0)
+        if seen + hits.size >= 2:
+            return start + int(hits[1 - seen])
+        seen += hits.size
+    return None
+
+
+def _steepest_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """max |dy/dx| over the segments of the polyline (x, y); 0 for one point."""
+    slopes = np.diff(y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slopes /= np.diff(x)
+    return float(np.max(np.abs(slopes, out=slopes), initial=0.0))
+
+
 def fit_transmission_shift(
     reference: TransmissionCurve,
     shifted: TransmissionCurve,
@@ -369,7 +443,8 @@ def fit_transmission_shift(
     Quantifies by how much the shifted curve is a translated copy of the
     reference: T_shifted(E) ~= T_reference(E + s).  Least squares on log
     curves over the energy `window`, scanned on 801 points then refined by
-    golden section around the first scan minimum.
+    golden section around the first scan minimum.  Only the stretch of the
+    reference that E + s can reach is read.
 
     The scan skips only points that provably cannot be that minimum.  Each
     residual is piecewise linear in s with slope at most K, the steepest
@@ -386,26 +461,29 @@ def fit_transmission_shift(
     if not s_lo < s_hi:
         raise ValueError(f"invalid shift bounds {shift_bounds}")
     lo, hi = window
-    mask = (shifted.energies >= lo) & (shifted.energies <= hi) & (shifted.values > 0)
-    if mask.sum() < 3:
+    # The window's energies, as a slice of the increasing grid.
+    energies = shifted.energies
+    inside = slice(np.searchsorted(energies, lo), np.searchsorted(energies, hi, side="right"))
+    usable = shifted.values[inside] > 0
+    if not lo <= hi or usable.sum() < 3:
         raise ValueError("window leaves fewer than 3 usable points for the shift fit")
-    e_pts = shifted.energies[mask]
-    log_shifted = np.log(shifted.values[mask])
+    e_pts = energies[inside][usable]
+    log_shifted = np.log(shifted.values[inside][usable])
 
-    ref_ok = reference.values > 0
-    ref_e = reference.energies[ref_ok]
-    ref_log = np.log(reference.values[ref_ok])
+    # The positive reference points within reach of e_pts + s, and two more
+    # each side: np.interp finds every query in the same segment of them as
+    # of the whole positive reference, and clamps the same beyond its ends.
+    reach = _positive_reach(reference, e_pts[0] + s_lo, e_pts[-1] + s_hi)
+    ref_ok = reference.values[reach] > 0
+    ref_e = reference.energies[reach][ref_ok]
+    ref_log = np.log(reference.values[reach][ref_ok])
 
     def objective(s: float) -> float:
         interp = np.interp(e_pts + s, ref_e, ref_log)
         return float(np.mean((log_shifted - interp) ** 2))
 
-    # Steepest reference segment within reach of e_pts + s, one more each side.
-    first, last = np.searchsorted(ref_e, [e_pts[0] + s_lo, e_pts[-1] + s_hi])
-    reach = slice(max(first - 2, 0), last + 2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slopes = np.diff(ref_log[reach]) / np.diff(ref_e[reach])
-    slope = float(np.max(np.abs(slopes), initial=0.0))
+    # The steepest segment of the stretch bounds the slope of every residual.
+    slope = _steepest_slope(ref_e, ref_log)
 
     scan = np.linspace(s_lo, s_hi, 801)
     costs = np.full(scan.size, np.inf)

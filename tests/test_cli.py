@@ -249,6 +249,19 @@ class TestTransmissionCommand:
         sidecar = json.loads((out / "calibration.json").read_text())
         assert sidecar["curve_shift_ev"] == 0.010943826707613912
 
+    def test_memory_per_point_bounded(self, tmp_path):
+        # The grid and two curves hold 26 bytes per point; the sweep, the
+        # shift fit and the CSV writer add at most as much again.
+        points = 200_001
+        assert main(["--out", str(tmp_path / "warm"), "transmission", "--grid", "101"]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["--out", str(tmp_path / "out"), "transmission", "--grid", str(points)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * points
+
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["--out", str(out1), "transmission", "--grid", "101"]) == 0

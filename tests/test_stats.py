@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln, polygamma, psi
 
@@ -255,6 +255,29 @@ class TestFit:
         counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         assert fit(CountSample(tuple(counts.tolist())), trials=m).converged
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+        st.floats(-1.0, 3.0).map(lambda e: 10.0**e),
+        st.integers(2, 300),
+        st.integers(20, 800),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(165.96315985408395, 170.51522362866805, 142, 422, 2706834550)
+    def test_converged_fit_passes_gradient_test_where_it_stops(self, alpha, beta, m, k, seed):
+        # A fit that reports convergence returns the point whose log-parameter
+        # gradient passed the test, not another point it met on the way.
+        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        assume(np.unique(counts).size >= 2)
+        tol = 1e-9  # fit's default
+        result = fit(CountSample(tuple(counts.tolist())), trials=m, tol=tol)
+        assume(result.converged)
+        a, b = result.dist.alpha, result.dist.beta
+        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
+        ga, gb = stats._gradient(t, a, b)
+        assert abs(a * ga) <= tol * k and abs(b * gb) <= tol * k
+        assert result.log_likelihood == stats._log_likelihood(t, a, b)
 
     def test_trial_number_bound(self):
         counts = CountSample((1, 2, 3))

@@ -1,12 +1,16 @@
 """NEGF engine vs analytic lead Green's functions and the transfer-matrix oracle."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jjvar import transport
+from jjvar.config import PipelineConfig
 from jjvar.transport import (
     CalibrationError,
     JunctionModel,
@@ -187,6 +191,19 @@ class TestTransmission:
             transmission(model, np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             transmission(model, np.array([0.0, 30.0]))
+        for energies in ([0.0, math.nan, 1.0], [math.nan]):
+            with pytest.raises(ValueError):
+                transmission(model, energies)
+            with pytest.raises(ValueError):
+                TransmissionCurve(energies, np.zeros(len(energies)), np.zeros(len(energies)))
+
+    def test_curve_bounds(self):
+        # 0 <= T <= 1 where the channel is open, T = 0 (to 1e-9) where closed.
+        grid = np.array([0.0, 1.0])
+        TransmissionCurve(grid, np.array([1.0, 1e-10]), np.array([True, False]))
+        for values in ([1.1, 0.0], [-1e-6, 0.0], [0.5, 1e-6], [0.5, math.nan], [math.nan, 0.0]):
+            with pytest.raises(ValueError):
+                TransmissionCurve(grid, np.array(values), np.array([True, False]))
 
     def test_singular_solve_reported(self):
         # decoupled middle site resonant with E makes the device matrix singular
@@ -204,6 +221,57 @@ class TestTransmission:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             JunctionModel(barrier_onsite=())
+
+
+class TestTransmissionBlocks:
+    """The sweep runs transport._BLOCK energies at a time; block edges must not show."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("span", [(-8.0, 8.0), (-6.5, 14.0), (-19.0, 6.5)])
+    def test_matches_transfer_matrix_across_block_edges(self, blocks, offset, span):
+        # Both ends of each span lie outside the +-6 eV lead band, so closed
+        # stretches straddle the block edges (the last point of 2 blocks + 1
+        # is alone in its block; (-19, 6.5) leaves the first block closed).
+        model = default_model(barrier_sites=6, height=3.0)
+        grid = np.linspace(*span, blocks * transport._BLOCK + offset)
+        curve = transmission(model, grid)
+        inside = np.abs(grid) < model.band_halfwidth()
+        np.testing.assert_array_equal(curve.channels, inside)
+        assert curve.channels.dtype == bool
+        np.testing.assert_array_equal(curve.values[~inside], 0.0)
+        expected = np.array([transfer_matrix_transmission(model, float(e)) for e in grid[inside]])
+        assert np.all(np.abs(curve.values[inside] - expected) <= 1e-10 * expected)
+
+    def test_singular_energy_in_second_block_named(self):
+        # Decoupled middle sites make the device singular at E = 0.25 (second
+        # block) and E = 1.5 (third block); the lower one is reported.
+        model = JunctionModel(
+            barrier_onsite=(1.0, 0.25, 1.5, 1.0), barrier_hopping=0.0, coupling=1.0
+        )
+        block = transport._BLOCK
+        grid = np.arange(3 * block) / block - 1.0  # exact: 0.25 at index 1.25 block
+        with pytest.raises(NumericalError, match=r"at E = 0\.25 eV"):
+            transmission(model, grid)
+        with pytest.raises(NumericalError, match=r"at E = 1\.5 eV"):
+            transmission(model, grid[grid > 0.5])
+
+    def test_default_grid_is_one_block(self):
+        assert transport._BLOCK >= PipelineConfig().grid_points
+
+    def test_memory_per_point_bounded(self):
+        # The persistent result is 9 bytes per point (float64 values and a
+        # bool mask); the sweep's temporaries are per block, not per point.
+        model = default_model()
+        grid = np.linspace(-5.0, 5.0, 200_001)
+        transmission(model, grid[:10])
+        tracemalloc.start()
+        try:
+            transmission(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * grid.size
 
 
 def _floats(lo, hi):
@@ -471,6 +539,50 @@ def _rounding_noise_case():
     ref_log = -1.0 + 3 * np.spacing(1.0) * rng.integers(-1, 2, ref_e.size)
     log_t = -2.0 + 3 * np.spacing(2.0) * rng.integers(-1, 2, energies.size)
     return _log_curve(ref_e, ref_log), _log_curve(energies, log_t), (-1.0, 1.0), (-1.0, 1.0)
+
+
+@st.composite
+def zero_run_curves(draw):
+    """A curve whose values hold zero runs of random lengths, some longer than
+    the drawn block size, and a query range [q_lo, q_hi] over its energies."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 40)), min_size=1, max_size=12))
+    values = np.concatenate([np.full(n, 0.5 if positive else 0.0) for positive, n in runs])
+    energies = np.arange(values.size, dtype=float)
+    query = _floats(-5.0, values.size + 5.0)
+    q_lo, q_hi = sorted(draw(st.tuples(query, query)))
+    return TransmissionCurve(energies, values, np.ones(values.size, dtype=bool)), q_lo, q_hi
+
+
+class TestShiftReferenceSlice:
+    """The shift fit reads the reference only within reach of its queries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_run_curves(), st.integers(1, 8))
+    def test_reach_is_the_positive_slice(self, case, block):
+        # The positive points of the stretch are those of the whole positive
+        # reference from two before q_lo to two from q_hi on.
+        curve, q_lo, q_hi = case
+        positive = curve.values > 0
+        ref_e = curve.energies[positive]
+        first, last = np.searchsorted(ref_e, [q_lo, q_hi])
+        with mock.patch.object(transport, "_BLOCK", block):
+            reach = transport._positive_reach(curve, q_lo, q_hi)
+        stretch = curve.energies[reach][positive[reach]]
+        np.testing.assert_array_equal(stretch, ref_e[max(first - 2, 0) : last + 2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(shift_fit_cases(), st.integers(1, 8))
+    @example(_clamped_reference_case(), 2)
+    def test_matches_whole_reference(self, case, block):
+        # Small blocks make the zero runs of the curves span several of them.
+        reference, shifted, window, shift_bounds = case
+        try:
+            expected = _full_scan_shift(reference, shifted, window=window, shift_bounds=shift_bounds)
+        except ValueError:
+            return
+        with mock.patch.object(transport, "_BLOCK", block):
+            got = fit_transmission_shift(reference, shifted, window=window, shift_bounds=shift_bounds)
+        assert got == expected
 
 
 class TestShiftScanPruning:
