@@ -18,13 +18,21 @@ deterministically:
 
 Geometries the taxonomy does not name fall back to the nearest class so the
 classification stays total: a hydroxyl/water with no Al in reach keeps its
-O-derived label (Al-OH / Al-H2O / Al-O2-H), an H with neither an O nor an Al
-bond is interstitial even when an O lies within the Al-H cutoff.
+O-derived label (Al-OH / Al-H2O / Al-O2-H), an H bonded to two or more O
+not all bonded to Al is classed by its nearest O alone, and an H with
+neither an O nor an Al bond is interstitial even when an O lies within the
+Al-H cutoff.  Host O lists keep the nearest O atoms (lowest index on ties).
 
-`classify_batch` classifies every H atom of a batch of structures and flags
-a motif as a surface motif when the H or one of its host O atoms is a
-surface site; `classify_h` is its per-H route, and the reference the array
-classification is tested against.
+`classify_batch` is the one classifier.  It decides the class of every H
+atom of a batch of structures with array operations on the bond graph's CSR
+rows, the O-O chain walk included, and flags a motif as a surface motif when
+the H or one of its host O atoms is a surface site.
+
+The chain walk of an Al-O2-H is breadth-first, level by level: each level is
+the O bonds of the level before, ordered by the parent's place in its level,
+then by distance, then by index; an O counts at its first place only, and
+not at all if it is the hydroxyl O or was in an earlier level.  The chain O
+is the first O in that order with an Al bond.
 """
 
 from __future__ import annotations
@@ -35,14 +43,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .structure import SPECIES, AtomicStructure, BondGraph, CellList, StructureBatch, surface_mask
+from .structure import SPECIES, BondGraph, CellList, StructureBatch, surface_mask
 
 __all__ = [
     "MOTIF_CLASSES",
     "MotifEnsembleStats",
     "MotifRecord",
     "classify_batch",
-    "classify_h",
     "motif_statistics",
 ]
 
@@ -94,80 +101,54 @@ class MotifRecord:
             )
 
 
-def _by_distance(pairs: list[tuple[int, float]]) -> list[int]:
-    return [j for j, _ in sorted(pairs, key=lambda p: (p[1], p[0]))]
+def _o_bonds(graph: BondGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The O bonds of the atoms `rows` as (entry, O), entry k standing for
+    rows[k], ordered by entry, then distance, then index."""
+    start = graph.indptr[rows]
+    size = graph.indptr[rows + 1] - start
+    entry = np.repeat(np.arange(len(rows)), size)
+    slot = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
+    o = graph.atoms.kind[graph.indices[slot]] == _O
+    entry, slot = entry[o], slot[o]
+    order = np.lexsort((graph.indices[slot], graph.distances[slot], entry))
+    return entry[order], graph.indices[slot[order]]
 
 
-def _chain_reaches_al(graph: BondGraph, start_o: int) -> int | None:
-    """Walk O-O bonds outward from start_o; the first O with an Al host, or None."""
-    seen = {start_o}
-    frontier = _by_distance(graph.neighbors_of_species(start_o, "O"))
-    while frontier:
-        o = frontier.pop(0)
-        if o in seen:
-            continue
-        seen.add(o)
-        if graph.neighbors_of_species(o, "Al"):
-            return o
-        frontier.extend(j for j in _by_distance(graph.neighbors_of_species(o, "O")) if j not in seen)
-    return None
+def _nearest_o(graph: BondGraph, rows: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest O bonded to each atom of `rows` (lowest index on ties),
+    one row each, padded with -1."""
+    entry, o = _o_bonds(graph, rows)
+    place = np.arange(len(entry)) - np.searchsorted(entry, entry)
+    out = np.full((len(rows), k), -1)
+    out[entry[place < k], place[place < k]] = o[place < k]
+    return out
 
 
-def classify_h(structure: AtomicStructure | StructureBatch, graph: BondGraph, h: int) -> MotifRecord:
-    """Classify hydrogen atom `h` from the bonds of H and O atoms in `graph`.
-
-    An Al-bonded H with no O bond is Al-H-O when an O lies within the graph's
-    Al-H cutoff of it; that O is `graph.bridge_o[h]`, which the bond query
-    picks from the same candidate pairs as the H atom's bonds.  The record
-    is not flagged as a surface motif; `classify_batch` sets that flag.
-    """
-    if structure.species[h] != "H":
-        raise ValueError(f"atom {h} is {structure.species[h]}, not H")
-
-    o_bonded = graph.neighbors_of_species(h, "O")
-
-    if len(o_bonded) >= 2:
-        if all(graph.neighbors_of_species(o, "Al") for o, _ in o_bonded):
-            return _record(h, "Al-O-H-O-Al", _by_distance(o_bonded)[:2])
-        # Not every O is Al-anchored: treat the nearest O as the host hydroxyl.
-        o_bonded = [min(o_bonded, key=lambda p: (p[1], p[0]))]
-
-    if len(o_bonded) == 1:
-        o = o_bonded[0][0]
-        other_h = any(j != h for j, _ in graph.neighbors_of_species(o, "H"))
-        n_al = len(graph.neighbors_of_species(o, "Al"))
-        o_o = _by_distance(graph.neighbors_of_species(o, "O"))
-        chain_o = _chain_reaches_al(graph, o)
-        if other_h and n_al:
-            label, host_o = "Al-H2O", [o]
-        elif chain_o is not None:
-            label, host_o = "Al-O2-H", [o, chain_o]
-        elif n_al == 1:
-            label, host_o = "Al-OH", [o]
-        elif n_al >= 2:
-            label, host_o = "Al-OH-Al", [o]
-        elif other_h:
-            label, host_o = "Al-H2O", [o]
-        elif o_o:
-            label, host_o = "Al-O2-H", [o, o_o[0]]
-        else:
-            label, host_o = "Al-OH", [o]
-        return _record(h, label, host_o)
-
-    # No covalently bonded O: hydride-like branches.  Only an H with an Al
-    # bond has an O partner: the nearest O (lowest index on ties) if it lies
-    # within the Al-H cutoff.
-    n_al = len(graph.neighbors_of_species(h, "Al"))
-    if not n_al:
-        return _record(h, "interstitial", [])
-    partner = graph.bridge_o.get(h)
-    if partner is not None:
-        return _record(h, "Al-H-O", [partner])
-    return _record(h, "Al-H" if n_al == 1 else "Al-H-Al", [])
-
-
-def _record(h: int, label: str, host_o: list[int]) -> MotifRecord:
-    return MotifRecord(h, label, tuple(host_o), surface=False)
+def _chain_o(graph: BondGraph, has_al: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per O of `start`, the chain O of the module docstring's walk (the
+    first O with an Al bond, `has_al` per atom), or -1.  Every walk takes
+    one level at a time, from one lexsort of its parents' O bonds."""
+    n = len(graph.atoms)
+    reached = np.full(len(start), -1)
+    walk, atom = np.arange(len(start)), start
+    # The (walk, atom) keys seen, sorted, and a last key above every real one.
+    seen = np.append(walk * n + atom, np.iinfo(np.int64).max)
+    while walk.size:
+        entry, atom = _o_bonds(graph, atom)
+        walk = walk[entry]  # still ascending: a level follows its parents' order
+        key = walk * n + atom
+        # Drop the atoms seen before, and every place of an atom but its first.
+        keep = seen[np.searchsorted(seen, key)] != key
+        by_key = np.argsort(key, kind="stable")
+        keep[by_key[1:][key[by_key[1:]] == key[by_key[:-1]]]] = False
+        walk, atom, key = walk[keep], atom[keep], key[keep]
+        hit = np.flatnonzero(has_al[atom])
+        hit = hit[np.diff(walk[hit], prepend=-1) != 0]  # the first hit of each walk
+        reached[walk[hit]] = atom[hit]
+        going = reached[walk] < 0
+        walk, atom = walk[going], atom[going]
+        seen = np.sort(np.concatenate((seen, key[going])))
+    return reached
 
 
 def classify_batch(
@@ -181,70 +162,69 @@ def classify_batch(
     """Per structure of `batch`, the records of its H atoms (indices local to
     the structure), or the message of the bond-query error that rejects it.
 
-    Bonds are made only for the rows `classify_h` reads: one `CellList`
-    query over the batch (at the default cutoffs, overridden by `cutoffs`)
-    on the H atoms of every structure that can be bonded, then on the O
-    atoms their rows bond to and on the O-O frontier until it is empty.
-    Each of those rows, and `bridge_o`, equals its value in the graph with
-    every atom as a centre, so the records do too.  Surface sites among
-    `members` (a mask of oxide members, as `oxide_regions` gives) flag
-    motifs; without `members` no motif is flagged.
+    Bonds are made only for the rows the classes read: one `CellList` query
+    over the batch (at the default cutoffs, overridden by `cutoffs`) on the H
+    atoms of every structure that can be bonded, then on the O atoms their
+    rows bond to and on the O-O frontier until it is empty.  Each of those
+    rows, and `bridge_o`, equals its value in the graph with every atom as a
+    centre.  Surface sites among `members` (a mask of oxide members, as
+    `oxide_regions` gives) flag motifs; without `members` no motif is flagged.
 
-    The classes follow `classify_h`'s precedence, decided with array
-    operations on the CSR rows for all H at once.  An H bonded to two or
-    more O, or whose one O has an O neighbour and is no water O, goes
-    through `classify_h`, which walks the O-O chain.
+    Every class is decided with array operations on the CSR rows, for all H
+    at once: bond counts per species, each H's two nearest O by (distance,
+    index), and for an H whose O has O bonds, a breadth-first walk of every
+    such O at once (`_chain_o`).
     """
     index = CellList(batch, cutoffs)
     h = np.flatnonzero(batch.kind == _H)
     h = h[np.array([e is None for e in index.errors], dtype=bool)[batch.cell_of[h]]]
     graph = index.graph(h)
-    surface = np.zeros(len(batch), dtype=bool)
+    # Slot -1 of each per-atom array is spare, so a -1 index reads "none".
+    surface = np.zeros(len(batch) + 1, dtype=bool)
     if members is not None:
-        surface = surface_mask(batch, members, depth=surface_depth, bin_width=surface_bin)
+        surface[:-1] = surface_mask(batch, members, depth=surface_depth, bin_width=surface_bin)
     kind, col = batch.kind, graph.indices
     row = np.repeat(np.arange(len(kind)), np.diff(graph.indptr))
-    # Per row: bonds per species and an O (the O of a row with exactly one).
-    # Slot -1 is spare, so a -1 index reads "none".
+    # Per row: bonds per species, and bonds to an O that has no Al bond.
     bonds = np.bincount(row * 3 + kind[col], minlength=3 * len(kind) + 3).reshape(-1, 3)
-    o_of = np.full(len(kind) + 1, -1)
-    o = np.flatnonzero(kind[col] == _O)
-    o_of[row[o]] = col[o]
+    lone = np.bincount(row[(kind[col] == _O) & (bonds[col, _AL] == 0)], minlength=len(kind) + 1)
 
     n_o, n_al = bonds[h, _O], bonds[h, _AL]
-    o = np.where(n_o == 1, o_of[h], -1)
-    water = (bonds[o, _H] >= 2) & (bonds[o, _AL] >= 1)
-    hydroxyl = (n_o == 1) & ~water & (bonds[o, _O] == 0)
-    routed = (n_o >= 2) | ((n_o == 1) & ~water & ~hydroxyl)
+    o1, o2 = _nearest_o(graph, h, 2).T
+    bridged = (n_o >= 2) & (lone[h] == 0)
+    # The one O of a hydroxyl-like H: its nearest, unless it is bridged.
+    o = np.where(bridged, -1, o1)
+    o_al, o_o, o_h = bonds[o, _AL], bonds[o, _O], bonds[o, _H]
+    water = (o_h >= 2) & (o_al >= 1)
+    walk = np.flatnonzero(~water & (o_o > 0))
+    chain, o_near = np.full(h.size, -1), np.full(h.size, -1)
+    if walk.size:
+        chain[walk] = _chain_o(graph, bonds[:, _AL] > 0, o[walk])
+        o_near[walk] = _nearest_o(graph, o[walk], 1)[:, 0]
     hydride = (n_o == 0) & (n_al > 0)
-    partner = np.full(h.size, -1)
-    partner[hydride] = [graph.bridge_o.get(i, -1) for i in h[hydride].tolist()]
-    o_al, o_h = bonds[o, _AL], bonds[o, _H]
+    partner = graph.bridge_o[h]
     label = np.select(
-        [water, hydroxyl & (o_al == 1), hydroxyl & (o_al >= 2), hydroxyl & (o_h >= 2), hydroxyl]
-        + [hydride & (partner >= 0), hydride & (n_al == 1), hydride],
+        [bridged, water, chain >= 0, o_al == 1, o_al >= 2, o_h >= 2, o_o > 0, o >= 0]
+        + [partner >= 0, hydride & (n_al == 1), hydride],
         [
             _LABEL[c]
-            for c in ("Al-H2O", "Al-OH", "Al-OH-Al", "Al-H2O", "Al-OH", "Al-H-O", "Al-H", "Al-H-Al")
+            for c in ("Al-O-H-O-Al", "Al-H2O", "Al-O2-H", "Al-OH", "Al-OH-Al", "Al-H2O", "Al-O2-H")
+            + ("Al-OH", "Al-H-O", "Al-H", "Al-H-Al")
         ],
         _LABEL["interstitial"],
     )
-    host_o = np.where(water | hydroxyl, o, partner)
-    flagged = surface[h] | ((host_o >= 0) & surface[host_o])
-    # In local indices, -1 for none; a routed H gets its hosts from classify_h.
+    first = np.where(n_o > 0, o1, partner)
+    second = np.select([bridged, chain >= 0, label == _LABEL["Al-O2-H"]], [o2, chain, o_near], -1)
+    flagged = surface[h] | surface[first] | surface[second]
+    # In local indices, with a host count per H.
     base = batch.offsets[batch.cell_of[h]]
-    host_o = np.where((host_o >= 0) & ~routed, host_o - base, -1).tolist()
+    hosts = (np.stack((first, second), axis=1) - base[:, None]).tolist()
+    n_hosts = ((first >= 0).astype(int) + (second >= 0)).tolist()
     local_h, label, flagged = (h - base).tolist(), label.tolist(), flagged.tolist()
-    records = [
-        MotifRecord(i, MOTIF_CLASSES[c], (ho,) if ho >= 0 else (), f)
-        for i, c, ho, f in zip(local_h, label, host_o, flagged)
-    ]
-    for k in np.flatnonzero(routed).tolist():
-        i, b = int(h[k]), int(base[k])
-        rec = classify_h(batch, graph, i)
-        flag = bool(surface[i] or surface[list(rec.host_o)].any())
-        records[k] = MotifRecord(i - b, rec.label, tuple(j - b for j in rec.host_o), flag)
-    records = iter(records)
+    records = (
+        MotifRecord(i, MOTIF_CLASSES[c], tuple(ho[:k]), f)
+        for i, c, ho, k, f in zip(local_h, label, hosts, n_hosts, flagged)
+    )
     held = np.bincount(batch.cell_of[h], minlength=batch.count).tolist()
     return [error or list(itertools.islice(records, n)) for error, n in zip(index.errors, held)]
 

@@ -139,7 +139,9 @@ def parse_xyz(text: str) -> AtomicStructure:
     if cell is not None:
         pbc = (True, True, True)
     else:
-        with np.errstate(over="ignore"):  # AtomicStructure refuses an infinite extent
+        # AtomicStructure refuses the infinite or nan extent of huge or
+        # infinite coordinates.
+        with np.errstate(over="ignore", invalid="ignore"):
             extent = positions.max(axis=0) - positions.min(axis=0)
         cell = np.diag(extent + 10.0)
         pbc = (False, False, False)
@@ -275,11 +277,12 @@ class BondGraph:
 
     `atoms` is the batch whose atoms it bonds.  Stored as CSR
     arrays: the neighbours of atom i are `indices[indptr[i]:indptr[i + 1]]`,
-    ascending, at `distances` in the same slots.  Per-atom lists are built on
-    demand.  A graph from `CellList.graph` holds only the rows named there;
-    the other rows are empty.  `bridge_o` maps each held H row that bonds an
-    Al and no O to the nearest O within the Al-H cutoff (lowest index on
-    ties), if any: the motif classifier's hydride branch reads it.
+    ascending, at `distances` in the same slots.  A graph from
+    `CellList.graph` holds only the rows named there; the other rows are
+    empty.  `bridge_o` is an array over rows: for each held H row that bonds
+    an Al and no O, the nearest O within the Al-H cutoff (lowest index on
+    ties), and -1 for none and for every other row.  The motif classifier's
+    hydride branch reads it.
     """
 
     def __init__(
@@ -288,22 +291,13 @@ class BondGraph:
         indptr: np.ndarray,
         indices: np.ndarray,
         distances: np.ndarray,
-        bridge_o: dict[int, int],
+        bridge_o: np.ndarray,
     ):
         self.atoms = atoms
         self.indptr = indptr
         self.indices = indices
         self.distances = distances
         self.bridge_o = bridge_o
-
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        """(index, distance) pairs sorted by atom index."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return list(zip(self.indices[lo:hi].tolist(), self.distances[lo:hi].tolist()))
-
-    def neighbors_of_species(self, i: int, species: str) -> list[tuple[int, float]]:
-        kinds = self.atoms.species
-        return [(j, d) for j, d in self.neighbors(i) if kinds[j] == species]
 
 
 # Most bins per axis.  On a wide axis the bins stay wide enough that
@@ -466,19 +460,22 @@ class CellList:
         centre, atom = centre[other], atom[other]
         cell = batch.cell_of[centre]
         # The sum of squares in np.linalg.norm's order, one axis at a time.
+        # Coordinates past about 1e154 apart overflow it to inf (or, under the
+        # minimum image, to nan): no cutoff bonds such a pair.
         dist = np.zeros(len(atom))
-        for ax in range(3):
-            x = batch.positions[:, ax]
-            d = x[atom] - x[centre]
-            wrap = slice(None) if self._wrap_all[ax] else self._wrap[ax][cell]
-            length = self._length[ax][cell[wrap]]
-            d[wrap] -= length * np.round(d[wrap] / length)
-            d *= d
-            dist += d
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ax in range(3):
+                x = batch.positions[:, ax]
+                d = x[atom] - x[centre]
+                wrap = slice(None) if self._wrap_all[ax] else self._wrap[ax][cell]
+                length = self._length[ax][cell[wrap]]
+                d[wrap] -= length * np.round(d[wrap] / length)
+                d *= d
+                dist += d
         return centre, atom, np.sqrt(dist)
 
-    def _bridges(self, centre, atom, dist, bonded) -> dict[int, int]:
-        """`BondGraph.bridge_o` entries of the H centres of one query, from its
+    def _bridges(self, centre, atom, dist, bonded) -> np.ndarray:
+        """`BondGraph.bridge_o` for the H centres of one query, from its
         candidates (centre, atom, dist) and their bond mask."""
         kind = self.batch.kind
         bonds_to = np.zeros((len(kind), len(SPECIES)), dtype=bool)
@@ -489,7 +486,9 @@ class CellList:
         order = np.lexsort((atom, dist, centre))
         centre, atom = centre[order], atom[order]
         first = np.flatnonzero(np.diff(centre, prepend=-1))
-        return dict(zip(centre[first].tolist(), atom[first].tolist()))
+        bridge_o = np.full(len(kind), -1, dtype=np.intp)
+        bridge_o[centre[first]] = atom[first]
+        return bridge_o
 
     def graph(self, centres) -> BondGraph:
         """Bond graph holding the rows of `centres` and of every O atom a held
@@ -506,7 +505,7 @@ class CellList:
         unbonded = self._unbonded[self.batch.cell_of[pending]]
         if unbonded.any():
             raise ConfigurationError(self.errors[self.batch.cell_of[pending[unbonded.argmax()]]])
-        parts, bridge_o = [], {}
+        parts = []
         while not parts or pending.size:
             held[pending] = True
             centre, atom, dist = self._near(pending)
@@ -563,10 +562,12 @@ def oxide_regions(batch: StructureBatch) -> tuple[list[OxideRegion | str], np.nd
     has_o = ends[1:] > ends[:-1]
     lowest, highest = np.zeros(batch.count), np.zeros(batch.count)
     lowest[has_o], highest[has_o] = z_o[ends[:-1][has_o]], z_o[ends[1:][has_o] - 1]
-    gap = np.diff(z_o, append=-np.inf)
+    # Heights about 1e308 apart overflow a gap to an infinity of its sign.
+    with np.errstate(over="ignore"):
+        gap = np.diff(z_o, append=-np.inf)
+        across = lowest + batch.lengths[:, 2] - highest
     gap[ends[1:][has_o] - 1] = -np.inf  # the step to the next structure's lowest O
     widest = batch.runs(np.maximum, gap, cell_o, -np.inf)
-    across = lowest + batch.lengths[:, 2] - highest
     straddles = batch.pbc[:, 2] & (widest > across)
     z_lo, z_hi = lowest - _OXIDE_PADDING, highest + _OXIDE_PADDING
     located = has_o & ~straddles & (z_lo < z_hi)

@@ -49,6 +49,14 @@ def full_graph(structure: AtomicStructure, cutoffs=None) -> BondGraph:
     return CellList(StructureBatch([structure]), cutoffs).graph(np.arange(len(structure)))
 
 
+def neighbors(graph: BondGraph, i: int, species: str | None = None) -> list[tuple[int, float]]:
+    """(index, distance) pairs of atom i's bonds, by ascending index; only
+    bonds to `species` when it is given."""
+    lo, hi = graph.indptr[i], graph.indptr[i + 1]
+    pairs = zip(graph.indices[lo:hi].tolist(), graph.distances[lo:hi].tolist())
+    return [(j, d) for j, d in pairs if species is None or graph.atoms.species[j] == species]
+
+
 def sites_of(structure: AtomicStructure, depth=2.0, bin_width=4.0) -> frozenset[int]:
     """The surface sites among the oxide members of one structure."""
     batch = StructureBatch([structure])

@@ -37,6 +37,6 @@ def test_workload_outputs_correct(workload):
     _run_bench(workload)
 
 
-@pytest.mark.parametrize("workload", ["counts", "transport"])
+@pytest.mark.parametrize("workload", ["ensemble", "counts", "transport", "pipeline"])
 def test_traced_workload_outputs_correct(workload):
     _run_bench(workload, "--trace", "1")

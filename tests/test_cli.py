@@ -968,6 +968,135 @@ class TestUpstreamFileFuzz:
                 assert all(math.isfinite(report_out[key]) for key in ("mean_ghz", "std_ghz"))
 
 
+def _any_case(label: str):
+    return st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in label)).map("".join)
+
+
+_XYZ_LABELS = st.sampled_from(["Al", "O", "H"]).flatmap(_any_case)
+# Mostly coordinates that bond, and every float besides.
+_XYZ_FLOATS = st.floats(-4.0, 4.0) | st.floats()
+
+
+@st.composite
+def xyz_files(draw) -> bytes:
+    """An extended-XYZ file: mostly a good oxide slab, else rows of labels in
+    any case and coordinates of any float, under an atom count that may
+    disagree with them, with or without a Lattice of any floats, and with
+    perhaps an unknown label.  Then any of extra columns, tabs, CRLF line
+    endings and a non-UTF-8 byte."""
+    if draw(st.sampled_from(["slab", "slab", "rows"])) == "slab":
+        rows = to_xyz(make_oxide_slab(n_h=draw(st.integers(0, 4)), lateral=2, jitter=0.05)).splitlines()
+    else:
+        atoms = draw(st.lists(st.tuples(_XYZ_LABELS, _XYZ_FLOATS, _XYZ_FLOATS, _XYZ_FLOATS), max_size=8))
+        if atoms and draw(st.sampled_from([False, False, False, True])):
+            k = draw(st.integers(0, len(atoms) - 1))
+            atoms[k] = (draw(st.sampled_from(["Xe", "Si", "A", "1", "Al2", "-"])), *atoms[k][1:])
+        count = len(atoms) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+        comment = "comment"
+        if draw(st.booleans()):
+            diagonal = draw(st.floats(5.0, 30.0))
+            lattice = [diagonal if k % 4 == 0 else 0.0 for k in range(9)]
+            for k in draw(st.lists(st.integers(0, 8), max_size=3)):
+                lattice[k] = draw(st.floats())
+            comment = 'Lattice="' + " ".join(map(repr, lattice)) + '"'
+        rows = [str(count), comment] + [" ".join([label, *map(repr, xyz)]) for label, *xyz in atoms]
+    if draw(st.booleans()):
+        rows[2:] = [row + " 0.5 extra" for row in rows[2:]]
+    separator = draw(st.sampled_from([" ", " ", "\t", " \t "]))
+    ending = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    data = ending.join(row.replace(" ", separator) for row in rows).encode() + ending.encode()
+    if draw(st.sampled_from([False, False, False, False, True])):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+class TestStructureFileFuzz:
+    """Directories of generated `.xyz` files end in exit 0, 2 or 3, with only
+    skip warnings and at most one error line on stderr, every skipped file
+    listed, and finite CSV numbers on success."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=st.sampled_from(["analyze", "fit-stats", "pipeline"]),
+        files=st.lists(xyz_files(), max_size=5),
+    )
+    # A cell whose volume overflows: analysed, with no numpy warning.
+    @example(
+        command="analyze",
+        files=[b'3\nLattice="1e308 0 0 0 1e308 0 0 0 1e308"\nAl 0 0 0\nO 1.8 0 0\nH 2.8 0 0\n'],
+    )
+    # A non-periodic file whose bounding box overflows: skipped.
+    @example(command="pipeline", files=[b"2\nno lattice\nAl -1e308 0 0\nO 1e308 0 0\n"])
+    # No structure directory at all.
+    @example(command="fit-stats", files=None)
+    # Files the census reads and analyze skips: the pipeline fails at analyze.
+    @example(
+        command="pipeline",
+        files=[b"1\ncomment\no 0.0 0.0 0.0\n", b"4\ncomment\no 0 0 0\no 0 0 0\no 0 0 0\nh 0 0 0\n"],
+    )
+    # Bond candidates whose squared distance overflows, without and with the
+    # minimum image: at the parent, numpy warnings on stderr.
+    @example(
+        command="analyze",
+        files=[
+            b"3\nopen\nH 0 0 0\nO 1e160 0 0\nAl 1e300 0 0\n",
+            b'3\nLattice="10 0 0 0 10 0 0 0 10"\nH 1e308 0 0\nO -1e308 0 0\nAl 0 0 0\n',
+        ],
+    )
+    # One atom at infinity (inf - inf in the bounding box), and O heights
+    # whose gaps overflow: numpy warnings at the parent.
+    @example(
+        command="fit-stats",
+        files=[
+            b"1\ncomment\no 0.0 0.0 inf\n",
+            b"2\ncomment\nal 0.0 0.0 0.0\no 0.0 0.0 8.98846567431158e+307\n",
+            b'3\nLattice="10 0 0 0 10 0 0 0 10"\nAl 0 0 0\nO 0 0 -1e308\nO 0 0 1e308\n',
+        ],
+    )
+    def test_exit_code_contract(self, command, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            directory, out = root / "structures", root / "out"
+            if files is not None:
+                directory.mkdir()
+                for k, data in enumerate(files):
+                    (directory / f"f{k}.xyz").write_bytes(data)
+            if command == "pipeline":
+                cfg = root / "cfg.txt"
+                cfg.write_text(
+                    f"paths.structures = {directory}\nstats.m = scan=1:12\ntransport.grid_points = 101\n"
+                )
+                argv = ["--config", str(cfg), "--out", str(out), "pipeline"]
+            else:
+                argv = ["--out", str(out), command, "--structures", str(directory)]
+                argv += ["--m", "scan=1:12"] if command == "fit-stats" else []
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3)
+            warned = [line for line in lines if line.startswith("warning: skipping ")]
+            errors = [line for line in lines if line.startswith("error: ")]
+            assert len(warned) + len(errors) == len(lines) and len(errors) <= 1, lines
+            if code != 2:
+                # Every stage that warned wrote its report (a pipeline stage
+                # that skips every file fails as a whole, with exit 2).
+                listed = {
+                    f["file"]
+                    for name, key in (("ensemble_summary.json", "failures"), ("fit_report.json", "skipped"))
+                    if (out / name).exists()
+                    for f in json.loads((out / name).read_text())[key]
+                }
+                assert {line.split()[2].rstrip(":") for line in warned} <= listed
+            if code == 0:
+                for table in out.glob("*.csv"):
+                    for row in table.read_text().splitlines()[1:]:
+                        for cell in row.split(","):
+                            with contextlib.suppress(ValueError):
+                                assert math.isfinite(float(cell)), (table.name, row)
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "cfg.txt"

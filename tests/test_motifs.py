@@ -8,13 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jjvar import motifs
-from jjvar.motifs import (
-    MOTIF_CLASSES,
-    MotifRecord,
-    classify_batch,
-    classify_h,
-    motif_statistics,
-)
+from jjvar.motifs import MOTIF_CLASSES, MotifRecord, classify_batch, motif_statistics
 from jjvar.structure import DEFAULT_CUTOFFS, AtomicStructure, CellList, StructureBatch, oxide_regions
 
 from conftest import (
@@ -22,9 +16,20 @@ from conftest import (
     indices_of,
     make_molecule,
     make_oxide_slab,
+    neighbors,
     nine_motif_fixtures,
     sites_of,
 )
+from motifs_reference import classify_h
+
+
+@st.composite
+def directions(draw):
+    """Unit vectors, uniform on the sphere."""
+    cos_theta = draw(st.floats(-1.0, 1.0))
+    phi = draw(st.floats(0.0, 2.0 * np.pi))
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    return np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
 
 
 @st.composite
@@ -36,12 +41,77 @@ def dense_clusters(draw):
     positions = [np.zeros(3)]
     for k in range(1, n):
         anchor = positions[draw(st.integers(0, k - 1))]
-        cos_theta = draw(st.floats(-1.0, 1.0))
-        phi = draw(st.floats(0.0, 2.0 * np.pi))
-        sin_theta = np.sqrt(1.0 - cos_theta**2)
-        direction = np.array([sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta])
+        direction = draw(directions())
         positions.append(anchor + draw(st.floats(0.9, 2.2)) * direction)
     return make_molecule(species, positions)
+
+
+@st.composite
+def o_networks(draw):
+    """An H on O 0 of a tree of 2-8 O atoms, each 1.25-1.55 A (an O-O bond)
+    from an earlier one: a chain when each hangs on the last, else branched.
+    Some O carry an Al 1.8-2.1 A out, and some a second H."""
+    species, positions = ["O"], [np.zeros(3)]
+    for k in range(1, draw(st.integers(2, 8))):
+        parent = k - 1 if draw(st.booleans()) else draw(st.integers(0, k - 1))
+        species.append("O")
+        positions.append(positions[parent] + draw(st.floats(1.25, 1.55)) * draw(directions()))
+    o_atoms = range(len(species))
+    for o, atom, reach in (
+        [(0, "H", 0.97)]
+        + [(o, "Al", 1.95) for o in draw(st.lists(st.sampled_from(o_atoms), max_size=2))]
+        + [(o, "H", 0.97) for o in draw(st.lists(st.sampled_from(o_atoms), max_size=1))]
+    ):
+        species.append(atom)
+        positions.append(positions[o] + draw(st.floats(reach - 0.1, reach + 0.1)) * draw(directions()))
+    return species, positions
+
+
+@st.composite
+def o_rings(draw):
+    """A planar ring of 3-6 O atoms 1.4 A apart, an H 0.97 A out from O 0
+    and at most one Al 1.9 A out from a ring O."""
+    n = draw(st.integers(3, 6))
+    radius = 1.4 / (2.0 * np.sin(np.pi / n))
+    out = [np.array([np.cos(a), np.sin(a), 0.0]) for a in 2.0 * np.pi * np.arange(n) / n]
+    species, positions = ["O"] * n + ["H"], [radius * u for u in out] + [(radius + 0.97) * out[0]]
+    for o in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        species.append("Al")
+        positions.append((radius + 1.9) * out[o] + np.array([0.0, 0.0, 0.5]))
+    return species, positions
+
+
+@st.composite
+def three_o_hydrogens(draw):
+    """An H 1.0-1.15 A from three O, an Al 1.9 A out from each O but one,
+    and an O 1.4 A out from that one."""
+    species, positions = ["H"], [np.zeros(3)]
+    bare = draw(st.integers(0, 2))
+    for k, u in enumerate(np.array([(1, 1, 1), (1, -1, -1), (-1, 1, -1)]) / np.sqrt(3.0)):
+        o = draw(st.floats(1.0, 1.15)) * u
+        species.append("O")
+        positions.append(o)
+        species.append("O" if k == bare else "Al")
+        positions.append(o + (1.4 if k == bare else 1.9) * u)
+    return species, positions
+
+
+@st.composite
+def routed_batches(draw):
+    """One to three structures built so that most H are routed: bonded to
+    several O, or to an O with O bonds.  Each holds one to three O networks,
+    O rings or three-O hydrogens, 8 A apart, jittered by up to 0.05 A."""
+    structures = []
+    for _ in range(draw(st.integers(1, 3))):
+        species, positions = [], []
+        for k in range(draw(st.integers(1, 3))):
+            build = draw(st.sampled_from([o_networks, o_rings, three_o_hydrogens]))
+            part_species, part_positions = draw(build())
+            species += part_species
+            positions += [p + np.array([8.0 * k, 0.0, 0.0]) for p in part_positions]
+        jitter = draw(st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3))
+        structures.append(make_molecule(species, np.array(positions) + jitter))
+    return structures
 
 
 @st.composite
@@ -97,16 +167,16 @@ def with_surface_flag(record, sites):
     return dataclasses.replace(record, surface=flag)
 
 
-def reference_bridge_o(s, graph, overrides) -> dict[int, int]:
+def reference_bridge_o(s, graph, overrides) -> np.ndarray:
     """The hydride branch's O partner by an all-O scan: for each H bonded to
     an Al and to no O, its nearest O (lowest index on ties) if that lies within
-    the Al-H cutoff."""
+    the Al-H cutoff; -1 for every other atom."""
     o_all = indices_of(s, "O")
     lengths = np.diag(s.cell)
-    partners = {}
+    partners = np.full(len(s), -1)
     for h in indices_of(s, "H"):
         h = int(h)
-        if not graph.neighbors_of_species(h, "Al") or graph.neighbors_of_species(h, "O"):
+        if not neighbors(graph, h, "Al") or neighbors(graph, h, "O"):
             continue
         delta = s.positions[o_all] - s.positions[h]
         for ax in range(3):
@@ -177,10 +247,10 @@ class TestPrecedenceAndStability:
         hydride = make_molecule(["O", "H", "Al"], [(0, 0, 0), (1.5, 0, 0), (3.2, 0, 0)])
         for build in (full_graph, classifier_rows):
             graph = build(lone)
-            assert graph.bridge_o == {}
+            assert graph.bridge_o.tolist() == [-1, -1]
             assert classify_h(lone, graph, 1).label == "interstitial"
             graph = build(hydride)
-            assert graph.bridge_o == {1: 0}
+            assert graph.bridge_o.tolist() == [-1, 0, -1]
             rec = classify_h(hydride, graph, 1)
             assert (rec.label, rec.host_o) == ("Al-H-O", (0,))
 
@@ -254,10 +324,11 @@ class TestPrecedenceAndStability:
         rows = classifier_rows(s, overrides)
         (records,) = classify_batch(StructureBatch([s]), cutoffs=overrides)
         assert records == [classify_h(s, full, int(h)) for h in indices_of(s, "H")]
-        assert rows.bridge_o == full.bridge_o == reference_bridge_o(s, full, overrides)
+        assert rows.bridge_o.tolist() == full.bridge_o.tolist()
+        assert full.bridge_o.tolist() == reference_bridge_o(s, full, overrides).tolist()
         held = np.diff(rows.indptr) > 0
         for i in np.flatnonzero(held):
-            assert rows.neighbors(i) == full.neighbors(i)
+            assert neighbors(rows, i) == neighbors(full, i)
         assert not held[indices_of(s, "Al")].any()
 
     @settings(max_examples=150, deadline=None)
@@ -275,6 +346,50 @@ class TestPrecedenceAndStability:
         batch = StructureBatch(structures)
         _, members = oxide_regions(batch)
         assert classify_batch(batch, cutoffs=overrides, members=members) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(routed_batches())
+    # Level 1 is O 2 (1.3 A) then O 3 (1.5 A); each has one child with an
+    # Al: O 5 1.55 A from O 2, O 4 1.3 A from O 3.  The first parent's
+    # child wins, though the other is nearer and has the lower index.
+    @example(
+        [
+            make_molecule(
+                ["O", "H", "O", "O", "O", "O", "Al", "Al"],
+                [(0, 0, 0), (0, 0, 0.97), (1.3, 0, 0), (-1.5, 0, 0)]
+                + [(-2.8, 0, 0), (2.85, 0, 0), (-4.7, 0, 0), (4.75, 0, 0)],
+            )
+        ]
+    )
+    # A hexagon of O with no Al: the walk ends, and the H falls back to
+    # Al-O2-H on its nearest ring neighbour.
+    @example(
+        [
+            make_molecule(
+                ["O"] * 6 + ["H"],
+                [(1.4 * np.cos(a), 1.4 * np.sin(a), 0) for a in np.arange(6) * np.pi / 3]
+                + [(2.37, 0, 0)],
+            )
+        ]
+    )
+    # Two hydroxyl O on either side of one O with an Al: both walks reach it.
+    @example(
+        [
+            make_molecule(
+                ["O", "O", "O", "H", "H", "Al"],
+                [(0, 0, 0), (-1.4, 0, 0), (1.4, 0, 0), (-1.4, 0, 0.97), (1.4, 0, 0.97), (0, 1.9, 0)],
+            )
+        ]
+    )
+    def test_routed_hydrogens_match_classify_h(self, structures):
+        expected = []
+        for s in structures:
+            graph, sites = full_graph(s), sites_of(s)
+            h_atoms = indices_of(s, "H")
+            expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
+        batch = StructureBatch(structures)
+        _, members = oxide_regions(batch)
+        assert classify_batch(batch, members=members) == expected
 
     def test_order_independence(self):
         rng = np.random.default_rng(29)
