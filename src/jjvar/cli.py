@@ -16,7 +16,6 @@ import math
 import sys
 from collections import Counter
 from pathlib import Path
-from types import ModuleType
 from typing import NamedTuple
 
 from . import stats
@@ -41,8 +40,9 @@ def _lazy(name: str):
 
 # A subcommand executes only the stage modules it uses: `fit-stats --counts`
 # none of these, `transmission` only transport, `analyze` structure and
-# motifs.  No module-level statement may read an attribute of them.  These
-# four alone import numpy, so `--help` and `fit-stats --counts` run without.
+# motifs, `ej` only josephson.  No module-level statement may read an
+# attribute of them.  All but josephson import numpy, which `--help`,
+# `fit-stats --counts` and `ej` run without.
 structure = _lazy("structure")
 motifs = _lazy("motifs")
 transport = _lazy("transport")
@@ -53,20 +53,10 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 # ConfigError, structure.ParseError, structure.ConfigurationError and
-# stats.DegenerateDataError are ValueErrors.
+# stats.DegenerateDataError are ValueErrors.  Every error that exits
+# EXIT_NUMERICAL is a stats.ComputationError, a RuntimeError, so none is an
+# input error.
 _INPUT_ERRORS = (OSError, ValueError)
-
-
-def _numerical_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit EXIT_NUMERICAL, all RuntimeErrors, so none is
-    an input error.  Named where an exception is caught, after the input
-    errors.  transport's are named once it has run (a lazy module's type is
-    a ModuleType subclass until then): before, it raised none, and reading
-    them would execute it."""
-    errors = (stats.FitConvergenceError,)
-    if type(transport) is ModuleType:
-        errors += (transport.CalibrationError, transport.NumericalError)
-    return errors
 
 
 def _json_ready(obj):
@@ -167,14 +157,14 @@ def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _Str
     for outcomes, batch in _read_batches(files):
         regions, members = structure.oxide_regions(batch)
         regions = iter(regions)
-        records = iter(
+        tables = iter(
             motifs.classify_batch(
                 batch,
                 cutoffs=cfg.cutoff_overrides() or None,
                 members=members,
                 surface_depth=cfg.surface_depth,
                 surface_bin=cfg.surface_bin,
-            )
+            ).split()
             if analyze
             else []
         )
@@ -183,7 +173,7 @@ def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _Str
             if counts is not None:
                 counts.append(region if isinstance(region, str) else region.n_h)
             if rows is not None:
-                rows.append(_analyze_row(region, next(records)) if message is None else message)
+                rows.append(_analyze_row(region, next(tables)) if message is None else message)
     return _StructurePass(files, counts, rows)
 
 
@@ -222,20 +212,25 @@ def _read(path: Path):
         return str(exc)
 
 
-def _analyze_row(region, records):
-    """((n_al, n_o, n_h, x, h_atpct), motif records) of one structure, or the
-    error message that rejects it; `region` and `records` are its oxide region
-    and its motif records, or the message that stands in for each.  A
+def _analyze_row(region, table):
+    """((n_al, n_o, n_h, x, h_atpct), motif table) of one structure, or the
+    error message that rejects it; `region` and `table` are its oxide region
+    and the motif table of its H, or the message that stands in for each.  A
     bond-query error is reported first."""
-    if isinstance(records, str):
-        return records
+    if isinstance(table, str):
+        return table
     if isinstance(region, str):
         return region
     try:
         x, h_pct = structure.stoichiometry(region)
     except ValueError as exc:
         return str(exc)
-    return (region.n_al, region.n_o, region.n_h, float(x), float(h_pct)), records
+    return (region.n_al, region.n_o, region.n_h, float(x), float(h_pct)), table
+
+
+def _skipped(files: list[Path], outcomes: list) -> list[dict]:
+    """The files a pass rejects, as {"file", "error"}, from its per-file outcomes."""
+    return [{"file": p.name, "error": o} for p, o in zip(files, outcomes) if isinstance(o, str)]
 
 
 def _collect(files: list[Path], outcomes: list, warned: list | None = None) -> tuple[list, list[dict]]:
@@ -246,18 +241,13 @@ def _collect(files: list[Path], outcomes: list, warned: list | None = None) -> t
     same files) already carries the same message.  If every file fails, that
     is an input error.
     """
-    results = []
-    skipped = []
     for k, (path, outcome) in enumerate(zip(files, outcomes)):
-        if not isinstance(outcome, str):
-            results.append((path.stem, outcome))
-            continue
-        skipped.append({"file": path.name, "error": outcome})
-        if warned is None or warned[k] != outcome:
+        if isinstance(outcome, str) and (warned is None or warned[k] != outcome):
             print(f"warning: skipping {path.name}: {outcome}", file=sys.stderr)
+    results = [(p.stem, o) for p, o in zip(files, outcomes) if not isinstance(o, str)]
     if not results:
         raise FileNotFoundError(f"all {len(files)} structure files failed to parse")
-    return results, skipped
+    return results, _skipped(files, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +312,11 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
 
     names = [name for name, _ in results]
     n_al, n_o, n_h, xs, hs = (np.array(c) for c in zip(*(row for _, (row, _) in results)))
-    per_sample_records = [records for _, (_, records) in results]
+    tables = [table for _, (_, table) in results]
+    # One row per H over all samples, and the sample of each.
+    columns = zip(*((t.h_index, t.label, t.surface) for t in tables))
+    h_index, label, surface = (np.concatenate(c) for c in columns)
+    sample = np.repeat(np.arange(len(tables)), [len(t.label) for t in tables])
 
     stoich_path = out / "stoichiometry.csv"
     _write_csv(
@@ -343,19 +337,13 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
     )
 
     motif_csv_path = out / "motifs.csv"
-    records = [rec for recs in per_sample_records for rec in recs]
     _write_csv(
         motif_csv_path,
         ["sample", "h_index", "class", "surface"],
-        [
-            [name for name, recs in zip(names, per_sample_records) for _ in recs],
-            [rec.h_index for rec in records],
-            [rec.label for rec in records],
-            [int(rec.surface) for rec in records],
-        ],
+        [np.array(names)[sample], h_index, np.array(motifs.MOTIF_CLASSES)[label], surface.astype(int)],
     )
 
-    stats_table = motifs.motif_statistics(per_sample_records)
+    stats_table = motifs.motif_statistics(label, surface, sample, len(tables))
     motif_json_path = out / "motif_table.json"
     _write_json(
         motif_json_path,
@@ -478,19 +466,25 @@ def cmd_ej(
 def cmd_pipeline(cfg: PipelineConfig, out: Path) -> tuple[int, Path]:
     # When the census comes from the structures, fit_stats reads each file
     # once for both stages and hands the analyze rows on; a missing or empty
-    # directory then fails fit_stats, as the census alone would.
-    scan = None
+    # directory then fails fit_stats, as the census alone would.  A stage
+    # that fails after its structure pass lists the files the pass skipped.
+    scan = skipped = None
 
     def fit_stats():
-        nonlocal scan
+        nonlocal scan, skipped
         if cfg.counts is not None or cfg.structures is None:
             return cmd_fit_stats(cfg, out)
         scan = _structure_pass(cfg, census=True, analyze=True)
+        skipped = _skipped(scan.files, scan.counts)
         return cmd_fit_stats(cfg, out, scan)
 
     def analyze():
-        nonlocal scan
+        nonlocal scan, skipped
         handed, scan = scan, None
+        if handed is None and cfg.structures is not None:
+            handed = _structure_pass(cfg, census=False, analyze=True)
+        if handed is not None:
+            skipped = _skipped(handed.files, handed.rows)
         return cmd_analyze(cfg, out, handed)
 
     stages = [
@@ -510,21 +504,22 @@ def cmd_pipeline(cfg: PipelineConfig, out: Path) -> tuple[int, Path]:
         if failed_code != EXIT_OK:
             manifest.append({"name": name, "status": "skipped", "artifacts": []})
             continue
+        skipped = None
         try:
             artifacts = runner()
-            manifest.append(
-                {
-                    "name": name,
-                    "status": "completed",
-                    "artifacts": [p.name for p in artifacts],
-                }
-            )
         except _INPUT_ERRORS as exc:
-            manifest.append({"name": name, "status": "failed", "artifacts": [], "error": str(exc)})
-            failed_code = EXIT_INPUT
-        except _numerical_errors() as exc:
-            manifest.append({"name": name, "status": "failed", "artifacts": [], "error": str(exc)})
-            failed_code = EXIT_NUMERICAL
+            failed_code, error = EXIT_INPUT, exc
+        except stats.ComputationError as exc:
+            failed_code, error = EXIT_NUMERICAL, exc
+        else:
+            manifest.append(
+                {"name": name, "status": "completed", "artifacts": [p.name for p in artifacts]}
+            )
+            continue
+        failure = {"name": name, "status": "failed", "artifacts": [], "error": str(error)}
+        if skipped is not None:
+            failure["skipped"] = skipped
+        manifest.append(failure)
     manifest_path = out / "manifest.json"
     _write_json(manifest_path, {"seed": cfg.seed, "stages": manifest})
     return failed_code, manifest_path
@@ -611,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _numerical_errors() as exc:
+    except stats.ComputationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import GHZ_TO_JOULE, MEV_TO_JOULE
 from .stats import BetaBinomial
 
@@ -54,12 +52,13 @@ class EjDistribution:
     slope: float
     offset: float
 
-    def support(self) -> np.ndarray:
+    def support(self) -> list[float]:
         """E_J values (GHz) at each count n = 0..M."""
-        return self.offset + self.slope * np.arange(self.counts.trials + 1, dtype=float)
+        return [self.offset + self.slope * n for n in range(self.counts.trials + 1)]
 
-    def probabilities(self) -> np.ndarray:
-        return np.asarray(self.counts.pmf_vector())
+    def probabilities(self) -> list[float]:
+        """The probability of each count n = 0..M."""
+        return self.counts.pmf_vector()
 
     def mean(self) -> float:
         return self.offset + self.slope * self.counts.mean()

@@ -25,8 +25,10 @@ Al-H cutoff.  Host O lists keep the nearest O atoms (lowest index on ties).
 
 `classify_batch` is the one classifier.  It decides the class of every H
 atom of a batch of structures with array operations on the bond graph's CSR
-rows, the O-O chain walk included, and flags a motif as a surface motif when
-the H or one of its host O atoms is a surface site.
+rows, the O-O chain walk included, flags a motif as a surface motif when the
+H or one of its host O atoms is a surface site, and returns the batch's H as
+the rows of one `MotifTable`.  `motif_statistics` counts the classes of
+those rows per sample with one `np.bincount`.
 
 The chain walk of an Al-O2-H is breadth-first, level by level: each level is
 the O bonds of the level before, ordered by the parent's place in its level,
@@ -37,9 +39,8 @@ is the first O in that order with an Al bond.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .structure import SPECIES, BondGraph, CellList, StructureBatch, surface_mas
 __all__ = [
     "MOTIF_CLASSES",
     "MotifEnsembleStats",
-    "MotifRecord",
+    "MotifTable",
     "classify_batch",
     "motif_statistics",
 ]
@@ -65,40 +66,34 @@ MOTIF_CLASSES = (
     "Al-O-H-O-Al",
 )
 
-# Host O atoms per class, at most; the host list keeps the nearest O atoms
-# when more are bonded.
-_ARITY = {
-    "Al-OH": 1,
-    "Al-OH-Al": 1,
-    "Al-H2O": 1,
-    "Al-O2-H": 2,
-    "Al-H": 0,
-    "Al-H-Al": 0,
-    "Al-H-O": 1,
-    "interstitial": 0,
-    "Al-O-H-O-Al": 2,
-}
-
 _LABEL = {label: k for k, label in enumerate(MOTIF_CLASSES)}
 _AL, _O, _H = (SPECIES.index(s) for s in ("Al", "O", "H"))
 
 
-@dataclass(frozen=True, slots=True)
-class MotifRecord:
-    """Classification of one hydrogen atom."""
+class MotifTable(NamedTuple):
+    """The classified H atoms of a batch as columns, one row per H in batch
+    order, and per structure the message of the bond-query error that
+    rejects it (None for a classified structure; a rejected one has no rows).
 
-    h_index: int
-    label: str
-    host_o: tuple[int, ...]
-    surface: bool
+    `structure` is the structure's place in the batch and `h_index` the H
+    atom's index in its structure; `label` indexes MOTIF_CLASSES; `host_o`
+    holds the (at most two) host O of each H, nearest first, as indices in
+    its structure padded with -1; `surface` flags surface motifs."""
 
-    def __post_init__(self) -> None:
-        if self.label not in MOTIF_CLASSES:
-            raise ValueError(f"unknown motif class {self.label!r}")
-        if len(self.host_o) > _ARITY[self.label]:
-            raise ValueError(
-                f"{self.label} has at most {_ARITY[self.label]} host O, got {len(self.host_o)}"
-            )
+    structure: np.ndarray
+    h_index: np.ndarray
+    label: np.ndarray
+    host_o: np.ndarray
+    surface: np.ndarray
+    errors: list[str | None]
+
+    def split(self) -> list[MotifTable | str]:
+        """Per structure, the table of its rows alone, or its error."""
+        bounds = np.searchsorted(self.structure, np.arange(len(self.errors) + 1)).tolist()
+        return [
+            error or MotifTable(*(column[a:b] for column in self[:-1]), [None])
+            for error, a, b in zip(self.errors, bounds, bounds[1:])
+        ]
 
 
 def _o_bonds(graph: BondGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +153,9 @@ def classify_batch(
     members: np.ndarray | None = None,
     surface_depth: float = 2.0,
     surface_bin: float = 4.0,
-) -> list[list[MotifRecord] | str]:
-    """Per structure of `batch`, the records of its H atoms (indices local to
-    the structure), or the message of the bond-query error that rejects it.
+) -> MotifTable:
+    """The H atoms of `batch` as the rows of a `MotifTable`, with the
+    bond-query error of each structure it rejects.
 
     Bonds are made only for the rows the classes read: one `CellList` query
     over the batch (at the default cutoffs, overridden by `cutoffs`) on the H
@@ -216,17 +211,12 @@ def classify_batch(
     first = np.where(n_o > 0, o1, partner)
     second = np.select([bridged, chain >= 0, label == _LABEL["Al-O2-H"]], [o2, chain, o_near], -1)
     flagged = surface[h] | surface[first] | surface[second]
-    # In local indices, with a host count per H.
-    base = batch.offsets[batch.cell_of[h]]
-    hosts = (np.stack((first, second), axis=1) - base[:, None]).tolist()
-    n_hosts = ((first >= 0).astype(int) + (second >= 0)).tolist()
-    local_h, label, flagged = (h - base).tolist(), label.tolist(), flagged.tolist()
-    records = (
-        MotifRecord(i, MOTIF_CLASSES[c], tuple(ho[:k]), f)
-        for i, c, ho, k, f in zip(local_h, label, hosts, n_hosts, flagged)
-    )
-    held = np.bincount(batch.cell_of[h], minlength=batch.count).tolist()
-    return [error or list(itertools.islice(records, n)) for error, n in zip(index.errors, held)]
+    # In local indices, -1 kept for none.
+    cell = batch.cell_of[h]
+    base = batch.offsets[cell]
+    hosts = np.stack((first, second), axis=1)
+    hosts = np.where(hosts >= 0, hosts - base[:, None], -1)
+    return MotifTable(cell, h - base, label, hosts, flagged, index.errors)
 
 
 @dataclass(frozen=True)
@@ -250,44 +240,35 @@ class MotifEnsembleStats:
         }
 
 
-def motif_statistics(per_sample_records: list[list[MotifRecord]]) -> MotifEnsembleStats:
-    """Aggregate motif records over an ensemble of samples.
+def motif_statistics(
+    label: np.ndarray, surface: np.ndarray, sample: np.ndarray, samples: int
+) -> MotifEnsembleStats:
+    """Aggregate the motifs of an ensemble of `samples` samples, given per H
+    its class (`label`, into MOTIF_CLASSES), its surface flag and its sample
+    (0 to samples - 1).
 
     Percentages are per sample (summing to 100) and averaged with the
     population std convention; samples with zero H are excluded from the
     percentage average.  Surface probabilities pool counts over all samples.
     """
-    if not per_sample_records:
+    if samples < 1:
         raise ValueError("need at least one sample")
-
-    rows = []
-    class_total = dict.fromkeys(MOTIF_CLASSES, 0)
-    class_surface = dict.fromkeys(MOTIF_CLASSES, 0)
-    for records in per_sample_records:
-        for rec in records:
-            class_total[rec.label] += 1
-            class_surface[rec.label] += int(rec.surface)
-        if records:
-            counts = np.array([sum(r.label == c for r in records) for c in MOTIF_CLASSES], float)
-            rows.append(100.0 * counts / counts.sum())
-
-    if rows:
-        pct = np.vstack(rows)
+    classes = len(MOTIF_CLASSES)
+    counts = np.bincount(sample * classes + label, minlength=samples * classes)
+    counts = counts.reshape(samples, classes)
+    held = counts.sum(axis=1)
+    if held.any():
+        pct = 100.0 * counts[held > 0] / held[held > 0, None]
         mean = pct.mean(axis=0)
         std = pct.std(axis=0)
     else:
-        mean = np.full(len(MOTIF_CLASSES), np.nan)
-        std = np.full(len(MOTIF_CLASSES), np.nan)
-
-    surface_prob: dict[str, float | None] = {}
-    for label in MOTIF_CLASSES:
-        total = class_total[label]
-        surface_prob[label] = (class_surface[label] / total) if total else None
-
+        mean = std = np.full(classes, np.nan)
+    on_surface = np.bincount(label[surface], minlength=classes).tolist()
+    total = counts.sum(axis=0).tolist()
     return MotifEnsembleStats(
-        mean_pct={c: float(m) for c, m in zip(MOTIF_CLASSES, mean)},
-        std_pct={c: float(s) for c, s in zip(MOTIF_CLASSES, std)},
-        surface_prob=surface_prob,
-        samples=len(per_sample_records),
-        samples_with_h=len(rows),
+        mean_pct=dict(zip(MOTIF_CLASSES, mean.tolist())),
+        std_pct=dict(zip(MOTIF_CLASSES, std.tolist())),
+        surface_prob={c: s / t if t else None for c, s, t in zip(MOTIF_CLASSES, on_surface, total)},
+        samples=samples,
+        samples_with_h=int(np.count_nonzero(held)),
     )

@@ -47,6 +47,7 @@ __all__ = [
     "SHAPE_RANGE",
     "MD_REFERENCE_AREA",
     "BetaBinomial",
+    "ComputationError",
     "CountSample",
     "DegenerateDataError",
     "FitConvergenceError",
@@ -73,7 +74,12 @@ class DegenerateDataError(ValueError):
     """The counts carry no spread, so the overdispersion is unidentifiable."""
 
 
-class FitConvergenceError(RuntimeError):
+class ComputationError(RuntimeError):
+    """A numerical or convergence failure: a computation on valid input gave
+    no usable result.  The base of every such error in the package."""
+
+
+class FitConvergenceError(ComputationError):
     """A consumer required convergence and the optimizer reported none."""
 
 

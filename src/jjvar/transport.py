@@ -36,6 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import MAX_ENERGY_OFFSET
+from .stats import ComputationError
 
 __all__ = [
     "CalibrationError",
@@ -66,11 +67,11 @@ _CALIBRATION_MAX_ITER = 200
 _BLOCK = 4096
 
 
-class NumericalError(RuntimeError):
+class NumericalError(ComputationError):
     """Non-convergence or a singular solve in the Green's-function machinery."""
 
 
-class CalibrationError(RuntimeError):
+class CalibrationError(ComputationError):
     """Target transmission not bracketed; carries the endpoint transmissions."""
 
     def __init__(self, message: str, endpoints: tuple[float, float] | None = None):

@@ -1,17 +1,126 @@
-"""The per-H motif classifier: the reference that the array classes of
-`jjvar.motifs.classify_batch` are tested against.
+"""Per-H references: the motif classifier that the array classes of
+`jjvar.motifs.classify_batch` are tested against, and the per-record
+ensemble statistics that `jjvar.motifs.motif_statistics` is tested against.
 
 `classify_h` decides one H at a time from (index, distance) lists of its
 bonds, and walks the O-O chain of an Al-O2-H with a FIFO queue: children are
 pushed in (distance, index) order and an O seen before is dropped when it is
 popped.  It reads the same rows of the bond graph as `classify_batch`, so it
-can be given either that graph or the full one.
+can be given either that graph or the full one.  Both references work on
+`MotifRecord`s, one per H; `table_records` reads a `MotifTable` as records.
 """
 
-from jjvar.motifs import MotifRecord
+from dataclasses import dataclass
+
+import numpy as np
+
+from jjvar.motifs import MOTIF_CLASSES, MotifEnsembleStats, MotifTable, motif_statistics
 from jjvar.structure import AtomicStructure, BondGraph, StructureBatch
 
 from conftest import neighbors
+
+# Host O atoms per class, at most; the host list keeps the nearest O atoms
+# when more are bonded.
+ARITY = {
+    "Al-OH": 1,
+    "Al-OH-Al": 1,
+    "Al-H2O": 1,
+    "Al-O2-H": 2,
+    "Al-H": 0,
+    "Al-H-Al": 0,
+    "Al-H-O": 1,
+    "interstitial": 0,
+    "Al-O-H-O-Al": 2,
+}
+
+
+@dataclass(frozen=True, slots=True)
+class MotifRecord:
+    """Classification of one hydrogen atom."""
+
+    h_index: int
+    label: str
+    host_o: tuple[int, ...]
+    surface: bool
+
+    def __post_init__(self) -> None:
+        if self.label not in MOTIF_CLASSES:
+            raise ValueError(f"unknown motif class {self.label!r}")
+        if len(self.host_o) > ARITY[self.label]:
+            raise ValueError(
+                f"{self.label} has at most {ARITY[self.label]} host O, got {len(self.host_o)}"
+            )
+
+
+def table_records(table: MotifTable) -> list[list[MotifRecord] | str]:
+    """Per structure of the table's batch, the records of its rows, or the
+    error that rejects it."""
+    return [
+        part
+        if isinstance(part, str)
+        else [
+            MotifRecord(i, MOTIF_CLASSES[c], tuple(o for o in hosts if o >= 0), f)
+            for i, c, hosts, f in zip(
+                part.h_index.tolist(), part.label.tolist(), part.host_o.tolist(), part.surface.tolist()
+            )
+        ]
+        for part in table.split()
+    ]
+
+
+def statistics_of(per_sample_records: list[list[MotifRecord]]) -> MotifEnsembleStats:
+    """`motif_statistics` on the columns of per-sample records."""
+    records = [rec for recs in per_sample_records for rec in recs]
+    return motif_statistics(
+        np.array([MOTIF_CLASSES.index(rec.label) for rec in records], dtype=int),
+        np.array([rec.surface for rec in records], dtype=bool),
+        np.repeat(np.arange(len(per_sample_records)), [len(recs) for recs in per_sample_records]),
+        len(per_sample_records),
+    )
+
+
+def motif_statistics_reference(per_sample_records: list[list[MotifRecord]]) -> MotifEnsembleStats:
+    """Aggregate motif records over an ensemble of samples, one sample and
+    one record at a time.
+
+    Percentages are per sample (summing to 100) and averaged with the
+    population std convention; samples with zero H are excluded from the
+    percentage average.  Surface probabilities pool counts over all samples.
+    """
+    if not per_sample_records:
+        raise ValueError("need at least one sample")
+
+    rows = []
+    class_total = dict.fromkeys(MOTIF_CLASSES, 0)
+    class_surface = dict.fromkeys(MOTIF_CLASSES, 0)
+    for records in per_sample_records:
+        for rec in records:
+            class_total[rec.label] += 1
+            class_surface[rec.label] += int(rec.surface)
+        if records:
+            counts = np.array([sum(r.label == c for r in records) for c in MOTIF_CLASSES], float)
+            rows.append(100.0 * counts / counts.sum())
+
+    if rows:
+        pct = np.vstack(rows)
+        mean = pct.mean(axis=0)
+        std = pct.std(axis=0)
+    else:
+        mean = np.full(len(MOTIF_CLASSES), np.nan)
+        std = np.full(len(MOTIF_CLASSES), np.nan)
+
+    surface_prob: dict[str, float | None] = {}
+    for label in MOTIF_CLASSES:
+        total = class_total[label]
+        surface_prob[label] = (class_surface[label] / total) if total else None
+
+    return MotifEnsembleStats(
+        mean_pct={c: float(m) for c, m in zip(MOTIF_CLASSES, mean)},
+        std_pct={c: float(s) for c, s in zip(MOTIF_CLASSES, std)},
+        surface_prob=surface_prob,
+        samples=len(per_sample_records),
+        samples_with_h=len(rows),
+    )
 
 
 def _by_distance(pairs: list[tuple[int, float]]) -> list[int]:

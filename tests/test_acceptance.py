@@ -13,7 +13,7 @@ import pytest
 
 from jjvar.cli import main
 from jjvar.josephson import ej_distribution, ej_single
-from jjvar.motifs import classify_batch
+from jjvar.motifs import MOTIF_CLASSES, classify_batch
 from jjvar.stats import BetaBinomial, CountSample, fit
 from jjvar.structure import AtomicStructure, StructureBatch, oxide_regions, stoichiometry
 from jjvar.transport import (
@@ -172,10 +172,10 @@ def test_criterion_08_headline_ej_distribution():
 
 def test_criterion_09_motif_fixtures_and_surface_flags():
     fixtures = nine_motif_fixtures()
-    per_fixture = classify_batch(StructureBatch([structure for _, structure, _ in fixtures]))
+    table = classify_batch(StructureBatch([structure for _, structure, _ in fixtures]))
     correct = 0
-    for (label, _, h_indices), records in zip(fixtures, per_fixture):
-        labels = {rec.h_index: rec.label for rec in records}
+    for (label, _, h_indices), part in zip(fixtures, table.split()):
+        labels = dict(zip(part.h_index.tolist(), (MOTIF_CLASSES[c] for c in part.label.tolist())))
         correct += int(all(labels[h] == label for h in h_indices))
     assert correct == 9
 
@@ -186,7 +186,7 @@ def test_criterion_09_motif_fixtures_and_surface_flags():
     )
     batch = StructureBatch([top, buried])
     flags = classify_batch(batch, members=oxide_regions(batch)[1])
-    found = [[(rec.h_index, rec.surface) for rec in records] for records in flags]
+    found = [list(zip(part.h_index.tolist(), part.surface.tolist())) for part in flags.split()]
     surface_ok = int(found[0] == [(len(top) - 1, True)]) + int(found[1] == [(3, False)])
     assert surface_ok == 2
     report(9, f"motif fixtures {correct}/9, surface flags {surface_ok}/2")

@@ -586,9 +586,20 @@ class TestStructurePass:
             for budget in (1, cli._BATCH_ATOMS):
                 with mock.patch.object(cli, "_BATCH_ATOMS", budget):
                     passes.append(cli._structure_pass(cfg, census=True, analyze=True))
-        assert passes[0] == passes[1]
+        assert passes[0].files == passes[1].files
+        assert passes[0].counts == passes[1].counts
+        assert [_comparable(row) for row in passes[0].rows] == [_comparable(row) for row in passes[1].rows]
         for row, (kind, _, _) in zip(passes[0].rows, entries):
             assert isinstance(row, str) == (kind not in ("good", "fixture")) or kind == "fixture"
+
+
+def _comparable(row):
+    """An analyze row of a structure pass with its motif table as lists, all
+    but the structure's place in its batch."""
+    if isinstance(row, str):
+        return row
+    stoichiometry, table = row
+    return stoichiometry, [c.tolist() for c in (table.h_index, table.label, table.host_o, table.surface)]
 
 
 class TestPathArguments:
@@ -1035,6 +1046,9 @@ class TestStructureFileFuzz:
         command="pipeline",
         files=[b"1\ncomment\no 0.0 0.0 0.0\n", b"4\ncomment\no 0 0 0\no 0 0 0\no 0 0 0\nh 0 0 0\n"],
     )
+    # One census count after a skipped file: the fit fails, the manifest
+    # lists the file.
+    @example(command="pipeline", files=[b"3\ncomment\nAl 0 0 0\nO 1.8 0 0\nH 2.8 0 0\n", b"garbage\n"])
     # Bond candidates whose squared distance overflows, without and with the
     # minimum image: at the parent, numpy warnings on stderr.
     @example(
@@ -1079,15 +1093,20 @@ class TestStructureFileFuzz:
             warned = [line for line in lines if line.startswith("warning: skipping ")]
             errors = [line for line in lines if line.startswith("error: ")]
             assert len(warned) + len(errors) == len(lines) and len(errors) <= 1, lines
-            if code != 2:
-                # Every stage that warned wrote its report (a pipeline stage
-                # that skips every file fails as a whole, with exit 2).
+            if code != 2 or command == "pipeline":
+                # Every stage that warned wrote its report, or failed in a
+                # pipeline whose manifest lists the files it skipped (alone,
+                # a stage that skips every file fails with exit 2 and writes
+                # nothing).
                 listed = {
                     f["file"]
                     for name, key in (("ensemble_summary.json", "failures"), ("fit_report.json", "skipped"))
                     if (out / name).exists()
                     for f in json.loads((out / name).read_text())[key]
                 }
+                if command == "pipeline" and (out / "manifest.json").exists():
+                    stages = json.loads((out / "manifest.json").read_text())["stages"]
+                    listed |= {f["file"] for stage in stages for f in stage.get("skipped", [])}
                 assert {line.split()[2].rstrip(":") for line in warned} <= listed
             if code == 0:
                 for table in out.glob("*.csv"):
@@ -1463,9 +1482,10 @@ def test_every_export_resolves():
         exec(f"from jjvar.{info.name} import *", {})
 
 
-def _jjvar_modules_executed(argv: list[str]) -> str:
+def _jjvar_modules_executed(argv: list[str], numpy: bool = False) -> str:
     """"CODE [modules]": main's exit code and the jjvar modules a fresh
-    interpreter executes to run `main(argv)`, import of jjvar.cli included."""
+    interpreter executes to run `main(argv)`, import of jjvar.cli included;
+    with `numpy`, then whether that run imported numpy."""
     probe = (
         "import contextlib, io, pathlib, sys\n"
         "ran = []\n"
@@ -1475,9 +1495,40 @@ def _jjvar_modules_executed(argv: list[str]) -> str:
         f"    code = jjvar.cli.main({argv!r})\n"
         "package = pathlib.Path(jjvar.__file__).parent\n"
         "paths = [pathlib.Path(getattr(c, 'co_filename', '')) for c in ran]\n"
-        "print(code, sorted(p.stem for p in paths if p.parent == package))"
+        "print(code, sorted(p.stem for p in paths if p.parent == package)"
+        + (", 'numpy' in sys.modules)" if numpy else ")")
     )
     return _run_fresh(probe)
+
+
+_STAGE_MODULES = {
+    "fit-stats --counts": ([], False),
+    "fit-stats --structures": (["constants", "structure"], True),
+    "analyze": (["constants", "motifs", "structure"], True),
+    "transmission": (["transport"], True),
+    "ej": (["constants", "josephson"], False),
+    "pipeline": (["constants", "josephson", "motifs", "structure", "transport"], True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STAGE_MODULES))
+def test_each_subcommand_executes_only_its_stage_modules(tmp_path, command):
+    counts = write_counts_file(tmp_path / "counts.txt", k=50)
+    directory = write_structure_dir(tmp_path)
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(f"paths.structures = {directory}\ntransport.grid_points = 101\n")
+    argv = {
+        "fit-stats --counts": ["fit-stats", "--counts", str(counts), "--m", "fixed=40"],
+        "fit-stats --structures": ["fit-stats", "--structures", str(directory), "--m", "fixed=40"],
+        "analyze": ["analyze", "--structures", str(directory)],
+        "transmission": ["transmission", "--grid", "21"],
+        "ej": ["ej"],
+        "pipeline": ["--config", str(config), "pipeline"],
+    }[command]
+    stage_modules, numpy = _STAGE_MODULES[command]
+    modules = sorted(["__init__", "cli", "config", "stats"] + stage_modules)
+    executed = _jjvar_modules_executed(["--out", str(tmp_path / "out")] + argv, numpy=True)
+    assert executed == f"0 {modules} {numpy}"
 
 
 @pytest.mark.parametrize("counts, code", [(None, 0), ("5\n5\n", 2)], ids=["fit", "input-error"])

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jjvar import motifs
-from jjvar.motifs import MOTIF_CLASSES, MotifRecord, classify_batch, motif_statistics
+from jjvar.motifs import MOTIF_CLASSES, classify_batch
 from jjvar.structure import DEFAULT_CUTOFFS, AtomicStructure, CellList, StructureBatch, oxide_regions
 
 from conftest import (
@@ -20,7 +19,14 @@ from conftest import (
     nine_motif_fixtures,
     sites_of,
 )
-from motifs_reference import classify_h
+from motifs_reference import (
+    ARITY,
+    MotifRecord,
+    classify_h,
+    motif_statistics_reference,
+    statistics_of,
+    table_records,
+)
 
 
 @st.composite
@@ -154,10 +160,10 @@ def classifier_rows(s, overrides=None):
 
 
 def classify_one(s, cutoffs=None):
-    """The records `classify_batch` gives `s` alone, with surface flags from
-    its oxide region."""
+    """The rows `classify_batch` gives `s` alone, as records, with surface
+    flags from its oxide region."""
     batch = StructureBatch([s])
-    (records,) = classify_batch(batch, cutoffs=cutoffs, members=oxide_regions(batch)[1])
+    (records,) = table_records(classify_batch(batch, cutoffs=cutoffs, members=oxide_regions(batch)[1]))
     return records
 
 
@@ -293,7 +299,7 @@ class TestPrecedenceAndStability:
         for rec in records:
             assert rec.label in MOTIF_CLASSES
             assert all(s.species[o] == "O" for o in rec.host_o)
-            assert len(rec.host_o) <= motifs._ARITY[rec.label]
+            assert len(rec.host_o) <= ARITY[rec.label]
 
     @settings(max_examples=150, deadline=None)
     @given(dense_cells())
@@ -322,7 +328,7 @@ class TestPrecedenceAndStability:
         s, overrides = case
         full = full_graph(s, overrides)
         rows = classifier_rows(s, overrides)
-        (records,) = classify_batch(StructureBatch([s]), cutoffs=overrides)
+        (records,) = table_records(classify_batch(StructureBatch([s]), cutoffs=overrides))
         assert records == [classify_h(s, full, int(h)) for h in indices_of(s, "H")]
         assert rows.bridge_o.tolist() == full.bridge_o.tolist()
         assert full.bridge_o.tolist() == reference_bridge_o(s, full, overrides).tolist()
@@ -345,7 +351,7 @@ class TestPrecedenceAndStability:
             expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
         _, members = oxide_regions(batch)
-        assert classify_batch(batch, cutoffs=overrides, members=members) == expected
+        assert table_records(classify_batch(batch, cutoffs=overrides, members=members)) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(routed_batches())
@@ -389,7 +395,7 @@ class TestPrecedenceAndStability:
             expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
         _, members = oxide_regions(batch)
-        assert classify_batch(batch, members=members) == expected
+        assert table_records(classify_batch(batch, members=members)) == expected
 
     def test_order_independence(self):
         rng = np.random.default_rng(29)
@@ -438,20 +444,20 @@ class TestEnsembleStatistics:
 
     def test_single_sample_split(self):
         records = self._records(["Al-OH", "Al-OH", "Al-OH-Al", "Al-OH-Al"])
-        stats = motif_statistics([records])
+        stats = statistics_of([records])
         assert stats.mean_pct["Al-OH"] == pytest.approx(50.0)
         assert stats.mean_pct["Al-OH-Al"] == pytest.approx(50.0)
         assert stats.std_pct["Al-OH"] == pytest.approx(0.0)
 
     def test_population_std_convention(self):
-        stats = motif_statistics(
+        stats = statistics_of(
             [self._records(["Al-OH"]), self._records(["Al-OH-Al"])]
         )
         assert stats.mean_pct["Al-OH"] == pytest.approx(50.0)
         assert stats.std_pct["Al-OH"] == pytest.approx(50.0)
 
     def test_zero_h_samples_excluded(self):
-        stats = motif_statistics([self._records(["Al-OH"]), [], []])
+        stats = statistics_of([self._records(["Al-OH"]), [], []])
         assert stats.samples == 3
         assert stats.samples_with_h == 1
         assert stats.mean_pct["Al-OH"] == pytest.approx(100.0)
@@ -461,7 +467,7 @@ class TestEnsembleStatistics:
             self._records(["Al-OH", "Al-OH"], surface={0}),
             self._records(["Al-OH", "Al-OH"], surface={0, 1}),
         ]
-        stats = motif_statistics(samples)
+        stats = statistics_of(samples)
         assert stats.surface_prob["Al-OH"] == pytest.approx(3 / 4)
         assert stats.surface_prob["Al-H"] is None
 
@@ -471,7 +477,7 @@ class TestEnsembleStatistics:
         for _ in range(20):
             labels = list(rng.choice(MOTIF_CLASSES, size=int(rng.integers(1, 12))))
             samples.append(self._records(labels))
-        stats = motif_statistics(samples)
+        stats = statistics_of(samples)
         assert sum(stats.mean_pct.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_generator_recovery(self):
@@ -484,11 +490,31 @@ class TestEnsembleStatistics:
             counts = rng.multinomial(per_sample, probs)
             labels = [c for c, k in zip(MOTIF_CLASSES, counts) for _ in range(k)]
             samples.append(self._records(labels))
-        stats = motif_statistics(samples)
+        stats = statistics_of(samples)
         for label, p in zip(MOTIF_CLASSES, probs):
             se = stats.std_pct[label] / np.sqrt(n_samples)
             assert abs(stats.mean_pct[label] - 100 * p) <= 2 * se + 1e-9
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):
-            motif_statistics([])
+            statistics_of([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.sampled_from(MOTIF_CLASSES), st.booleans()), max_size=12),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    # Samples with no H only: every percentage is NaN, every probability None.
+    @example([[], [], []])
+    # Zero-H samples among others, and one class on every sample.
+    @example([[("Al-OH", True)], [], [("Al-OH", False), ("Al-H", True)], []])
+    def test_bincount_statistics_match_per_record_reference(self, samples):
+        per_sample = [
+            [MotifRecord(i, label, (), flag) for i, (label, flag) in enumerate(sample)]
+            for sample in samples
+        ]
+        # repr tells every two floats apart, NaN included: exact equality.
+        assert repr(statistics_of(per_sample)) == repr(motif_statistics_reference(per_sample))
