@@ -420,12 +420,12 @@ def cmd_ej(
         if not trials.is_integer():
             raise ValueError(f"{fit_report}: M must be an integer, got {trials}")
         dist = stats.BetaBinomial(
-            _json_number(payload, fit_report, "alpha"),
-            _json_number(payload, fit_report, "beta"),
+            _json_number(payload, fit_report, "p"),
+            _json_number(payload, fit_report, "theta"),
             int(trials),
         )
     else:
-        dist = stats.BetaBinomial(cfg.alpha, cfg.beta, cfg.trials)
+        dist = stats.BetaBinomial.from_shapes(cfg.alpha, cfg.beta, cfg.trials)
 
     t_jj, t_jjh = cfg.target_jj, cfg.target_jjh
     if calibration is not None:

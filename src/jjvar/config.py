@@ -14,8 +14,9 @@ lengths, areas and targets, a lead hopping that is zero or beyond
 `MAX_LEAD_HOPPING`, a grid half-width beyond `MAX_ENERGY_OFFSET`, an energy
 grid whose points are not distinct or that leaves the curve-shift fit fewer
 than 3 points, a malformed `stats.m` or one above `stats.MAX_TRIALS`, and
-`stats.alpha`, `stats.beta` and `stats.trials` that `stats.BetaBinomial`
-refuses, naming the offending key.
+`stats.alpha`, `stats.beta` and `stats.trials` that
+`stats.BetaBinomial.from_shapes` refuses to convert to (p, theta), naming
+the offending key.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ class PipelineConfig:
                 raise ConfigError(f"{f.metadata['key']} must be an existing path, got {value}")
         self.m_fit_args()
         try:
-            BetaBinomial(self.alpha, self.beta, self.trials)
+            BetaBinomial.from_shapes(self.alpha, self.beta, self.trials)
         except ValueError as exc:  # its messages open with the field name
             raise ConfigError(f"stats.{exc}") from None
 

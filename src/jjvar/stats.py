@@ -1,34 +1,40 @@
 """Beta-binomial statistics for hydrogen counts across oxide samples.
 
 The number of H atoms found in a fixed reference area of oxide varies from
-sample to sample with more spread than a plain binomial allows.  A
-beta-binomial,
+sample to sample with more spread than a plain binomial allows.  The
+beta-binomial captures that overdispersion, here in the mean/overdispersion
+form of Griffiths (Biometrics 29, 637 (1973)): with mean fraction p and
+theta >= 0,
 
-    P(n) = C(M, n) * B(n + alpha, M - n + beta) / B(alpha, beta),
+    P(n) = C(M, n) prod_{j<n} (p + j theta) prod_{j<M-n} (1 - p + j theta)
+           / prod_{j<M} (1 + j theta),
 
-captures that overdispersion.  This module provides the distribution
-(PMF/moments/sampling), maximum-likelihood fitting with either a fixed trial
-count M or a likelihood scan over M, and count-file ingestion.
+exactly the binomial at theta = 0; the beta shapes are alpha = p / theta
+and beta = (1 - p) / theta.  This module provides the distribution
+(PMF/moments/sampling), maximum-likelihood fitting with a fixed trial count
+M or a likelihood scan over M, and count-file ingestion.
 
-Everything is evaluated through rising-factorial (Pochhammer) sums,
-ln Gamma(x + k) - ln Gamma(x) = sum_{j<k} ln(x + j), so no special functions
-are needed.  The fit works on the count histogram (Minka, "Estimating a
-Dirichlet distribution", 2000): with the tail counts A_j = #{c > j} and
+The fit works on the count histogram (Minka, "Estimating a Dirichlet
+distribution", 2000): with the tail counts A_j = #{c > j} and
 B_j = #{M - c > j} of n samples, the log-likelihood is
 
-    l = const + sum_{j<M} [A_j ln(alpha + j) + B_j ln(beta + j) - n ln(alpha + beta + j)],
+    l = const + sum_{j<M} [A_j ln(p + j theta) + B_j ln(1 - p + j theta) - n ln(1 + j theta)],
 
-so each evaluation costs O(M) whatever the sample count.  The Newton
-iteration stops once every log-parameter gradient is within `tol` per sample.
+so each evaluation costs O(M) whatever the sample count.  The sign of
+dl/dtheta at (p = mean / M, theta = 0), in exact integers (Tarone,
+Biometrika 66, 585 (1979)), tells whether the counts are overdispersed; if
+not, that binomial is the fit.  Otherwise Newton in (p, theta) runs from the
+moment estimate until the Newton decrement g^T (-H)^-1 g / 2 is within `tol`
+per sample.
 
 The module works on Python floats and needs no numpy, so that fitting counts
 costs no numpy import: every sum goes through `math.fsum`, which rounds
 exactly once and so makes the results independent of summation order, and
-the 2x2 Newton step is solved in closed form.  An evaluation of l, its
-gradient or its Hessian makes up to 3M interpreted terms, each a `log` or a
-division at about 0.1-0.2 us in CPython 3.11: tens of microseconds at the
-M ~ 100 of a default scan, some 50 ms at MAX_TRIALS.  `BetaBinomial.sample`
-alone imports numpy, when called.
+the 2x2 Newton step is solved in closed form.  An evaluation of l, or of
+the gradient and Hessian together, makes up to 3M `log` calls or divisions
+and a few products per term, at about 0.1 us each in CPython 3.11: tens of
+microseconds at the M ~ 100 of a default scan, 35-50 ms at MAX_TRIALS.
+`BetaBinomial.sample` alone imports numpy, when called.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from typing import NamedTuple, Sequence
 
 __all__ = [
     "MAX_TRIALS",
-    "SHAPE_RANGE",
     "MD_REFERENCE_AREA",
     "BetaBinomial",
     "ComputationError",
@@ -63,11 +68,6 @@ MD_REFERENCE_AREA = 34.17 * 34.17
 # Largest trial number M accepted anywhere (fit, scan bound, distribution):
 # the PMF and the fit's sums hold O(M) floats.
 MAX_TRIALS = 100_000
-
-# Range of alpha and beta accepted by BetaBinomial.  Inside it the moments and
-# the PMF stay finite at every trial number up to MAX_TRIALS; outside it
-# alpha + beta overflows or the variance's s^2 (s + 1) underflows to 0.
-SHAPE_RANGE = (1e-100, 1e100)
 
 
 class DegenerateDataError(ValueError):
@@ -88,81 +88,94 @@ def _check_trials(m: int, what: str) -> None:
         raise ValueError(f"{what} {m} exceeds the largest supported trial number {MAX_TRIALS}")
 
 
-def _log_rising(x: float, m: int) -> tuple[list[float], list[float]]:
-    """Lists (hi, lo) with hi[k] + lo[k] = sum_{j<k} ln(x + j) for k = 0..m:
+def _prefix_sums(terms) -> tuple[list[float], list[float]]:
+    """Lists (hi, lo) with hi[k] + lo[k] = the sum of the first k terms:
     hi[k] is the rounded running sum and lo[k] the sum of its rounding
     errors (Knuth's TwoSum)."""
-    hi, lo = [0.0] * (m + 1), [0.0] * (m + 1)
+    hi, lo = [0.0], [0.0]
     total = err = 0.0
-    for k in range(1, m + 1):
-        term = log(x + (k - 1))
+    for term in terms:
         s = total + term
         bb = s - total
         err += (total - (s - bb)) + (term - bb)
-        total = hi[k] = s
-        lo[k] = err
+        total = s
+        hi.append(s)
+        lo.append(err)
     return hi, lo
 
 
 def _log_factorials(m: int) -> list[float]:
     """ln k! for k = 0..m."""
-    return [h + l for h, l in zip(*_log_rising(1.0, m))]
+    return [h + l for h, l in zip(*_prefix_sums(map(log, range(1, m + 1))))]
 
 
 @dataclass(frozen=True)
 class BetaBinomial:
-    """Beta-binomial distribution over n in {0, ..., trials}."""
+    """Beta-binomial distribution over n in {0, ..., trials} with mean
+    success probability p and overdispersion theta; theta = 0 is the
+    binomial."""
 
-    alpha: float
-    beta: float
+    p: float
+    theta: float
     trials: int
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            if not SHAPE_RANGE[0] <= getattr(self, name) <= SHAPE_RANGE[1]:
-                raise ValueError(f"{name} must be within {SHAPE_RANGE}, got {getattr(self, name)}")
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
         if self.trials < 0 or self.trials != int(self.trials):
             raise ValueError(f"trials must be a non-negative integer, got {self.trials}")
         _check_trials(self.trials, "trials")
+        # Every factor 1 + j theta, j < trials, of the product form is finite.
+        if not (self.theta >= 0.0 and isfinite(self.theta * max(self.trials, 1))):
+            raise ValueError(f"theta must be >= 0 with theta * trials finite, got {self.theta}")
 
-    def log_pmf(self, n):
-        """log P(n) as a float for an integer `n` within [0, trials], or as a
-        list of floats for an iterable of them."""
-        try:
-            counts = list(n)
-        except TypeError:
-            return self.log_pmf([n])[0]
-        m = self.trials
-        for c in counts:
-            if not 0 <= c <= m or c != int(c):
-                raise ValueError(f"count outside support {{0, ..., {m}}}")
-        fact, ra, rb, rs = (
-            _log_rising(x, m) for x in (1.0, self.alpha, self.beta, self.alpha + self.beta)
-        )
-        const = (fact[0][m], fact[1][m], -rs[0][m], -rs[1][m])
-        # The parts reach ~M ln(M + alpha + beta) and cancel; sum them exactly.
-        out = []
-        for c in map(int, counts):
-            parts = (-fact[0][c], -fact[1][c], -fact[0][m - c], -fact[1][m - c])
-            out.append(fsum(const + parts + (ra[0][c], ra[1][c], rb[0][m - c], rb[1][m - c])))
-        return out
+    @classmethod
+    def from_shapes(cls, alpha: float, beta: float, trials: int) -> BetaBinomial:
+        """The distribution whose beta law has shapes alpha, beta > 0."""
+        for name, value in (("alpha", alpha), ("beta", beta)):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        p, theta = 1.0 / (1.0 + beta / alpha), 1.0 / (alpha + beta)
+        _check_trials(trials, "trials")
+        if not (0.0 < p < 1.0 and isfinite(theta * max(trials, 1))):
+            raise ValueError(
+                f"alpha = {alpha} and beta = {beta} give p = {p}, theta = {theta}: p must lie "
+                f"strictly between 0 and 1 and theta times the {trials} trials must be finite"
+            )
+        return cls(p, theta, trials)
 
-    def pmf(self, n):
-        """P(n), computed in log space and exponentiated: a float, or a list of
-        floats for an iterable `n`."""
-        log_p = self.log_pmf(n)
-        return exp(log_p) if isinstance(log_p, float) else list(map(exp, log_p))
+    @property
+    def alpha(self) -> float:
+        return self.p / self.theta if self.theta else math.inf
+
+    @property
+    def beta(self) -> float:
+        return (1.0 - self.p) / self.theta if self.theta else math.inf
 
     def pmf_vector(self) -> list[float]:
-        """PMF over the entire support 0..trials."""
-        return self.pmf(range(self.trials + 1))
+        """PMF over the support 0..trials, as Python floats: the steps
+        ln P(n + 1) - ln P(n) summed with compensation, exponentiated
+        relative to the largest sum and divided by their total, so that no
+        normalizing product is evaluated and the values sum to 1 up to their
+        own rounding."""
+        m, p, t = self.trials, self.p, self.theta
+        q = 1.0 - p
+        hi, lo = _prefix_sums(
+            log((m - n) / (n + 1.0)) + log(p + n * t) - log(q + (m - 1 - n) * t)
+            for n in range(m)
+        )
+        top = max(hi)  # a common offset cancels against the total
+        weights = [exp((h - top) + l) for h, l in zip(hi, lo)]
+        total = fsum(weights)
+        return [w / total for w in weights]
 
     def mean(self) -> float:
-        return self.trials * self.alpha / (self.alpha + self.beta)
+        return self.trials * self.p
 
     def variance(self) -> float:
-        s = self.alpha + self.beta
-        return self.trials * (self.trials + s) * self.alpha * self.beta / (s * s * (s + 1.0))
+        m, p, t = self.trials, self.p, self.theta
+        # The ratio first: M p (1 - p) (1 + M theta) can overflow where the variance does not.
+        return m * p * (1.0 - p) * ((1.0 + m * t) / (1.0 + t))
 
     def std(self) -> float:
         return math.sqrt(self.variance())
@@ -175,7 +188,7 @@ class BetaBinomial:
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        p = rng.beta(self.alpha, self.beta, size=k)
+        p = rng.beta(self.alpha, self.beta, size=k) if self.theta else np.full(k, self.p)
         return rng.binomial(self.trials, p)
 
 
@@ -242,8 +255,11 @@ class FitResult:
     scan: tuple[tuple[int, float], ...] = ()
 
     def report(self) -> dict:
-        """Emission-ready summary (documented JSON fields)."""
+        """Emission-ready summary (documented JSON fields); alpha and beta
+        are inf at theta = 0."""
         return {
+            "p": self.dist.p,
+            "theta": self.dist.theta,
             "alpha": self.dist.alpha,
             "beta": self.dist.beta,
             "M": self.dist.trials,
@@ -253,15 +269,27 @@ class FitResult:
         }
 
 
+class _Terms(NamedTuple):
+    """One sum of the log-likelihood, sum_j w_j ln(x + j theta), as its
+    positions j = 0, 1, ... and the weights w_j, j w_j and j^2 w_j."""
+
+    j: list[float]
+    w: list[float]
+    jw: list[float]
+    jjw: list[float]
+
+
 class _Tails(NamedTuple):
     """Sufficient statistics of n counts for one trial number M.  The tails
     stop where they reach zero: past the largest count for A, past M minus
     the smallest count for B."""
 
-    j: list[float]  # 0..M-1
-    a: list[float]  # A_j = #{c > j}
-    b: list[float]  # B_j = #{M - c > j}
+    a: _Terms  # A_j = #{c > j}, at x = p
+    b: _Terms  # B_j = #{M - c > j}, at x = 1 - p
+    s: _Terms  # -n for every j < M, at x = 1
     n: int
+    s1: int  # sum of the counts
+    s2: int  # sum of their squares
     const: float  # sum over samples of ln C(M, c)
 
 
@@ -278,132 +306,108 @@ def _tails(hist: list[int], m: int, log_fact: list[float]) -> _Tails:
     const = n * log_fact[m] - fsum(
         chain(map(mul, hist, log_fact), map(mul, hist, reversed(log_fact[m - cmax : m + 1])))
     )
-    return _Tails([float(k) for k in range(m)], a, b, n, const)
+    j = [float(k) for k in range(m)]
+    jj = list(map(mul, j, j))
+
+    def terms(w: list[float]) -> _Terms:
+        return _Terms(j[: len(w)], w, list(map(mul, j, w)), list(map(mul, jj, w)))
+
+    s1 = sum(c * h for c, h in enumerate(hist))
+    s2 = sum(c * c * h for c, h in enumerate(hist))
+    return _Tails(terms(a), terms(b), terms([-float(n)] * m), n, s1, s2, const)
 
 
-def _log_likelihood(t: _Tails, alpha: float, beta: float) -> float:
-    s, n = alpha + beta, -t.n
-    return fsum(
-        chain(
-            (t.const,),
-            [w * log(alpha + j) for w, j in zip(t.a, t.j)],
-            [w * log(beta + j) for w, j in zip(t.b, t.j)],
-            [n * log(s + j) for j in t.j],
-        )
+def _log_likelihood(t: _Tails, p: float, theta: float) -> float:
+    sums = ((t.a, p), (t.b, 1.0 - p), (t.s, 1.0))
+    logs = (map(mul, u.w, map(log, [x + j * theta for j in u.j])) for u, x in sums)
+    return fsum(chain((t.const,), *logs))
+
+
+def _derivatives(t: _Tails, p: float, theta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """((dl/dp, dl/dtheta), (d2l/dp2, d2l/dp dtheta, d2l/dtheta2))."""
+    a, b, s = t.a, t.b, t.s
+    ra, rb, rs = (
+        [1.0 / (x + j * theta) for j in terms.j] for terms, x in ((a, p), (b, 1.0 - p), (s, 1.0))
     )
-
-
-def _gradient(t: _Tails, alpha: float, beta: float) -> tuple[float, float]:
-    """(dl/d alpha, dl/d beta)."""
-    s = alpha + beta
-    common = t.n * fsum([1.0 / (s + j) for j in t.j])
+    ra2, rb2, rs2 = (list(map(mul, r, r)) for r in (ra, rb, rs))
     return (
-        fsum([w / (alpha + j) for w, j in zip(t.a, t.j)]) - common,
-        fsum([w / (beta + j) for w, j in zip(t.b, t.j)]) - common,
+        (
+            fsum(map(mul, a.w, ra)) - fsum(map(mul, b.w, rb)),
+            fsum(chain(map(mul, a.jw, ra), map(mul, b.jw, rb), map(mul, s.jw, rs))),
+        ),
+        (
+            -fsum(chain(map(mul, a.w, ra2), map(mul, b.w, rb2))),
+            fsum(map(mul, b.jw, rb2)) - fsum(map(mul, a.jw, ra2)),
+            -fsum(chain(map(mul, a.jjw, ra2), map(mul, b.jjw, rb2), map(mul, s.jjw, rs2))),
+        ),
     )
-
-
-def _hessian(t: _Tails, alpha: float, beta: float) -> tuple[float, float, float]:
-    """(d2l/d alpha2, d2l/d alpha d beta, d2l/d beta2)."""
-    s = alpha + beta
-    common = t.n * fsum([(s + j) ** -2.0 for j in t.j])
-    return (
-        common - fsum([w * (alpha + j) ** -2.0 for w, j in zip(t.a, t.j)]),
-        common,
-        common - fsum([w * (beta + j) ** -2.0 for w, j in zip(t.b, t.j)]),
-    )
-
-
-def _moment_estimate(mbar: float, var: float, m: int) -> tuple[float, float]:
-    eps = 1e-9
-    p = min(max(mbar / m, eps), 1.0 - eps)
-    if m > 1 and var > 0:
-        rho = (var / (m * p * (1.0 - p)) - 1.0) / (m - 1.0)
-    else:
-        rho = 0.0
-    rho = min(max(rho, 1e-6), 1.0 - 1e-6)
-    s = 1.0 / rho - 1.0
-    return max(p * s, 1e-3), max((1.0 - p) * s, 1e-3)
 
 
 def _line_search(
-    t: _Tails, start: tuple[float, float], step: tuple[float, float], ll: float, ll_slack: float
+    t: _Tails, m: int, start: tuple[float, float], step: tuple[float, float], ll: float
 ) -> tuple[float, float, float] | None:
-    """(u, v, l) at the first of the points start + lam * step, lam = 1, 1/2,
-    ..., 2^-39, clamped to the +-30 box, whose likelihood l exceeds `ll`, or
-    at lam = 1 is within `ll_slack` below it; None where there is none."""
-    u, v = start
-    tried = start
+    """(p, theta, l) at the first of the points start + lam * step, lam = 1,
+    1/2, ..., 2^-39, with 0 < p < 1 and theta > 0 whose likelihood l exceeds
+    `ll`; None where there is none."""
     lam = 1.0
     for _ in range(40):
-        point = (min(max(u + lam * step[0], -30.0), 30.0), min(max(v + lam * step[1], -30.0), 30.0))
-        if point == start:
+        p, theta = start[0] + lam * step[0], start[1] + lam * step[1]
+        if (p, theta) == start:
             return None  # rounding keeps every shorter step in place too
-        # A point the clamp repeats was refused already.
-        if point != tried:
-            tried = point
-            ll_new = _log_likelihood(t, math.exp(point[0]), math.exp(point[1]))
-            if isfinite(ll_new) and (ll_new > ll or (lam == 1.0 and ll_new >= ll - ll_slack)):
-                return (*point, ll_new)
+        if 0.0 < p < 1.0 and theta > 0.0 and isfinite(theta * m):
+            ll_new = _log_likelihood(t, p, theta)
+            if ll_new > ll:
+                return p, theta, ll_new
         lam *= 0.5
     return None
 
 
-def _mle_fixed_m(
-    t: _Tails, m: int, start: tuple[float, float], tol: float, max_iter: int
-) -> tuple[BetaBinomial, float, bool, int]:
-    # Per-sample tolerance: the gradient sums n per-sample terms.
-    gtol = tol * t.n
+def _moment_estimate(t: _Tails, m: int) -> tuple[float, float]:
+    """(p, theta) with the counts' mean and (population) variance at M
+    trials, theta = 0 where the variance does not exceed the binomial's.
 
-    # Damped Newton on (ln alpha, ln beta); positivity comes for free.  The
-    # likelihood `ll_cur` is the current iterate's, and `best` holds the
-    # highest one met, never below the initializer's: the result when no
-    # iterate passes the gradient test.
-    u, v = math.log(start[0]), math.log(start[1])
-    ll0 = ll_cur = _log_likelihood(t, math.exp(u), math.exp(v))
-    best = (ll0, u, v)
+    The excess n M (s2 - s1) - (M - 1) s1^2 is dl/dtheta at (p, 0) times
+    2 s1 (n M - s1) / (n M) > 0 (Tarone 1979).  n M sum c (M - c) is zero
+    only where every count is 0 or M; the likelihood then rises toward
+    theta = inf, and theta = 1 serves as a start."""
+    n, s1, s2 = t.n, t.s1, t.s2
+    excess = n * m * (s2 - s1) - (m - 1) * s1 * s1
+    spread = n * m * (m * s1 - s2)
+    theta = 0.0 if excess <= 0 else excess / spread if spread else 1.0
+    return s1 / (n * m), theta
+
+
+def _mle_fixed_m(
+    t: _Tails, m: int, tol: float, max_iter: int
+) -> tuple[BetaBinomial, float, bool, int]:
+    p, theta = _moment_estimate(t, m)
+    if theta == 0.0:
+        # Not overdispersed: p maximizes the binomial likelihood and
+        # dl/dtheta <= 0 there, the KKT conditions on the boundary theta = 0.
+        return BetaBinomial(p, 0.0, m), _log_likelihood(t, p, 0.0), True, 0
+
+    # Newton in (p, theta).  The Newton decrement g^T (-H)^-1 g / 2 does not
+    # depend on the parametrization; it must fall within `tol` per sample.
+    ll = _log_likelihood(t, p, theta)
     converged = False
     iterations = 0
-    # Near the optimum the likelihood changes fall below float resolution
-    # while the gradient is still shrinking; accept likelihood-neutral full
-    # steps so Newton can finish quadratically.  A damped step must raise the
-    # likelihood, or rounding noise could keep it wandering (as it does at
-    # the ln alpha, ln beta = 30 box edge for large M).
-    ll_slack = 1e-10 * max(1.0, abs(ll0))
     for iterations in range(1, max_iter + 1):
-        a, b = math.exp(u), math.exp(v)
-        ga, gb = _gradient(t, a, b)
-        gu, gv = a * ga, b * gb
-        if abs(gu) <= gtol and abs(gv) <= gtol:
-            converged = True
-            break
-        haa, hab, hbb = _hessian(t, a, b)
-        # Solve [[huu, huv], [huv, hvv]] step = -(gu, gv) by Cramer's rule.
-        huu, huv, hvv = a * a * haa + a * ga, a * b * hab, b * b * hbb + b * gb
-        det = huu * hvv - huv * huv
-        if det == 0:
-            break
-        step = ((huv * gv - hvv * gu) / det, (huv * gu - huu * gv) / det)
-        if not (isfinite(step[0]) and isfinite(step[1])):
-            break
-        found = _line_search(t, (u, v), step, ll_cur, ll_slack)
+        (gp, gt), (hpp, hpt, htt) = _derivatives(t, p, theta)
+        det = hpp * htt - hpt * hpt
+        if hpp < 0.0 < det:
+            step = ((hpt * gt - htt * gp) / det, (hpt * gp - hpp * gt) / det)
+            if gp * step[0] + gt * step[1] <= 2.0 * tol * t.n:
+                converged = True
+                break
+        else:
+            # -H is not positive definite here: Newton in p, and double or
+            # halve theta.
+            step = (-gp / hpp, theta if gt > 0 else -0.5 * theta)
+        found = _line_search(t, m, (p, theta), step, ll)
         if found is None:
-            # No step length raises the likelihood: stop at the best point.
             break
-        u, v, ll_cur = found
-        if ll_cur >= best[0]:
-            best = (ll_cur, u, v)
-
-    if converged:
-        # The iterate that passed the gradient test, not `best`: they differ
-        # only by the likelihood-neutral steps accepted near the optimum.
-        best = (ll_cur, u, v)
-    else:
-        a, b = math.exp(best[1]), math.exp(best[2])
-        ga, gb = _gradient(t, a, b)
-        converged = abs(a * ga) <= gtol and abs(b * gb) <= gtol
-    dist = BetaBinomial(math.exp(best[1]), math.exp(best[2]), m)
-    return dist, best[0], converged, iterations
+        p, theta, ll = found
+    return BetaBinomial(p, theta, m), ll, converged, iterations
 
 
 def fit(
@@ -418,10 +422,9 @@ def fit(
 
     With `trials` given, M is fixed; otherwise every M in `scan_range`
     (default: [max(counts), max(counts) + 60], capped at MAX_TRIALS) is
-    fitted and the best likelihood wins.  `tol` bounds the log-parameter
-    gradient per sample.  Raises DegenerateDataError when all counts are
-    equal and ValueError when a count exceeds a fixed M or any M exceeds
-    MAX_TRIALS.
+    fitted and the best likelihood wins.  `tol` bounds the Newton decrement
+    per sample.  Raises DegenerateDataError when all counts are equal and
+    ValueError when a count exceeds a fixed M or any M exceeds MAX_TRIALS.
     """
     if not isinstance(sample, CountSample):
         sample = CountSample(tuple(sample))
@@ -431,15 +434,9 @@ def fit(
     if len(sample.counts) < 2 or len(tally) < 2:
         raise DegenerateDataError("need at least two distinct count values to fit")
     hist = [tally[c] for c in range(cmax + 1)]
-    # Mean and variance from exact integer sums, each rounded once.
-    n = len(sample.counts)
-    s1 = sum(c * h for c, h in tally.items())
-    s2 = sum(c * c * h for c, h in tally.items())
-    moments = (s1 / n, (n * s2 - s1 * s1) / (n * n))
 
     def fit_m(m: int, log_fact: list[float]):
-        t = _tails(hist, m, log_fact)
-        return _mle_fixed_m(t, m, _moment_estimate(*moments, m), tol, max_iter)
+        return _mle_fixed_m(_tails(hist, m, log_fact), m, tol, max_iter)
 
     if trials is not None:
         if cmax > trials:

@@ -2,8 +2,8 @@
 
 Extended-XYZ parsing, minimum-image bond graphs from species-pair distance
 cutoffs, oxide-region identification with stoichiometry, lateral-grid surface
-detection, and the small gas-exposure arithmetic (ideal-gas reference count,
-effective oxidation time).  The analyses take a `StructureBatch`, several
+detection, and the effective oxidation time of the gas-exposure
+bookkeeping.  The analyses take a `StructureBatch`, several
 structures laid end to end; a single structure is a batch of one.
 
 Minimum-image handling is restricted to orthorhombic cells; triclinic
@@ -20,8 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .constants import BOLTZMANN_KB
-
 __all__ = [
     "DEFAULT_CUTOFFS",
     "SPECIES",
@@ -33,7 +31,6 @@ __all__ = [
     "ParseError",
     "StructureBatch",
     "effective_time",
-    "ideal_gas_count",
     "oxide_regions",
     "parse_xyz",
     "read_structure",
@@ -656,16 +653,3 @@ def effective_time(n_sim: float, n_ref: float, t_sim: float) -> float:
     if not n_ref > 0:
         raise ValueError(f"reference molecule count must be positive, got {n_ref}")
     return t_sim * n_sim / n_ref
-
-
-def ideal_gas_count(pressure: float, volume: float, temperature: float) -> float:
-    """Ideal-gas molecule count N = P V / (k_B T); volume in A^3, pressure in Pa.
-
-    Note: for 1500 Pa in the 34.17 x 34.17 x 78.26 A^3 growth cell at 300 K
-    this evaluates to ~3.31e-2, which differs from the 8.46e-3 reference
-    count quoted for the same conditions in the gas-exposure bookkeeping
-    (see README); both values are kept, neither is silently adjusted.
-    """
-    if not (pressure > 0 and volume > 0 and temperature > 0):
-        raise ValueError("pressure, volume and temperature must all be positive")
-    return pressure * (volume * 1e-30) / (BOLTZMANN_KB * temperature)

@@ -1,15 +1,16 @@
-"""The count-fit sums as numpy array expressions: the reference that the
-pure-Python sums of `jjvar.stats` are tested against.
+"""References for `jjvar.stats`: the count-fit sums as numpy array
+expressions, and the PMF's product form in 50-digit mpmath.
 
-`_tails`, `_log_likelihood`, `_gradient` and `_hessian` are the array
-versions the fit used before it moved to `math.fsum` over Python floats; they
-take the histogram and the ln k! table as arrays.  Their sums are rounded in
-numpy's (BLAS `dot`, pairwise `sum`) order, so they agree with the
-exactly-rounded sums to within a few ulps per term.
+`_tails`, `_log_likelihood` and `_derivatives` are array versions of the
+fit's sums in (p, theta); they take the histogram and the ln k! table as
+arrays.  Their sums are rounded in numpy's (BLAS `dot`, pairwise `sum`)
+order, so they agree with the exactly-rounded sums to within a few ulps per
+term.
 """
 
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 
@@ -20,6 +21,8 @@ class _Tails(NamedTuple):
     a: np.ndarray  # A_j = #{c > j}
     b: np.ndarray  # B_j = #{M - c > j}
     n: int
+    s1: int  # sum of the counts
+    s2: int  # sum of their squares
     const: float  # sum over samples of ln C(M, c)
 
 
@@ -32,25 +35,47 @@ def _tails(hist: np.ndarray, m: int, log_fact: np.ndarray) -> _Tails:
     cdf[:k] = np.cumsum(hist)[:k]
     c = np.arange(hist.size)
     const = n * log_fact[m] - float(hist @ (log_fact[c] + log_fact[m - c]))
-    return _Tails(np.arange(m, dtype=float), n - cdf, cdf[::-1].copy(), n, const)
+    s1, s2 = int(hist @ c), int(hist @ (c * c))
+    return _Tails(np.arange(m, dtype=float), n - cdf, cdf[::-1].copy(), n, s1, s2, const)
 
 
-def _log_likelihood(t: _Tails, alpha: float, beta: float) -> float:
+def _log_likelihood(t: _Tails, p: float, theta: float) -> float:
     return float(
         t.const
-        + t.a @ np.log(alpha + t.j)
-        + t.b @ np.log(beta + t.j)
-        - t.n * np.log(alpha + beta + t.j).sum()
+        + t.a @ np.log(p + t.j * theta)
+        + t.b @ np.log(1.0 - p + t.j * theta)
+        - t.n * np.log1p(t.j * theta).sum()
     )
 
 
-def _gradient(t: _Tails, alpha: float, beta: float) -> np.ndarray:
-    common = t.n * (1.0 / (alpha + beta + t.j)).sum()
-    return np.array([t.a @ (1.0 / (alpha + t.j)) - common, t.b @ (1.0 / (beta + t.j)) - common])
+def _derivatives(t: _Tails, p: float, theta: float):
+    ra, rb, rs = 1.0 / (p + t.j * theta), 1.0 / (1.0 - p + t.j * theta), 1.0 / (1.0 + t.j * theta)
+    ja, jb = t.j * t.a, t.j * t.b
+    gradient = (t.a @ ra - t.b @ rb, ja @ ra + jb @ rb - t.n * (t.j @ rs))
+    hessian = (
+        -(t.a @ ra**2) - t.b @ rb**2,
+        jb @ rb**2 - ja @ ra**2,
+        -(t.j * ja) @ ra**2 - (t.j * jb) @ rb**2 + t.n * ((t.j * t.j) @ rs**2),
+    )
+    return gradient, hessian
 
 
-def _hessian(t: _Tails, alpha: float, beta: float) -> np.ndarray:
-    common = t.n * ((alpha + beta + t.j) ** -2.0).sum()
-    haa = common - t.a @ (alpha + t.j) ** -2.0
-    hbb = common - t.b @ (beta + t.j) ** -2.0
-    return np.array([[haa, common], [common, hbb]])
+def pmf(p: float, theta: float, m: int, dps: int = 50) -> list:
+    """P(0..m) from the product form
+
+        P(n) = C(M, n) prod_{j<n} (p + j theta) prod_{j<M-n} (1 - p + j theta)
+               / prod_{j<M} (1 + j theta)
+
+    in `dps`-digit arithmetic, with p and theta taken exactly as given; a
+    list of mpf."""
+    with mpmath.workdps(dps):
+        p, theta = mpmath.mpf(p), mpmath.mpf(theta)
+        q = 1 - p
+        rising_p, rising_q, rising_1 = [mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.mpf(1)
+        for j in range(m):
+            rising_p.append(rising_p[-1] * (p + j * theta))
+            rising_q.append(rising_q[-1] * (q + j * theta))
+            rising_1 *= 1 + j * theta
+        return [
+            mpmath.binomial(m, n) * rising_p[n] * rising_q[m - n] / rising_1 for n in range(m + 1)
+        ]

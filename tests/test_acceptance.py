@@ -35,7 +35,7 @@ def report(criterion: int, message: str) -> None:
 
 def test_criterion_01_beta_binomial_moments():
     start = time.perf_counter()
-    dist = BetaBinomial(17.69, 15.36, 40)
+    dist = BetaBinomial.from_shapes(17.69, 15.36, 40)
     mean, std = dist.mean(), dist.std()
     elapsed = time.perf_counter() - start
     assert mean == pytest.approx(21.41, abs=0.01)
@@ -48,7 +48,7 @@ def test_criterion_02_pmf_normalization():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        dist = BetaBinomial(
+        dist = BetaBinomial.from_shapes(
             float(10 ** rng.uniform(-1.3, 1.7)),
             float(10 ** rng.uniform(-1.3, 1.7)),
             int(rng.integers(0, 201)),
@@ -60,7 +60,7 @@ def test_criterion_02_pmf_normalization():
 
 def test_criterion_03_fit_recovery():
     start = time.perf_counter()
-    generator = BetaBinomial(17.69, 15.36, 40)
+    generator = BetaBinomial.from_shapes(17.69, 15.36, 40)
     hits = 0
     for rep in range(20):
         draws = generator.sample(seed=31000 + rep, k=400)
@@ -155,7 +155,7 @@ def test_criterion_07_tunneling_decay():
 def test_criterion_08_headline_ej_distribution():
     start = time.perf_counter()
     gap_mev, area, patch_area, md_area = 0.20, 2000.0 * 2000.0, 9.61 * 8.32, 34.17 * 34.17
-    counts = BetaBinomial(17.69, 15.36, 40)
+    counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
     e_jj = ej_single(1.61e-5, gap_mev, area, patch_area)
     e_jjh = ej_single(1.74e-5, gap_mev, area, patch_area)
     dist = ej_distribution(counts, e_jj, e_jjh, patch_area, md_area)

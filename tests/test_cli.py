@@ -39,7 +39,7 @@ from conftest import make_oxide_slab, nine_motif_fixtures, to_xyz, write_structu
 
 
 def write_counts_file(path: Path, seed=42, k=400) -> Path:
-    draws = BetaBinomial(17.69, 15.36, 40).sample(seed=seed, k=k)
+    draws = BetaBinomial.from_shapes(17.69, 15.36, 40).sample(seed=seed, k=k)
     path.write_text("\n".join(str(int(n)) for n in draws) + "\n")
     return path
 
@@ -62,6 +62,30 @@ class TestFitStats:
         hist = (out / "h_histogram.csv").read_text().splitlines()
         assert hist[0] == "n,observed,fitted_pmf"
         assert len(hist) == 42
+
+    def test_report_carries_p_theta_and_the_shapes(self, tmp_path):
+        counts = write_counts_file(tmp_path / "counts.txt")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "fit-stats", "--counts", str(counts), "--m", "fixed=40"]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert 0 < report["p"] < 1 and report["theta"] > 0
+        assert report["alpha"] == report["p"] / report["theta"]
+        assert report["beta"] == (1 - report["p"]) / report["theta"]
+
+    @pytest.mark.parametrize(
+        "counts,strategy,p",
+        [("0\n1\n2\n", "fixed=100000", 1e-5), ("3\n4\n5\n4\n", "fixed=40", 0.1)],
+        ids=["0-1-2-at-max-trials", "3-4-5-4"],
+    )
+    def test_underdispersed_counts_fit_the_binomial(self, tmp_path, counts, strategy, p):
+        # No overdispersion: the binomial is the fit, with alpha and beta null.
+        path = tmp_path / "counts.txt"
+        path.write_text(counts)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "fit-stats", "--counts", str(path), "--m", strategy]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert (report["p"], report["theta"], report["alpha"], report["beta"]) == (p, 0.0, None, None)
+        assert report["converged"] is True and report["iterations"] == 0
 
     def test_empty_file_exits_2(self, tmp_path):
         empty = tmp_path / "counts.txt"
@@ -308,6 +332,40 @@ class TestEjCommand:
         assert report["e_jj_ghz"] == pytest.approx(9.74, abs=0.01)
         assert report["e_jjh_ghz"] == pytest.approx(10.52, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "config,report",
+        [
+            ("stats.alpha = 1e-300\nstats.beta = 1e-300\nstats.trials = 1000\n", None),
+            ("stats.alpha = 1e-300\nstats.beta = 1e-300\nstats.trials = 100000\n", None),
+            ("stats.alpha = 1e308\nstats.beta = 1e308\n", None),
+            ("", {"p": 0.5, "theta": 5e299, "M": 1000}),
+            ("", {"p": 0.5, "theta": 5e-309, "M": 40}),
+            ("", {"p": 0.1, "theta": 0.0, "M": 40}),
+        ],
+        ids=[
+            "shapes-1e-300",
+            "shapes-1e-300-max-trials",
+            "shapes-1e308",
+            "theta-5e299",
+            "theta-5e-309",
+            "theta-0",
+        ],
+    )
+    def test_extreme_parameters_give_finite_output(self, tmp_path, config, report):
+        path = tmp_path / "cfg.txt"
+        path.write_text(config)
+        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "ej"]
+        if report is not None:
+            (tmp_path / "fit.json").write_text(json.dumps(report))
+            argv += ["--fit-report", str(tmp_path / "fit.json")]
+        assert main(argv) == 0
+        rows = (tmp_path / "out" / "ej_pmf.csv").read_text().splitlines()[1:]
+        values = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.isfinite(values).all()
+        assert values[:, 1].sum() == pytest.approx(1.0, abs=1e-9)
+        result = json.loads((tmp_path / "out" / "ej_report.json").read_text())
+        assert all(math.isfinite(result[key]) for key in ("mean_ghz", "std_ghz"))
+
     def test_pmf_sums_to_one(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--out", str(out), "ej"]) == 0
@@ -342,14 +400,29 @@ class TestEjCommand:
     @pytest.mark.parametrize(
         "payload",
         [
-            {"alpha": 17.69, "M": 40},
-            {"alpha": 17.69, "beta": "15.36", "M": 40},
-            {"alpha": 17.69, "beta": None, "M": 40},
-            {"alpha": 17.69, "beta": 15.36, "M": 40.5},
-            {"alpha": 17.69, "beta": 15.36, "M": 10**12},
-            [17.69, 15.36, 40],
+            {"p": 0.535, "M": 40},
+            {"p": 0.535, "theta": "0.03", "M": 40},
+            {"p": 0.535, "theta": None, "M": 40},
+            {"p": 0.535, "theta": 0.03, "M": 40.5},
+            {"p": 0.535, "theta": 0.03, "M": 10**12},
+            {"p": 1.5, "theta": 0.03, "M": 40},
+            {"p": 0.535, "theta": -0.03, "M": 40},
+            {"p": 0.535, "theta": 1e308, "M": 40},
+            {"alpha": 17.69, "beta": 15.36, "M": 40},
+            [0.535, 0.03, 40],
         ],
-        ids=["missing-beta", "string-beta", "null-beta", "fractional-M", "huge-M", "not-an-object"],
+        ids=[
+            "missing-theta",
+            "string-theta",
+            "null-theta",
+            "fractional-M",
+            "huge-M",
+            "p-above-1",
+            "negative-theta",
+            "theta-times-M-overflows",
+            "shapes-only",
+            "not-an-object",
+        ],
     )
     def test_malformed_fit_report_exits_2(self, tmp_path, capsys, payload):
         report = tmp_path / "fit_report.json"
@@ -435,12 +508,12 @@ class TestPipeline:
         assert statuses["ej"] == "skipped"
 
     def test_malformed_fit_report_marks_ej_failed(self, tmp_path, monkeypatch):
-        def fit_stats_without_beta(cfg, out):
+        def fit_stats_without_theta(cfg, out):
             path = out / "fit_report.json"
-            path.write_text(json.dumps({"alpha": 17.69, "M": 40}))
+            path.write_text(json.dumps({"p": 0.535, "M": 40}))
             return [path]
 
-        monkeypatch.setattr(cli, "cmd_fit_stats", fit_stats_without_beta)
+        monkeypatch.setattr(cli, "cmd_fit_stats", fit_stats_without_theta)
         config = self._write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out), "pipeline"]) == 2
@@ -448,7 +521,22 @@ class TestPipeline:
         stages = {s["name"]: s for s in manifest["stages"]}
         assert stages["transmission"]["status"] == "completed"
         assert stages["ej"]["status"] == "failed"
-        assert "beta" in stages["ej"]["error"]
+        assert "theta" in stages["ej"]["error"]
+
+    @pytest.mark.parametrize("underdispersed", [False, True], ids=["overdispersed", "binomial"])
+    def test_ej_counts_are_the_fitted_shapes(self, tmp_path, underdispersed):
+        # The ej stage reads (p, theta, M) from fit_report.json and writes the
+        # shapes it derives: the very alpha, beta and M of the report (both
+        # null for the binomial), with no other key.
+        config = self._write_config(tmp_path)
+        if underdispersed:
+            (tmp_path / "counts.txt").write_text("20\n21\n" * 50)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "pipeline"]) == 0
+        fit_report = json.loads((out / "fit_report.json").read_text())
+        counts = json.loads((out / "ej_report.json").read_text())["counts"]
+        assert counts == {key: fit_report[key] for key in ("alpha", "beta", "M")}
+        assert (fit_report["theta"] == 0.0) == underdispersed
 
     def test_rerun_byte_identical(self, tmp_path):
         config = self._write_config(tmp_path)
@@ -829,9 +917,9 @@ def _number_or_odd(numbers):
 @st.composite
 def fit_reports(draw) -> dict:
     fields = {
-        "alpha": _number_or_odd(st.floats(0.05, 500.0)),
-        "beta": _number_or_odd(st.floats(0.05, 500.0)),
-        "M": _number_or_odd(st.integers(0, 60)),
+        "p": _number_or_odd(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        "theta": _number_or_odd(st.just(0.0) | st.floats(-12.0, 3.0).map(lambda e: 10.0**e)),
+        "M": _number_or_odd(st.integers(0, 10**4)),
     }
     # A key is left out one time in eight.
     return {key: draw(value) for key, value in fields.items() if draw(st.integers(0, 7))}
@@ -868,7 +956,8 @@ class TestUpstreamFileFuzz:
         sidecar=st.none() | calibration_sidecars(),
         grid=st.none() | st.integers(2, 201),
     )
-    # An underflowing variance: a ZeroDivisionError traceback at the parent.
+    # Beta shapes of 1e-300 and 1e308, in the config and as the (p, theta)
+    # a fit report carries for them.
     @example(
         command="ej",
         config=[("stats.alpha", "1e-300"), ("stats.beta", "1e-300"), ("stats.trials", "1000")],
@@ -883,11 +972,10 @@ class TestUpstreamFileFuzz:
         config=[],
         counts=b"1\n",
         m="scan",
-        report={"alpha": 1e-300, "beta": 1e-300, "M": 1000},
+        report={"p": 0.5, "theta": 5e299, "M": 1000},
         sidecar=None,
         grid=None,
     )
-    # An overflowing alpha + beta: exit 0 with an all-nan PMF at the parent.
     @example(
         command="ej",
         config=[("stats.alpha", "1e308"), ("stats.beta", "1e308")],
@@ -902,7 +990,16 @@ class TestUpstreamFileFuzz:
         config=[],
         counts=b"1\n",
         m="scan",
-        report={"alpha": 1e308, "beta": 1e308, "M": 40},
+        report={"p": 0.5, "theta": 5e-309, "M": 40},
+        sidecar=None,
+        grid=None,
+    )
+    @example(
+        command="ej",
+        config=[],
+        counts=b"1\n",
+        m="scan",
+        report={"p": 0.3, "theta": 1e-3, "M": MAX_TRIALS},
         sidecar=None,
         grid=None,
     )
@@ -1503,8 +1600,8 @@ def _jjvar_modules_executed(argv: list[str], numpy: bool = False) -> str:
 
 _STAGE_MODULES = {
     "fit-stats --counts": ([], False),
-    "fit-stats --structures": (["constants", "structure"], True),
-    "analyze": (["constants", "motifs", "structure"], True),
+    "fit-stats --structures": (["structure"], True),
+    "analyze": (["motifs", "structure"], True),
     "transmission": (["transport"], True),
     "ej": (["constants", "josephson"], False),
     "pipeline": (["constants", "josephson", "motifs", "structure", "transport"], True),
@@ -1586,7 +1683,7 @@ def test_transmission_executes_only_transport(tmp_path):
 def test_analyze_executes_no_transport_or_josephson(tmp_path):
     directory = write_structure_dir(tmp_path, h_counts=(1,))
     argv = ["--out", str(tmp_path / "out"), "analyze", "--structures", str(directory)]
-    executed = "0 ['__init__', 'cli', 'config', 'constants', 'motifs', 'stats', 'structure']"
+    executed = "0 ['__init__', 'cli', 'config', 'motifs', 'stats', 'structure']"
     assert _jjvar_modules_executed(argv) == executed
 
 

@@ -33,7 +33,7 @@ def transform_ej(n_patches, params, ej_clean, ej_contaminated):
     The map takes a count n over the reference area; N patches over the
     junction are n = N md_area / area.
     """
-    counts = BetaBinomial(17.69, 15.36, 40)
+    counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
     dist = ej_distribution(counts, ej_clean, ej_contaminated, params.patch_area, params.md_area)
     return dist.offset + dist.slope * (n_patches * params.md_area / params.area)
 
@@ -107,7 +107,7 @@ class TestMixedEj:
 
 class TestEjDistribution:
     def _reference_distribution(self):
-        counts = BetaBinomial(17.69, 15.36, 40)
+        counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
         e_jj = ej_single(1.61e-5, 0.20, REFERENCE_PARAMS.area, REFERENCE_PARAMS.patch_area)
         e_jjh = ej_single(1.74e-5, 0.20, REFERENCE_PARAMS.area, REFERENCE_PARAMS.patch_area)
         return reference_distribution(counts, e_jj, e_jjh), e_jj, e_jjh
@@ -127,7 +127,7 @@ class TestEjDistribution:
         assert all(b - a > 0 for a, b in zip(support, support[1:]))
 
     def test_degenerate_transmissions(self):
-        counts = BetaBinomial(17.69, 15.36, 40)
+        counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
         dist = reference_distribution(counts, 9.7, 9.7)
         assert dist.std() == 0.0
         assert dist.mean() == pytest.approx(9.7)
@@ -149,13 +149,13 @@ class TestEjDistribution:
         assert dist.mean() == pytest.approx(mixed_ej(n_mean, REFERENCE_PARAMS, e_jj, e_jjh), rel=1e-12)
 
     def test_std_scales_with_transmission_gap(self):
-        counts = BetaBinomial(17.69, 15.36, 40)
+        counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
         d1 = reference_distribution(counts, 9.7, 10.1)
         d2 = reference_distribution(counts, 9.7, 10.5)
         assert d2.std() == pytest.approx(2.0 * d1.std(), rel=1e-12)
 
     def test_mean_monotone_in_contaminated_energy(self):
-        counts = BetaBinomial(17.69, 15.36, 40)
+        counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
         means = [
             reference_distribution(counts, 9.7, e_jjh).mean()
             for e_jjh in (9.7, 10.0, 10.5, 11.0)
@@ -163,7 +163,7 @@ class TestEjDistribution:
         assert means == sorted(means)
 
     def test_transform_validation(self):
-        counts = BetaBinomial(17.69, 15.36, 40)
+        counts = BetaBinomial.from_shapes(17.69, 15.36, 40)
         for e_jj, e_jjh in ((math.inf, 9.7), (9.7, math.inf), (math.nan, 9.7)):
             with pytest.raises(ValueError, match="must be finite"):
                 reference_distribution(counts, e_jj, e_jjh)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betaln, gammaln, polygamma, psi
+from scipy.stats import binom
 
 import stats_reference
 from jjvar import stats
@@ -34,79 +35,103 @@ def oracle_pmf_by_recurrence(alpha: float, beta: float, m: int) -> np.ndarray:
     return np.array(out)
 
 
-def oracle_log_pmf_by_recurrence(alpha: float, beta: float, m: int) -> np.ndarray:
-    """oracle_pmf_by_recurrence in log space, where P(0) cannot underflow."""
-    out = [math.fsum(math.log((beta + j) / (alpha + beta + j)) for j in range(m))]
-    for n in range(m):
-        out.append(out[-1] + math.log((m - n) / (n + 1.0)) + math.log((n + alpha) / (m - n - 1.0 + beta)))
-    return np.array(out)
+HEADLINE = BetaBinomial.from_shapes(17.69, 15.36, 40)
 
 
 def headline_counts(seed: int, k: int) -> CountSample:
-    return CountSample(tuple(int(x) for x in BetaBinomial(17.69, 15.36, 40).sample(seed=seed, k=k)))
+    return CountSample(tuple(int(x) for x in HEADLINE.sample(seed=seed, k=k)))
+
+
+def log_likelihood(dist: BetaBinomial, counts) -> float:
+    """Sum of ln P(c) over the counts, from the PMF."""
+    pmf = dist.pmf_vector()
+    return math.fsum(math.log(pmf[c]) for c in counts)
 
 
 class TestPmf:
     def test_symmetry_when_alpha_equals_beta(self):
-        d = BetaBinomial(2.0, 2.0, 4)
+        values = BetaBinomial.from_shapes(2.0, 2.0, 4).pmf_vector()
         for n in range(5):
-            assert d.log_pmf(n) == pytest.approx(d.log_pmf(4 - n), abs=1e-12)
+            assert values[n] == pytest.approx(values[4 - n], rel=1e-15)
 
     def test_normalization_reference_parameters(self):
-        d = BetaBinomial(17.69, 15.36, 40)
-        assert np.asarray(d.pmf_vector()).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.asarray(HEADLINE.pmf_vector()).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_argmax_by_exhaustive_enumeration(self):
-        d = BetaBinomial(17.69, 15.36, 40)
-        values = d.pmf_vector()
+        values = HEADLINE.pmf_vector()
         oracle = oracle_pmf_by_recurrence(17.69, 15.36, 40)
         assert np.argmax(values) == np.argmax(oracle) == 22
         np.testing.assert_allclose(values, oracle, rtol=1e-11)
 
-    def test_out_of_range(self):
-        d = BetaBinomial(2.0, 3.0, 10)
-        with pytest.raises(ValueError):
-            d.pmf(11)
-        with pytest.raises(ValueError):
-            d.pmf(-1)
+    def test_theta_zero_is_the_binomial(self):
+        for p, m in ((0.3, 40), (1e-5, 100_000), (0.5125, 40)):
+            d = BetaBinomial(p, 0.0, m)
+            expected = binom.pmf(np.arange(m + 1), m, p)
+            np.testing.assert_allclose(d.pmf_vector(), expected, rtol=1e-12, atol=1e-300)
+            assert d.variance() == pytest.approx(m * p * (1 - p), rel=1e-15)
+            assert (d.alpha, d.beta) == (math.inf, math.inf)
+
+    def test_shapes_are_derived(self):
+        d = BetaBinomial(0.25, 0.5, 10)
+        assert (d.alpha, d.beta) == (0.5, 1.5)
+        assert HEADLINE.alpha == pytest.approx(17.69, rel=1e-15)
+        assert HEADLINE.beta == pytest.approx(15.36, rel=1e-15)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BetaBinomial(0.0, 1.0, 5)
-        with pytest.raises(ValueError):
-            BetaBinomial(1.0, -2.0, 5)
-        with pytest.raises(ValueError):
-            BetaBinomial(1.0, 1.0, -1)
+        for args in [
+            (0.0, 0.1, 5),
+            (1.0, 0.1, 5),
+            (math.nan, 0.1, 5),
+            (0.5, -1.0, 5),
+            (0.5, math.nan, 5),
+            (0.5, math.inf, 5),
+            (0.5, 1e308, 40),  # theta * trials overflows
+            (0.5, 0.1, -1),
+        ]:
+            with pytest.raises(ValueError):
+                BetaBinomial(*args)
+        for args in [
+            (0.0, 1.0, 5),
+            (1.0, -2.0, 5),
+            (1e-300, 1e100, 5),  # p rounds to 0
+            (5e-324, 5e-324, 5),  # 1 / (alpha + beta) overflows
+            (1e-300, 1e-300, 10**6),
+        ]:
+            with pytest.raises(ValueError):
+                BetaBinomial.from_shapes(*args)
 
 
-# Shape parameters from 1e-2 to 1e10, log-uniform: from strong overdispersion
-# to the binomial limit.
-shape = st.floats(min_value=-2.0, max_value=10.0).map(lambda e: 10.0**e)
+# Mean fractions over the whole open interval, and overdispersions from
+# 1e-12 to 1e3, log-uniform, or exactly 0: the binomial.
+probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+overdispersion = st.just(0.0) | st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
 
 
 class TestPmfProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(alpha=shape, beta=shape, m=st.integers(0, 200))
-    def test_normalized(self, alpha, beta, m):
-        assert abs(np.asarray(BetaBinomial(alpha, beta, m).pmf_vector()).sum() - 1.0) <= 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(p=probability, theta=overdispersion, m=st.integers(0, 2000) | st.integers(0, MAX_TRIALS))
+    @example(p=0.5, theta=0.0, m=MAX_TRIALS)
+    @example(p=1e-5, theta=1e3, m=MAX_TRIALS)
+    @example(p=0.5, theta=1e-12, m=MAX_TRIALS)
+    def test_normalized(self, p, theta, m):
+        assert abs(np.asarray(BetaBinomial(p, theta, m).pmf_vector()).sum() - 1.0) <= 1e-12
 
-    @settings(max_examples=200, deadline=None)
-    @given(alpha=shape, beta=shape, m=st.integers(0, 200))
-    def test_matches_recurrence_oracle(self, alpha, beta, m):
-        # A log difference d is a relative PMF difference of exp(d) - 1.
-        log_pmf = BetaBinomial(alpha, beta, m).log_pmf(np.arange(m + 1))
-        assert np.max(np.abs(log_pmf - oracle_log_pmf_by_recurrence(alpha, beta, m))) <= 1e-9
+    @settings(max_examples=40, deadline=None)
+    @given(p=probability, theta=overdispersion, m=st.integers(0, 2000))
+    def test_matches_mpmath_product_form(self, p, theta, m):
+        values = BetaBinomial(p, theta, m).pmf_vector()
+        reference = [float(x) for x in stats_reference.pmf(p, theta, m)]
+        np.testing.assert_allclose(values, reference, rtol=1e-12, atol=1e-300)
 
 
 class TestMoments:
     def test_reference_values(self):
-        d = BetaBinomial(17.69, 15.36, 40)
-        assert d.mean() == pytest.approx(21.41, abs=0.01)
-        assert d.std() == pytest.approx(4.62, abs=0.01)
+        assert HEADLINE.mean() == pytest.approx(21.41, abs=0.01)
+        assert HEADLINE.std() == pytest.approx(4.62, abs=0.01)
 
     def test_symmetric_mean(self):
         for m in (0, 1, 7, 40):
-            assert BetaBinomial(3.3, 3.3, m).mean() == pytest.approx(m / 2.0, abs=1e-12)
+            assert BetaBinomial(0.5, 1 / 6.6, m).mean() == pytest.approx(m / 2.0, abs=1e-12)
 
     def test_closed_form_matches_pmf_sums(self):
         rng = np.random.default_rng(11)
@@ -114,7 +139,7 @@ class TestMoments:
             alpha = float(10 ** rng.uniform(-1, 1.5))
             beta = float(10 ** rng.uniform(-1, 1.5))
             m = int(rng.integers(1, 200))
-            d = BetaBinomial(alpha, beta, m)
+            d = BetaBinomial.from_shapes(alpha, beta, m)
             n = np.arange(m + 1)
             p = d.pmf_vector()
             mean_direct = float(np.sum(n * p))
@@ -125,7 +150,7 @@ class TestMoments:
             assert d.variance() == pytest.approx(var_centered, rel=1e-10, abs=1e-10)
 
     def test_monte_carlo_consistency(self):
-        d = BetaBinomial(17.69, 15.36, 40)
+        d = HEADLINE
         draws = d.sample(seed=42, k=10**6)
         se_mean = d.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - d.mean()) < 3 * se_mean
@@ -136,35 +161,33 @@ class TestMoments:
 
 class TestSampling:
     def test_zero_trials(self):
-        draws = BetaBinomial(2.0, 5.0, 0).sample(seed=1, k=100)
+        draws = BetaBinomial.from_shapes(2.0, 5.0, 0).sample(seed=1, k=100)
         assert np.all(draws == 0)
 
     def test_seed_determinism(self):
-        d = BetaBinomial(17.69, 15.36, 40)
-        np.testing.assert_array_equal(d.sample(seed=9, k=1000), d.sample(seed=9, k=1000))
+        np.testing.assert_array_equal(HEADLINE.sample(seed=9, k=1000), HEADLINE.sample(seed=9, k=1000))
 
     def test_ks_distance_below_critical(self):
-        d = BetaBinomial(17.69, 15.36, 40)
-        draws = d.sample(seed=5, k=10**5)
-        cdf = np.cumsum(d.pmf_vector())
-        empirical = np.array([(draws <= n).mean() for n in range(d.trials + 1)])
-        ks = float(np.max(np.abs(empirical - cdf)))
-        critical_1pct = 1.628 / math.sqrt(draws.size)
-        assert ks < critical_1pct
+        for d in (HEADLINE, BetaBinomial(0.3, 0.0, 40)):
+            draws = d.sample(seed=5, k=10**5)
+            cdf = np.cumsum(d.pmf_vector())
+            empirical = np.array([(draws <= n).mean() for n in range(d.trials + 1)])
+            ks = float(np.max(np.abs(empirical - cdf)))
+            critical_1pct = 1.628 / math.sqrt(draws.size)
+            assert ks < critical_1pct
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            BetaBinomial(1.0, 1.0, 5).sample(seed=0, k=0)
+            BetaBinomial(0.5, 0.5, 5).sample(seed=0, k=0)
 
 
 class TestFit:
     def test_recovers_generator_moments(self):
-        gen = BetaBinomial(17.69, 15.36, 40)
-        draws = gen.sample(seed=123, k=400)
+        draws = HEADLINE.sample(seed=123, k=400)
         result = fit(CountSample(tuple(int(x) for x in draws)), trials=40)
         assert result.converged
-        assert abs(result.dist.mean() - gen.mean()) <= 0.5
-        assert abs(result.dist.variance() - gen.variance()) <= 0.15 * gen.variance()
+        assert abs(result.dist.mean() - HEADLINE.mean()) <= 0.5
+        assert abs(result.dist.variance() - HEADLINE.variance()) <= 0.15 * HEADLINE.variance()
 
     def test_likelihood_never_below_initializer(self):
         rng = np.random.default_rng(77)
@@ -174,8 +197,10 @@ class TestFit:
                 continue
             result = fit(CountSample(tuple(int(x) for x in counts)), trials=20)
             tails = stats._tails(np.bincount(counts).tolist(), 20, stats._log_factorials(20))
-            start = stats._moment_estimate(float(counts.mean()), float(counts.var()), 20)
-            assert result.log_likelihood >= stats._log_likelihood(tails, *start) - 1e-9
+            p, theta = stats._moment_estimate(tails, 20)
+            assert result.log_likelihood >= stats._log_likelihood(tails, p, theta) - 1e-9
+            # ... nor below the binomial of the same mean.
+            assert result.log_likelihood >= stats._log_likelihood(tails, p, 0.0) - 1e-9
 
     def test_degenerate_counts(self):
         with pytest.raises(DegenerateDataError):
@@ -186,8 +211,7 @@ class TestFit:
             fit(CountSample((1, 2, 50)), trials=40)
 
     def test_scan_covers_default_range(self):
-        gen = BetaBinomial(5.0, 4.0, 12)
-        draws = gen.sample(seed=3, k=300)
+        draws = BetaBinomial.from_shapes(5.0, 4.0, 12).sample(seed=3, k=300)
         result = fit(CountSample(tuple(int(x) for x in draws)))
         cmax = int(max(draws))
         scanned = [m for m, _ in result.scan]
@@ -197,16 +221,16 @@ class TestFit:
     def test_log_likelihood_is_sum_of_log_pmf(self):
         sample = headline_counts(seed=19, k=400)
         result = fit(sample, trials=40)
-        direct = math.fsum(result.dist.log_pmf(np.array(sample.counts)))
+        direct = log_likelihood(result.dist, sample.counts)
         assert result.log_likelihood == pytest.approx(direct, rel=1e-12)
 
     def test_optimum_is_a_local_maximum(self):
         sample = headline_counts(seed=23, k=400)
         result = fit(sample, trials=40)
-        a, b = result.dist.alpha, result.dist.beta
-        for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
-            nearby = BetaBinomial(a * (1 + 1e-4 * da), b * (1 + 1e-4 * db), 40)
-            assert math.fsum(nearby.log_pmf(np.array(sample.counts))) < result.log_likelihood
+        p, theta = result.dist.p, result.dist.theta
+        for dp, dt in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+            nearby = BetaBinomial(p * (1 + 1e-4 * dp), theta * (1 + 1e-4 * dt), 40)
+            assert log_likelihood(nearby, sample.counts) < result.log_likelihood
 
     @pytest.mark.parametrize("kwargs", [{"trials": 60}, {}], ids=["fixed-60", "scan"])
     def test_large_sample_converges_quickly(self, kwargs):
@@ -220,28 +244,46 @@ class TestFit:
         assert elapsed < 10.0
 
     def test_binomial_limit_winner_converges(self):
-        # 64 headline counts whose M scan is won by the binomial limit.
+        # 64 headline counts whose M scan is won by the binomial.
         result = fit(headline_counts(seed=302, k=64))
         assert result.converged
-        assert result.dist.alpha + result.dist.beta > 1e6
+        assert result.dist.theta == 0.0
 
     def test_underdispersed_counts_reach_binomial_limit(self):
-        # No interior optimum: the fit stops on the binomial-limit plateau,
-        # with the binomial's mean.
+        # The variance does not exceed the binomial's: the fit is the
+        # binomial with the counts' mean, found with no iteration.
         counts = CountSample((20, 21) * 50)
         result = fit(counts, trials=40)
-        assert result.converged
-        assert result.dist.alpha + result.dist.beta > 1e8
-        assert result.dist.mean() == pytest.approx(20.5, rel=1e-6)
+        assert result.converged and result.iterations == 0
+        assert result.dist.theta == 0.0
+        assert result.dist.p == 0.5125
 
-    def test_plateau_beyond_parameter_box_stops_unconverged(self):
-        # At M = MAX_TRIALS the plateau's gradient still exceeds the tolerance
-        # at the ln alpha, ln beta <= 30 box edge, where the likelihood is
-        # flat to rounding: the fit must give up promptly, not wander there.
+    def test_underdispersed_counts_at_max_trials_converge_at_binomial(self):
         start = time.perf_counter()
         result = fit(CountSample((50000, 50001) * 50), trials=MAX_TRIALS)
-        assert not result.converged
-        assert time.perf_counter() - start < 20.0
+        assert result.converged
+        assert (result.dist.p, result.dist.theta) == (0.500005, 0.0)
+        assert time.perf_counter() - start < 5.0
+
+    def test_counts_at_the_ends_rise_toward_infinite_theta(self):
+        # Every count is 0 or M: the likelihood rises toward the two-point
+        # law P(0) = 1 - p, P(M) = p as theta grows, and the fit stops where
+        # the predicted gain is within the tolerance.
+        counts = (0, 3, 3, 0, 0)
+        result = fit(CountSample(counts), trials=3)
+        assert result.converged
+        assert result.dist.theta > 1e6
+        assert result.log_likelihood == pytest.approx(2 * math.log(0.4) + 3 * math.log(0.6), abs=1e-6)
+
+    def test_fit_from_a_non_concave_start_converges(self):
+        # At the moment estimate of these skewed counts -H is not positive
+        # definite; the fit steps Newton in p and doubles or halves theta.
+        generator = BetaBinomial.from_shapes(2.1237831462137717, 0.15214630257029785, 34)
+        counts = generator.sample(seed=102, k=351)
+        t = stats._tails(np.bincount(counts).tolist(), 35, stats._log_factorials(35))
+        _, (hpp, hpt, htt) = stats._derivatives(t, *stats._moment_estimate(t, 35))
+        assert hpp * htt - hpt * hpt <= 0
+        assert fit(CountSample(tuple(counts.tolist())), trials=35).converged
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -252,7 +294,7 @@ class TestFit:
         st.integers(0, 2**32 - 1),
     )
     def test_fits_on_beta_binomial_samples_converge(self, alpha, beta, m, k, seed):
-        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         assert fit(CountSample(tuple(counts.tolist())), trials=m).converged
 
@@ -266,18 +308,25 @@ class TestFit:
     )
     @example(165.96315985408395, 170.51522362866805, 142, 422, 2706834550)
     def test_converged_fit_passes_gradient_test_where_it_stops(self, alpha, beta, m, k, seed):
-        # A fit that reports convergence returns the point whose log-parameter
-        # gradient passed the test, not another point it met on the way.
-        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        # A fit that reports convergence returns the point that passed the
+        # stopping rule: a Newton decrement within tol per sample, or on the
+        # boundary theta = 0 a zero p-gradient and a theta-gradient <= 0.
+        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         tol = 1e-9  # fit's default
         result = fit(CountSample(tuple(counts.tolist())), trials=m, tol=tol)
         assume(result.converged)
-        a, b = result.dist.alpha, result.dist.beta
+        p, theta = result.dist.p, result.dist.theta
         t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
-        ga, gb = stats._gradient(t, a, b)
-        assert abs(a * ga) <= tol * k and abs(b * gb) <= tol * k
-        assert result.log_likelihood == stats._log_likelihood(t, a, b)
+        (gp, gt), (hpp, hpt, htt) = stats._derivatives(t, p, theta)
+        if theta == 0.0:
+            assert abs(gp) <= 1e-12 * k * m / min(p, 1 - p)
+            assert gt <= 1e-12 * k * m * m / min(p, 1 - p)
+        else:
+            g, h = np.array([gp, gt]), -np.array([[hpp, hpt], [hpt, htt]])
+            assert np.all(np.linalg.eigvalsh(h) > 0)
+            assert g @ np.linalg.solve(h, g) / 2 <= tol * k
+        assert result.log_likelihood == stats._log_likelihood(t, p, theta)
 
     def test_trial_number_bound(self):
         counts = CountSample((1, 2, 3))
@@ -288,13 +337,13 @@ class TestFit:
         with pytest.raises(ValueError, match="largest supported"):
             fit(CountSample((1, 10**12)))
         with pytest.raises(ValueError, match="largest supported"):
-            BetaBinomial(1.0, 1.0, MAX_TRIALS + 1)
+            BetaBinomial(0.5, 0.0, MAX_TRIALS + 1)
 
     def test_report_fields(self):
-        gen = BetaBinomial(6.0, 3.0, 20)
-        draws = gen.sample(seed=8, k=200)
+        draws = BetaBinomial.from_shapes(6.0, 3.0, 20).sample(seed=8, k=200)
         report = fit(CountSample(tuple(int(x) for x in draws)), trials=20).report()
-        assert set(report) == {"alpha", "beta", "M", "log_likelihood", "mean", "std"}
+        assert set(report) == {"p", "theta", "alpha", "beta", "M", "log_likelihood", "mean", "std"}
+        assert report["alpha"] == report["p"] / report["theta"]
 
 
 class TestHistogramEvaluators:
@@ -305,7 +354,8 @@ class TestHistogramEvaluators:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 80))
         counts = rng.integers(0, m + 1, size=int(rng.integers(2, 500)))
-        alpha, beta = 10.0 ** rng.uniform(-1.5, 3, size=2)
+        p, theta = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-2, 1)
+        q, alpha, beta = 1 - p, p / theta, (1 - p) / theta
         # A scan's one ln k! table is built for its largest M.
         t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m + 60))
         n, s, c = counts.size, alpha + beta, counts.astype(float)
@@ -314,28 +364,47 @@ class TestHistogramEvaluators:
             gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
             + betaln(c + alpha, m - c + beta)
         ) - n * betaln(alpha, beta)
-        ga = np.sum(psi(c + alpha)) - n * psi(m + s) - n * psi(alpha) + n * psi(s)
-        gb = np.sum(psi(m - c + beta)) - n * psi(m + s) - n * psi(beta) + n * psi(s)
+        la = np.sum(psi(c + alpha)) - n * psi(m + s) - n * psi(alpha) + n * psi(s)
+        lb = np.sum(psi(m - c + beta)) - n * psi(m + s) - n * psi(beta) + n * psi(s)
         t_ms, t_s = polygamma(1, m + s), polygamma(1, s)
-        haa = np.sum(polygamma(1, c + alpha)) - n * t_ms - n * polygamma(1, alpha) + n * t_s
-        hbb = np.sum(polygamma(1, m - c + beta)) - n * t_ms - n * polygamma(1, beta) + n * t_s
-        hab = n * (t_s - t_ms)
+        laa = np.sum(polygamma(1, c + alpha)) - n * t_ms - n * polygamma(1, alpha) + n * t_s
+        lbb = np.sum(polygamma(1, m - c + beta)) - n * t_ms - n * polygamma(1, beta) + n * t_s
+        lab = n * (t_s - t_ms)
+        # The chain rule through (alpha, beta) = (p, 1 - p) / theta.
+        gradient = [(la - lb) / theta, -(p * la + q * lb) / theta**2]
+        hessian = [
+            (laa - 2 * lab + lbb) / theta**2,
+            -(la - lb) / theta**2 - (p * laa + (q - p) * lab - q * lbb) / theta**3,
+            2 * (p * la + q * lb) / theta**3
+            + (p * p * laa + 2 * p * q * lab + q * q * lbb) / theta**4,
+        ]
 
         # Both sides sum O(n M) terms of size up to |ln Gamma| in float64.
         scale = n * (abs(gammaln(m + s)) + abs(gammaln(alpha)) + abs(gammaln(beta)) + m)
-        assert stats._log_likelihood(t, alpha, beta) == pytest.approx(ll, abs=1e-13 * scale)
-        g = stats._gradient(t, alpha, beta)
-        h = stats._hessian(t, alpha, beta)
-        gscale = n * m * (1.0 / alpha + 1.0 / beta + 1.0)
-        np.testing.assert_allclose(g, [ga, gb], rtol=0, atol=1e-12 * gscale)
-        np.testing.assert_allclose(
-            h, [haa, hab, hbb], rtol=0, atol=1e-12 * gscale * (1.0 / alpha + 1.0 / beta + 1.0)
-        )
+        assert stats._log_likelihood(t, p, theta) == pytest.approx(ll, abs=1e-13 * scale)
+        g, h = stats._derivatives(t, p, theta)
+        np.testing.assert_allclose(g, gradient, rtol=1e-7, atol=1e-9 * n * m * m)
+        np.testing.assert_allclose(h, hessian, rtol=1e-6, atol=1e-9 * n * m**4)
 
-
-def _reference_hessian(t, alpha, beta):
-    h = stats_reference._hessian(t, alpha, beta)
-    return h[0, 0], h[0, 1], h[1, 1]
+    @pytest.mark.parametrize("seed", range(5))
+    def test_match_binomial_at_theta_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 80))
+        counts = rng.integers(0, m + 1, size=int(rng.integers(2, 500)))
+        p = rng.uniform(0.05, 0.95)
+        q = 1 - p
+        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
+        n, s1 = counts.size, int(counts.sum())
+        s2 = int((counts.astype(np.int64) ** 2).sum())
+        tail_sum = n * m * m - 2 * m * s1 + s2 - n * m + s1  # sum (M - c)(M - c - 1)
+        ll = float(binom.logpmf(counts, m, p).sum())
+        assert stats._log_likelihood(t, p, 0.0) == pytest.approx(ll, rel=1e-13)
+        (gp, gt), (hpp, hpt, htt) = stats._derivatives(t, p, 0.0)
+        r = n * m / min(p, q)
+        assert gp == pytest.approx(s1 / p - (n * m - s1) / q, rel=1e-12, abs=1e-12 * r)
+        tarone = (s2 - s1) / (2 * p) + tail_sum / (2 * q) - n * m * (m - 1) / 2
+        assert gt == pytest.approx(tarone, rel=1e-12, abs=1e-12 * m * r)
+        assert hpp == pytest.approx(-s1 / p**2 - (n * m - s1) / q**2, rel=1e-12)
 
 
 # The fit's sums replaced by the numpy reference, behind the interface of stats.
@@ -344,8 +413,7 @@ _REFERENCE_SUMS = {
         np.asarray(hist), m, np.asarray(log_fact)
     ),
     "_log_likelihood": stats_reference._log_likelihood,
-    "_gradient": stats_reference._gradient,
-    "_hessian": _reference_hessian,
+    "_derivatives": stats_reference._derivatives,
 }
 
 
@@ -359,36 +427,36 @@ class TestNumpyReference:
         m=st.integers(1, 400),
         k=st.integers(2, 2000),
         seed=st.integers(0, 2**32 - 1),
-        at=st.tuples(st.floats(-3.0, 8.0), st.floats(-3.0, 8.0)).map(
-            lambda e: (10.0 ** e[0], 10.0 ** e[1])
+        at=st.tuples(
+            st.floats(1e-3, 1 - 1e-3), st.just(0.0) | st.floats(-3.0, 8.0).map(lambda e: 10.0**e)
         ),
     )
     def test_sums_agree_within_ulps_times_m(self, alpha, beta, m, k, seed, at):
-        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         log_fact = stats._log_factorials(m)
         t = stats._tails(np.bincount(counts).tolist(), m, log_fact)
         ref = stats_reference._tails(np.bincount(counts), m, np.asarray(log_fact))
-        a, b = at
+        assert (t.n, t.s1, t.s2) == (ref.n, ref.s1, ref.s2)
+        p, theta = at
         n = counts.size
 
         def within(value, reference, term):
             # Both sum M terms of magnitude at most `term`, in different orders.
             assert abs(value - reference) <= 16 * m * math.ulp(term)
 
-        largest_log = max(abs(math.log(x)) for x in (a, b, a + b, a + m, b + m, a + b + m))
+        largest_log = max(abs(math.log(x)) for x in (p, 1 - p, 1 + m * theta))
         within(
-            stats._log_likelihood(t, a, b),
-            stats_reference._log_likelihood(ref, a, b),
+            stats._log_likelihood(t, p, theta),
+            stats_reference._log_likelihood(ref, p, theta),
             n * largest_log + abs(t.const) / m,
         )
-        g, g_ref = stats._gradient(t, a, b), stats_reference._gradient(ref, a, b)
-        within(g[0], g_ref[0], n / a)
-        within(g[1], g_ref[1], n / b)
-        h, h_ref = stats._hessian(t, a, b), stats_reference._hessian(ref, a, b)
-        within(h[0], h_ref[0, 0], n / a**2)
-        within(h[1], h_ref[0, 1], n / (a + b) ** 2)
-        within(h[2], h_ref[1, 1], n / b**2)
+        g, h = stats._derivatives(t, p, theta)
+        g_ref, h_ref = stats_reference._derivatives(ref, p, theta)
+        r = n / min(p, 1 - p)
+        terms = (r, m * r, r * r, m * r * r, m * m * r * r)
+        for value, reference, term in zip(g + h, g_ref + h_ref, terms):
+            within(value, reference, term)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -399,7 +467,7 @@ class TestNumpyReference:
         st.integers(0, 2**32 - 1),
     )
     def test_fits_agree_within_tolerance(self, alpha, beta, m, k, seed):
-        counts = BetaBinomial(alpha, beta, m).sample(seed=seed, k=k)
+        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         sample = CountSample(tuple(counts.tolist()))
         tol = 1e-9  # fit's default
@@ -407,20 +475,23 @@ class TestNumpyReference:
         with mock.patch.multiple(stats, **_REFERENCE_SUMS):
             reference = fit(sample, trials=m, tol=tol)
         assume(result.converged and reference.converged)
-        # Both stop where the log-parameter gradient is within tol per sample,
-        # so both likelihoods are within tol * n of the maximum, and both
+        if result.dist.theta == 0.0:
+            # The same exact test puts both on the boundary, at the same p.
+            assert reference.dist == result.dist
+            return
+        # Both stop where the Newton decrement is within tol * n, so both
+        # likelihoods are within about tol * n of the maximum, and both
         # points inside the ellipse where the likelihood is: a distance
-        # sqrt(2 tol n / lambda) along the flattest direction of the Hessian.
+        # sqrt(2 tol n [(-H)^-1]_ii) along coordinate i.
         slack = tol * k
         assert abs(result.log_likelihood - reference.log_likelihood) <= slack
-        a, b = result.dist.alpha, result.dist.beta
+        p, theta = result.dist.p, result.dist.theta
         t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
-        (ga, gb), (haa, hab, hbb) = stats._gradient(t, a, b), stats._hessian(t, a, b)
-        h_log = [[a * a * haa + a * ga, a * b * hab], [a * b * hab, b * b * hbb + b * gb]]
-        flattest = np.abs(np.linalg.eigvalsh(h_log)).min()
-        radius = 2 * math.sqrt(2 * slack / flattest) if flattest > 0 else math.inf
-        assert abs(math.log(a / reference.dist.alpha)) <= radius
-        assert abs(math.log(b / reference.dist.beta)) <= radius
+        _, (hpp, hpt, htt) = stats._derivatives(t, p, theta)
+        spread = np.diag(np.linalg.inv(-np.array([[hpp, hpt], [hpt, htt]])))
+        radius = 2 * np.sqrt(2 * slack * spread)
+        assert abs(p - reference.dist.p) <= radius[0]
+        assert abs(theta - reference.dist.theta) <= radius[1]
 
 
 class TestCountIO:

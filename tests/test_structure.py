@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jjvar import structure
-from jjvar.constants import BOLTZMANN_KB
 from jjvar.structure import (
     DEFAULT_CUTOFFS,
     SPECIES,
@@ -18,7 +17,6 @@ from jjvar.structure import (
     ParseError,
     StructureBatch,
     effective_time,
-    ideal_gas_count,
     oxide_regions,
     parse_xyz,
     stoichiometry,
@@ -678,26 +676,3 @@ class TestGasArithmetic:
     def test_bad_reference(self):
         with pytest.raises(ValueError):
             effective_time(10, 0.0, 1.0)
-
-    def test_ideal_gas_direct_value(self):
-        # direct constant arithmetic for the growth-cell conditions; this
-        # deliberately differs from the 8.46e-3 reference count (see README)
-        volume = 34.17 * 34.17 * 78.26
-        expected = 1500.0 * volume * 1e-30 / (BOLTZMANN_KB * 300.0)
-        value = ideal_gas_count(1500.0, volume, 300.0)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value == pytest.approx(3.3092e-2, rel=1e-4)
-
-    def test_pressure_linearity(self):
-        assert ideal_gas_count(3000.0, 1e5, 300.0) == pytest.approx(
-            2 * ideal_gas_count(1500.0, 1e5, 300.0), rel=1e-12
-        )
-
-    def test_density_constant_at_fixed_pt(self):
-        n1 = ideal_gas_count(1500.0, 1e5, 300.0) / 1e5
-        n2 = ideal_gas_count(1500.0, 3e5, 300.0) / 3e5
-        assert n1 == pytest.approx(n2, rel=1e-12)
-
-    def test_positivity_required(self):
-        with pytest.raises(ValueError):
-            ideal_gas_count(-1.0, 1.0, 1.0)
