@@ -424,8 +424,10 @@ def cmd_ej(
             _json_number(payload, fit_report, "theta"),
             int(trials),
         )
+        counts = {"alpha": dist.alpha, "beta": dist.beta, "M": dist.trials}
     else:
         dist = stats.BetaBinomial.from_shapes(cfg.alpha, cfg.beta, cfg.trials)
+        counts = {"alpha": cfg.alpha, "beta": cfg.beta, "M": cfg.trials}
 
     t_jj, t_jjh = cfg.target_jj, cfg.target_jjh
     if calibration is not None:
@@ -453,7 +455,7 @@ def cmd_ej(
             "offset": distribution.offset,
             "mean_ghz": distribution.mean(),
             "std_ghz": distribution.std(),
-            "counts": {"alpha": dist.alpha, "beta": dist.beta, "M": dist.trials},
+            "counts": counts,
         },
     )
     pmf_path = out / "ej_pmf.csv"

@@ -241,7 +241,7 @@ class PipelineConfig:
         self.m_fit_args()
         try:
             BetaBinomial.from_shapes(self.alpha, self.beta, self.trials)
-        except ValueError as exc:  # its messages open with the field name
+        except ValueError as exc:  # its messages open with a field name
             raise ConfigError(f"stats.{exc}") from None
 
 

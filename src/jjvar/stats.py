@@ -135,14 +135,10 @@ class BetaBinomial:
         for name, value in (("alpha", alpha), ("beta", beta)):
             if not value > 0.0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        p, theta = 1.0 / (1.0 + beta / alpha), 1.0 / (alpha + beta)
-        _check_trials(trials, "trials")
-        if not (0.0 < p < 1.0 and isfinite(theta * max(trials, 1))):
-            raise ValueError(
-                f"alpha = {alpha} and beta = {beta} give p = {p}, theta = {theta}: p must lie "
-                f"strictly between 0 and 1 and theta times the {trials} trials must be finite"
-            )
-        return cls(p, theta, trials)
+        try:
+            return cls(1.0 / (1.0 + beta / alpha), 1.0 / (alpha + beta), trials)
+        except ValueError as exc:
+            raise ValueError(f"alpha = {alpha}, beta = {beta}, trials = {trials}: {exc}") from None
 
     @property
     def alpha(self) -> float:

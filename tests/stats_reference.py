@@ -1,5 +1,6 @@
 """References for `jjvar.stats`: the count-fit sums as numpy array
-expressions, and the PMF's product form in 50-digit mpmath.
+expressions, and the PMF's product form in 50-digit mpmath, with the
+log-likelihood's derivatives taken numerically from it.
 
 `_tails`, `_log_likelihood` and `_derivatives` are array versions of the
 fit's sums in (p, theta); they take the histogram and the ln k! table as
@@ -60,6 +61,18 @@ def _derivatives(t: _Tails, p: float, theta: float):
     return gradient, hessian
 
 
+def _product_form(p, theta, m: int) -> list:
+    """P(0..m) from the product form at the working precision, which
+    `mpmath.diff` raises above the caller's."""
+    q = 1 - p
+    rising_p, rising_q, rising_1 = [mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.mpf(1)
+    for j in range(m):
+        rising_p.append(rising_p[-1] * (p + j * theta))
+        rising_q.append(rising_q[-1] * (q + j * theta))
+        rising_1 *= 1 + j * theta
+    return [mpmath.binomial(m, n) * rising_p[n] * rising_q[m - n] / rising_1 for n in range(m + 1)]
+
+
 def pmf(p: float, theta: float, m: int, dps: int = 50) -> list:
     """P(0..m) from the product form
 
@@ -69,13 +82,20 @@ def pmf(p: float, theta: float, m: int, dps: int = 50) -> list:
     in `dps`-digit arithmetic, with p and theta taken exactly as given; a
     list of mpf."""
     with mpmath.workdps(dps):
-        p, theta = mpmath.mpf(p), mpmath.mpf(theta)
-        q = 1 - p
-        rising_p, rising_q, rising_1 = [mpmath.mpf(1)], [mpmath.mpf(1)], mpmath.mpf(1)
-        for j in range(m):
-            rising_p.append(rising_p[-1] * (p + j * theta))
-            rising_q.append(rising_q[-1] * (q + j * theta))
-            rising_1 *= 1 + j * theta
-        return [
-            mpmath.binomial(m, n) * rising_p[n] * rising_q[m - n] / rising_1 for n in range(m + 1)
-        ]
+        return _product_form(mpmath.mpf(p), mpmath.mpf(theta), m)
+
+
+def derivatives(hist, p: float, theta: float, m: int, dps: int = 50):
+    """((dl/dp, dl/dtheta), (d2l/dp2, d2l/dp dtheta, d2l/dtheta2)) of
+    l = sum_c hist[c] ln P(c), P the product form, as mpf: mpmath's
+    numerical differentiation of l at `dps` digits, so no derivative formula
+    enters."""
+    with mpmath.workdps(dps):
+
+        def ll(x, y):
+            return mpmath.fsum(h * mpmath.log(v) for h, v in zip(hist, _product_form(x, y, m)) if h)
+
+        point = (mpmath.mpf(p), mpmath.mpf(theta))
+        g = [mpmath.diff(ll, point, order) for order in ((1, 0), (0, 1))]
+        h = [mpmath.diff(ll, point, order) for order in ((2, 0), (1, 1), (0, 2))]
+        return g, h

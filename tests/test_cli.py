@@ -331,6 +331,8 @@ class TestEjCommand:
         assert report["std_ghz"] == pytest.approx(0.26, abs=0.02)
         assert report["e_jj_ghz"] == pytest.approx(9.74, abs=0.01)
         assert report["e_jjh_ghz"] == pytest.approx(10.52, abs=0.01)
+        # Without --fit-report the counts are the config's shapes as given.
+        assert report["counts"] == {"alpha": 17.69, "beta": 15.36, "M": 40}
 
     @pytest.mark.parametrize(
         "config,report",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betaln, gammaln, polygamma, psi
+from scipy.special import betaln, gammaln
 from scipy.stats import binom
 
 import stats_reference
@@ -105,19 +105,21 @@ class TestPmf:
 # 1e-12 to 1e3, log-uniform, or exactly 0: the binomial.
 probability = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 overdispersion = st.just(0.0) | st.floats(-12.0, 3.0).map(lambda e: 10.0**e)
+# Trial numbers up to 2000, weighted toward the M <= 200 that fits reach.
+trial_numbers = st.integers(0, 200) | st.integers(0, 2000)
 
 
 class TestPmfProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(p=probability, theta=overdispersion, m=st.integers(0, 2000) | st.integers(0, MAX_TRIALS))
+    @settings(max_examples=200, deadline=None)
+    @given(p=probability, theta=overdispersion, m=trial_numbers | st.integers(0, MAX_TRIALS))
     @example(p=0.5, theta=0.0, m=MAX_TRIALS)
     @example(p=1e-5, theta=1e3, m=MAX_TRIALS)
     @example(p=0.5, theta=1e-12, m=MAX_TRIALS)
     def test_normalized(self, p, theta, m):
         assert abs(np.asarray(BetaBinomial(p, theta, m).pmf_vector()).sum() - 1.0) <= 1e-12
 
-    @settings(max_examples=40, deadline=None)
-    @given(p=probability, theta=overdispersion, m=st.integers(0, 2000))
+    @settings(max_examples=200, deadline=None)
+    @given(p=probability, theta=overdispersion, m=trial_numbers)
     def test_matches_mpmath_product_form(self, p, theta, m):
         values = BetaBinomial(p, theta, m).pmf_vector()
         reference = [float(x) for x in stats_reference.pmf(p, theta, m)]
@@ -347,7 +349,8 @@ class TestFit:
 
 
 class TestHistogramEvaluators:
-    """The tail-count sums against per-sample special-function formulas."""
+    """The tail-count sums against per-sample special-function formulas and
+    the numerical derivatives of the product form."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_match_per_sample_formulas(self, seed):
@@ -355,36 +358,25 @@ class TestHistogramEvaluators:
         m = int(rng.integers(2, 80))
         counts = rng.integers(0, m + 1, size=int(rng.integers(2, 500)))
         p, theta = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-2, 1)
-        q, alpha, beta = 1 - p, p / theta, (1 - p) / theta
+        alpha, beta = p / theta, (1 - p) / theta
+        hist = np.bincount(counts).tolist()
         # A scan's one ln k! table is built for its largest M.
-        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m + 60))
+        t = stats._tails(hist, m, stats._log_factorials(m + 60))
         n, s, c = counts.size, alpha + beta, counts.astype(float)
 
         ll = np.sum(
             gammaln(m + 1.0) - gammaln(c + 1.0) - gammaln(m - c + 1.0)
             + betaln(c + alpha, m - c + beta)
         ) - n * betaln(alpha, beta)
-        la = np.sum(psi(c + alpha)) - n * psi(m + s) - n * psi(alpha) + n * psi(s)
-        lb = np.sum(psi(m - c + beta)) - n * psi(m + s) - n * psi(beta) + n * psi(s)
-        t_ms, t_s = polygamma(1, m + s), polygamma(1, s)
-        laa = np.sum(polygamma(1, c + alpha)) - n * t_ms - n * polygamma(1, alpha) + n * t_s
-        lbb = np.sum(polygamma(1, m - c + beta)) - n * t_ms - n * polygamma(1, beta) + n * t_s
-        lab = n * (t_s - t_ms)
-        # The chain rule through (alpha, beta) = (p, 1 - p) / theta.
-        gradient = [(la - lb) / theta, -(p * la + q * lb) / theta**2]
-        hessian = [
-            (laa - 2 * lab + lbb) / theta**2,
-            -(la - lb) / theta**2 - (p * laa + (q - p) * lab - q * lbb) / theta**3,
-            2 * (p * la + q * lb) / theta**3
-            + (p * p * laa + 2 * p * q * lab + q * q * lbb) / theta**4,
-        ]
-
         # Both sides sum O(n M) terms of size up to |ln Gamma| in float64.
         scale = n * (abs(gammaln(m + s)) + abs(gammaln(alpha)) + abs(gammaln(beta)) + m)
         assert stats._log_likelihood(t, p, theta) == pytest.approx(ll, abs=1e-13 * scale)
+        # Each derivative is a few exactly rounded sums of terms rounded once
+        # or twice; the reference differentiates the product form itself.
         g, h = stats._derivatives(t, p, theta)
-        np.testing.assert_allclose(g, gradient, rtol=1e-7, atol=1e-9 * n * m * m)
-        np.testing.assert_allclose(h, hessian, rtol=1e-6, atol=1e-9 * n * m**4)
+        g_ref, h_ref = stats_reference.derivatives(hist, p, theta, m)
+        np.testing.assert_allclose(g, [float(x) for x in g_ref], rtol=1e-12)
+        np.testing.assert_allclose(h, [float(x) for x in h_ref], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_match_binomial_at_theta_zero(self, seed):
@@ -405,6 +397,8 @@ class TestHistogramEvaluators:
         tarone = (s2 - s1) / (2 * p) + tail_sum / (2 * q) - n * m * (m - 1) / 2
         assert gt == pytest.approx(tarone, rel=1e-12, abs=1e-12 * m * r)
         assert hpp == pytest.approx(-s1 / p**2 - (n * m - s1) / q**2, rel=1e-12)
+        _, h_ref = stats_reference.derivatives(np.bincount(counts).tolist(), p, 0.0, m)
+        np.testing.assert_allclose((hpt, htt), [float(x) for x in h_ref[1:]], rtol=1e-12)
 
 
 # The fit's sums replaced by the numpy reference, behind the interface of stats.
