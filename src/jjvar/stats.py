@@ -14,26 +14,28 @@ and beta = (1 - p) / theta.  This module provides the distribution
 (PMF/moments/sampling), maximum-likelihood fitting with a fixed trial count
 M or a likelihood scan over M, and count-file ingestion.
 
-The fit works on the count histogram (Minka, "Estimating a Dirichlet
-distribution", 2000): with the tail counts A_j = #{c > j} and
-B_j = #{M - c > j} of n samples, the log-likelihood is
+The fit works on the count histogram through the PMF's own log-steps
+s_k = ln P(k + 1) - ln P(k) = ln((M - k) / (k + 1)) + ln(p + k theta)
+- ln(1 - p + (M - 1 - k) theta).  With the tail counts A_k = #{c > k} of n
+samples (Minka, "Estimating a Dirichlet distribution", 2000),
 
-    l = const + sum_{j<M} [A_j ln(p + j theta) + B_j ln(1 - p + j theta) - n ln(1 + j theta)],
+    l = n ln P(0) + sum_k A_k s_k,   ln P(0) = sum_{j<M} log1p(-p / (1 + j theta)),
 
-so each evaluation costs O(M) whatever the sample count.  The sign of
-dl/dtheta at (p = mean / M, theta = 0), in exact integers (Tarone,
-Biometrika 66, 585 (1979)), tells whether the counts are overdispersed; if
-not, that binomial is the fit.  Otherwise Newton in (p, theta) runs from the
-moment estimate until the Newton decrement g^T (-H)^-1 g / 2 is within `tol`
-per sample.
+so each evaluation costs O(M) whatever the sample count.  Above p = 1/2
+the same sum runs over the counts M - c at 1 - p, so that n ln P(0) stays
+within n M ln 2 however close p comes to 1.  The sign of dl/dtheta at
+(p = mean / M, theta = 0), in exact integers (Tarone, Biometrika 66, 585
+(1979)), tells whether the counts are overdispersed; if not, that binomial
+is the fit.  Otherwise Newton in (p, theta) runs from the moment estimate
+until the Newton decrement g^T (-H)^-1 g / 2 is within `tol` per sample.
 
 The module works on Python floats and needs no numpy, so that fitting counts
 costs no numpy import: every sum goes through `math.fsum`, which rounds
-exactly once and so makes the results independent of summation order, and
-the 2x2 Newton step is solved in closed form.  An evaluation of l, or of
-the gradient and Hessian together, makes up to 3M `log` calls or divisions
-and a few products per term, at about 0.1 us each in CPython 3.11: tens of
-microseconds at the M ~ 100 of a default scan, 35-50 ms at MAX_TRIALS.
+exactly once, and the 2x2 Newton step is solved in closed form.  An
+evaluation of l makes one division and one `log1p` per j < M and three `log`
+calls per step it sums; the gradient and Hessian together make two
+divisions and a few products per j: tens of microseconds each at the M ~ 100
+of a default scan, about 10 and 50 ms at MAX_TRIALS, in CPython 3.11.
 `BetaBinomial.sample` alone imports numpy, when called.
 """
 
@@ -43,8 +45,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from math import exp, fsum, isfinite, log
-from operator import mul
+from math import exp, fsum, isfinite, log, log1p
+from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -66,7 +68,7 @@ __all__ = [
 MD_REFERENCE_AREA = 34.17 * 34.17
 
 # Largest trial number M accepted anywhere (fit, scan bound, distribution):
-# the PMF and the fit's sums hold O(M) floats.
+# the PMF, the fit's tails and its sums over j < M hold O(M) floats.
 MAX_TRIALS = 100_000
 
 
@@ -104,9 +106,13 @@ def _prefix_sums(terms) -> tuple[list[float], list[float]]:
     return hi, lo
 
 
-def _log_factorials(m: int) -> list[float]:
-    """ln k! for k = 0..m."""
-    return [h + l for h, l in zip(*_prefix_sums(map(log, range(1, m + 1))))]
+def _log_steps(p: float, theta: float, m: int, stop: int):
+    """The log-steps s_k = ln P(k + 1) - ln P(k), k < stop."""
+    q = 1.0 - p
+    return (
+        log((m - k) / (k + 1.0)) + log(p + k * theta) - log(q + (m - 1 - k) * theta)
+        for k in range(stop)
+    )
 
 
 @dataclass(frozen=True)
@@ -154,12 +160,8 @@ class BetaBinomial:
         relative to the largest sum and divided by their total, so that no
         normalizing product is evaluated and the values sum to 1 up to their
         own rounding."""
-        m, p, t = self.trials, self.p, self.theta
-        q = 1.0 - p
-        hi, lo = _prefix_sums(
-            log((m - n) / (n + 1.0)) + log(p + n * t) - log(q + (m - 1 - n) * t)
-            for n in range(m)
-        )
+        m = self.trials
+        hi, lo = _prefix_sums(_log_steps(self.p, self.theta, m, m))
         top = max(hi)  # a common offset cancels against the total
         weights = [exp((h - top) + l) for h, l in zip(hi, lo)]
         total = fsum(weights)
@@ -211,6 +213,16 @@ def read_counts(path: str | Path, area: float = MD_REFERENCE_AREA) -> CountSampl
     lines = text.splitlines()
     if not any(line.strip() for line in lines):
         raise ValueError(f"{path}: no counts found")
+
+    def count(token, i: int) -> int:
+        try:
+            value = int(token)
+        except (TypeError, ValueError):
+            value = -1
+        if value < 0:
+            raise ValueError(f"{path}: line {i}: bad count {token!r}")
+        return value
+
     header = next(line for line in lines if line.strip())
     if "," in header or header.strip().lower() == "n_h":
         import csv
@@ -219,22 +231,13 @@ def read_counts(path: str | Path, area: float = MD_REFERENCE_AREA) -> CountSampl
         reader = csv.DictReader(io.StringIO(text))
         if reader.fieldnames is None or "n_h" not in reader.fieldnames:
             raise ValueError(f"{path}: CSV input requires an 'n_h' column")
-        counts = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                counts.append(int(row["n_h"]))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {i}: bad count {row.get('n_h')!r}") from exc
+        counts = [count(row["n_h"], i) for i, row in enumerate(reader, start=2)]
     else:
-        counts = []
-        for i, line in enumerate(lines, start=1):
-            token = line.strip()
-            if not token or token.startswith("#"):
-                continue
-            try:
-                counts.append(int(token))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {i}: bad count {token!r}") from exc
+        counts = [
+            count(line.strip(), i)
+            for i, line in enumerate(lines, start=1)
+            if line.strip() and not line.strip().startswith("#")
+        ]
     if not counts:
         raise ValueError(f"{path}: no counts found")
     return CountSample(counts=tuple(counts), area=area)
@@ -265,76 +268,75 @@ class FitResult:
         }
 
 
-class _Terms(NamedTuple):
-    """One sum of the log-likelihood, sum_j w_j ln(x + j theta), as its
-    positions j = 0, 1, ... and the weights w_j, j w_j and j^2 w_j."""
-
-    j: list[float]
-    w: list[float]
-    jw: list[float]
-    jjw: list[float]
-
-
 class _Tails(NamedTuple):
-    """Sufficient statistics of n counts for one trial number M.  The tails
-    stop where they reach zero: past the largest count for A, past M minus
-    the smallest count for B."""
+    """Sufficient statistics of n counts for one trial number M: the tail
+    counts A_k = #{c > k} up to the largest count, as the weights the
+    log-likelihood and its derivatives take, with j = M - 1 - k, and
+    B_k = #{M - c > k}, the A_k of the counts M - c."""
 
-    a: _Terms  # A_j = #{c > j}, at x = p
-    b: _Terms  # B_j = #{M - c > j}, at x = 1 - p
-    s: _Terms  # -n for every j < M, at x = 1
+    m: int
+    a: list[float]  # A_k
+    ka: list[float]  # k A_k
+    kka: list[float]  # k^2 A_k
+    ja: list[float]  # j A_k
+    jja: list[float]  # j^2 A_k
+    b: list[float]  # B_k
     n: int
     s1: int  # sum of the counts
     s2: int  # sum of their squares
-    const: float  # sum over samples of ln C(M, c)
 
 
-def _tails(hist: list[int], m: int, log_fact: list[float]) -> _Tails:
+def _tails(hist: list[int], m: int) -> _Tails:
     """Tail counts for trial number m >= max count, from the histogram `hist`
-    (hist[c] samples hold count c; its last entry is non-zero); `log_fact[k]`
-    is ln k! for k = 0..m at least."""
+    (hist[c] samples hold count c; its last entry is non-zero)."""
     cdf = list(accumulate(hist))  # cdf[k] = #{c <= k}
     n, cmax = cdf[-1], len(hist) - 1
     cmin = next(c for c, h in enumerate(hist) if h)
     a = [float(n - f) for f in cdf[:cmax]]
-    # B_j = #{c <= M - 1 - j}, which is n while M - 1 - j >= cmax.
+    # B_k = #{c < M - k}, which is n while M - 1 - k >= cmax.
     b = [float(n)] * (m - cmax) + [float(f) for f in reversed(cdf[cmin:cmax])]
-    const = n * log_fact[m] - fsum(
-        chain(map(mul, hist, log_fact), map(mul, hist, reversed(log_fact[m - cmax : m + 1])))
-    )
-    j = [float(k) for k in range(m)]
-    jj = list(map(mul, j, j))
-
-    def terms(w: list[float]) -> _Terms:
-        return _Terms(j[: len(w)], w, list(map(mul, j, w)), list(map(mul, jj, w)))
-
+    ks, js = range(cmax), range(m - 1, m - 1 - cmax, -1)
+    ka, ja = list(map(mul, ks, a)), list(map(mul, js, a))
+    kka, jja = list(map(mul, ks, ka)), list(map(mul, js, ja))
     s1 = sum(c * h for c, h in enumerate(hist))
     s2 = sum(c * c * h for c, h in enumerate(hist))
-    return _Tails(terms(a), terms(b), terms([-float(n)] * m), n, s1, s2, const)
+    return _Tails(m, a, ka, kka, ja, jja, b, n, s1, s2)
 
 
 def _log_likelihood(t: _Tails, p: float, theta: float) -> float:
-    sums = ((t.a, p), (t.b, 1.0 - p), (t.s, 1.0))
-    logs = (map(mul, u.w, map(log, [x + j * theta for j in u.j])) for u, x in sums)
-    return fsum(chain((t.const,), *logs))
+    """l = n ln P(0) + sum_k A_k s_k.  Above p = 1/2 it is the same sum for
+    the counts M - c at 1 - p, which is exact there, so that n |ln P(0)|
+    stays within n M ln 2."""
+    a, p = (t.a, p) if p <= 0.5 else (t.b, 1.0 - p)
+    log_p0 = fsum(log1p(-p / (1.0 + j * theta)) for j in range(t.m))
+    return fsum(chain((t.n * log_p0,), map(mul, a, _log_steps(p, theta, t.m, len(a)))))
 
 
 def _derivatives(t: _Tails, p: float, theta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """((dl/dp, dl/dtheta), (d2l/dp2, d2l/dp dtheta, d2l/dtheta2))."""
-    a, b, s = t.a, t.b, t.s
-    ra, rb, rs = (
-        [1.0 / (x + j * theta) for j in terms.j] for terms, x in ((a, p), (b, 1.0 - p), (s, 1.0))
-    )
-    ra2, rb2, rs2 = (list(map(mul, r, r)) for r in (ra, rb, rs))
+    m, n, q, cmax = t.m, t.n, 1.0 - p, len(t.a)
+    # ln P(0) = sum_j ln(q + j theta) - ln(1 + j theta): with r_j = 1 / (q + j theta)
+    # and u_j = 1 / (1 + j theta), its theta-derivatives carry r_j - u_j = p r_j u_j.
+    js = range(m)
+    r = [1.0 / (q + j * theta) for j in js]
+    u = [1.0 / (1.0 + j * theta) for j in js]
+    r2, jru = list(map(mul, r, r)), list(map(mul, js, map(mul, r, u)))
+    # The steps' shape terms: x_k = 1 / (p + k theta) and y_k = r_j, j = M - 1 - k.
+    x = [1.0 / (p + k * theta) for k in range(cmax)]
+    x2, y, y2 = list(map(mul, x, x)), r[m - cmax :][::-1], r2[m - cmax :][::-1]
+
+    def dot(w, v) -> float:
+        return fsum(map(mul, w, v))
+
     return (
         (
-            fsum(map(mul, a.w, ra)) - fsum(map(mul, b.w, rb)),
-            fsum(chain(map(mul, a.jw, ra), map(mul, b.jw, rb), map(mul, s.jw, rs))),
+            dot(t.a, x) + dot(t.a, y) - n * fsum(r),
+            dot(t.ka, x) - dot(t.ja, y) + n * p * fsum(jru),
         ),
         (
-            -fsum(chain(map(mul, a.w, ra2), map(mul, b.w, rb2))),
-            fsum(map(mul, b.jw, rb2)) - fsum(map(mul, a.jw, ra2)),
-            -fsum(chain(map(mul, a.jjw, ra2), map(mul, b.jjw, rb2), map(mul, s.jjw, rs2))),
+            dot(t.a, y2) - dot(t.a, x2) - n * fsum(r2),
+            n * dot(js, r2) - dot(t.ka, x2) - dot(t.ja, y2),
+            dot(t.jja, y2) - dot(t.kka, x2) - n * p * dot(map(mul, js, jru), map(add, r, u)),
         ),
     )
 
@@ -431,14 +433,14 @@ def fit(
         raise DegenerateDataError("need at least two distinct count values to fit")
     hist = [tally[c] for c in range(cmax + 1)]
 
-    def fit_m(m: int, log_fact: list[float]):
-        return _mle_fixed_m(_tails(hist, m, log_fact), m, tol, max_iter)
+    def fit_m(m: int):
+        return _mle_fixed_m(_tails(hist, m), m, tol, max_iter)
 
     if trials is not None:
         if cmax > trials:
             raise ValueError(f"count {cmax} exceeds fixed trial number {trials}")
         _check_trials(int(trials), "trial number")
-        return FitResult(*fit_m(int(trials), _log_factorials(int(trials))))
+        return FitResult(*fit_m(int(trials)))
 
     lo, hi = scan_range if scan_range is not None else (cmax, min(cmax + 60, MAX_TRIALS))
     lo = max(int(lo), cmax, 1)
@@ -446,13 +448,10 @@ def fit(
     _check_trials(hi, "scan bound")
     if hi < lo:
         raise ValueError(f"empty scan range [{lo}, {hi}]")
-    # One ln k! table for the whole scan: each prefix is the table of a
-    # smaller M, bit for bit.
-    log_fact = _log_factorials(hi)
     best = None
     table = []
     for m in range(lo, hi + 1):
-        result = fit_m(m, log_fact)
+        result = fit_m(m)
         table.append((m, result[1]))
         if best is None or result[1] > best[1]:
             best = result

@@ -2,13 +2,19 @@
 expressions, and the PMF's product form in 50-digit mpmath, with the
 log-likelihood's derivatives taken numerically from it.
 
-`_tails`, `_log_likelihood` and `_derivatives` are array versions of the
-fit's sums in (p, theta); they take the histogram and the ln k! table as
-arrays.  Their sums are rounded in numpy's (BLAS `dot`, pairwise `sum`)
-order, so they agree with the exactly-rounded sums to within a few ulps per
-term.
+`_tails`, `_log_likelihood` and `_derivatives` evaluate the log-likelihood
+in (p, theta) in a form of their own, with the tail counts A_j = #{c > j}
+and B_j = #{M - c > j} (Minka, "Estimating a Dirichlet distribution", 2000):
+
+    l = const + sum_{j<M} [A_j ln(p + j theta) + B_j ln(1 - p + j theta) - n ln(1 + j theta)],
+
+const = sum over samples of ln C(M, c), from `math.comb`.  `_tails` takes
+the histogram as a sequence, as `jjvar.stats._tails` does.  The sums are
+rounded in numpy's (BLAS `dot`, pairwise `sum`) order, so they agree with
+the exactly-rounded sums to within a few ulps per term.
 """
 
+import math
 from typing import NamedTuple
 
 import mpmath
@@ -27,15 +33,18 @@ class _Tails(NamedTuple):
     const: float  # sum over samples of ln C(M, c)
 
 
-def _tails(hist: np.ndarray, m: int, log_fact: np.ndarray) -> _Tails:
-    """Tail counts for trial number m >= max count, from the histogram `hist`;
-    `log_fact[k]` is ln k! for k = 0..m at least."""
+def _tails(hist, m: int) -> _Tails:
+    """Tail counts for trial number m >= max count, from the histogram `hist`."""
+    hist = np.asarray(hist)
     n = int(hist.sum())
     cdf = np.full(m, float(n))  # cdf[k] = #{c <= k}
     k = min(m, hist.size)
     cdf[:k] = np.cumsum(hist)[:k]
     c = np.arange(hist.size)
-    const = n * log_fact[m] - float(hist @ (log_fact[c] + log_fact[m - c]))
+    # ln C(M, c) of the exact integer, each within about an ulp.  A table of
+    # ln k! leaves its rounding in n ln M! - sum (ln c! + ln (M - c)!): 3e-10
+    # at M = 387 from lgamma, 1e-9 at M = 400 from a running sum of ln k.
+    const = float(hist @ [math.log(math.comb(m, x)) for x in range(hist.size)])
     s1, s2 = int(hist @ c), int(hist @ (c * c))
     return _Tails(np.arange(m, dtype=float), n - cdf, cdf[::-1].copy(), n, s1, s2, const)
 

@@ -16,6 +16,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -86,11 +87,34 @@ class TestFitStats:
         report = json.loads((out / "fit_report.json").read_text())
         assert (report["p"], report["theta"], report["alpha"], report["beta"]) == (p, 0.0, None, None)
         assert report["converged"] is True and report["iterations"] == 0
+        # The binomial log-likelihood at the reported p, in 50 digits.
+        with mpmath.workdps(50):
+            m, p = report["M"], mpmath.mpf(report["p"])
+            binomial = mpmath.fsum(
+                mpmath.log(mpmath.binomial(m, c)) + c * mpmath.log(p) + (m - c) * mpmath.log(1 - p)
+                for c in map(int, counts.split())
+            )
+        assert report["log_likelihood"] == pytest.approx(float(binomial), rel=1e-15, abs=0.0)
 
     def test_empty_file_exits_2(self, tmp_path):
         empty = tmp_path / "counts.txt"
         empty.write_text("\n")
         assert main(["--out", str(tmp_path / "o"), "fit-stats", "--counts", str(empty)]) == 2
+
+    @pytest.mark.parametrize(
+        "name,text,bad",
+        [
+            ("counts.txt", "1\n2\nabc\n", "abc"),
+            ("counts.txt", "1\n2\n-3\n", "-3"),
+            ("counts.csv", "sample,n_h\na,1\nb,-3\n", "-3"),
+        ],
+        ids=["word", "negative", "negative-csv"],
+    )
+    def test_bad_count_exits_2_naming_path_and_line(self, tmp_path, capsys, name, text, bad):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["--out", str(tmp_path / "o"), "fit-stats", "--counts", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: bad count {bad!r}\n"
 
     def test_missing_file_exits_2(self, tmp_path):
         missing = tmp_path / "absent.txt"

@@ -198,7 +198,7 @@ class TestFit:
             if np.unique(counts).size < 2:
                 continue
             result = fit(CountSample(tuple(int(x) for x in counts)), trials=20)
-            tails = stats._tails(np.bincount(counts).tolist(), 20, stats._log_factorials(20))
+            tails = stats._tails(np.bincount(counts).tolist(), 20)
             p, theta = stats._moment_estimate(tails, 20)
             assert result.log_likelihood >= stats._log_likelihood(tails, p, theta) - 1e-9
             # ... nor below the binomial of the same mean.
@@ -220,10 +220,30 @@ class TestFit:
         assert scanned[0] == cmax and scanned[-1] == cmax + 60
         assert result.log_likelihood == max(ll for _, ll in result.scan)
 
-    def test_log_likelihood_is_sum_of_log_pmf(self):
-        sample = headline_counts(seed=19, k=400)
-        result = fit(sample, trials=40)
-        direct = log_likelihood(result.dist, sample.counts)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.tuples(
+            st.floats(-1.0, 3.0).map(lambda e: 10.0**e), st.floats(-1.0, 3.0).map(lambda e: 10.0**e)
+        )
+        | st.tuples(probability, st.none()),
+        m=st.integers(1, 200) | st.integers(1, 2000),
+        k=st.integers(2, 800),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shapes=(17.69, 15.36), m=40, k=400, seed=19)
+    # p near 1, where n ln P(0) is large unless the counts are reflected.
+    @example(shapes=(0.99999, None), m=280, k=29, seed=0)
+    @example(shapes=(10.0**2.875, 10.0**-0.5), m=200, k=165, seed=31353)
+    def test_log_likelihood_is_sum_of_log_pmf(self, shapes, m, k, seed):
+        # The fit's tail sums and the PMF's running sum of the same log-steps
+        # give one likelihood; `shapes` is (alpha, beta), or (p, None) for
+        # the binomial.
+        a, b = shapes
+        generator = BetaBinomial(a, 0.0, m) if b is None else BetaBinomial.from_shapes(a, b, m)
+        counts = generator.sample(seed=seed, k=k).tolist()
+        assume(len(set(counts)) >= 2)
+        result = fit(counts, trials=m)
+        direct = log_likelihood(result.dist, counts)
         assert result.log_likelihood == pytest.approx(direct, rel=1e-12)
 
     def test_optimum_is_a_local_maximum(self):
@@ -282,7 +302,7 @@ class TestFit:
         # definite; the fit steps Newton in p and doubles or halves theta.
         generator = BetaBinomial.from_shapes(2.1237831462137717, 0.15214630257029785, 34)
         counts = generator.sample(seed=102, k=351)
-        t = stats._tails(np.bincount(counts).tolist(), 35, stats._log_factorials(35))
+        t = stats._tails(np.bincount(counts).tolist(), 35)
         _, (hpp, hpt, htt) = stats._derivatives(t, *stats._moment_estimate(t, 35))
         assert hpp * htt - hpt * hpt <= 0
         assert fit(CountSample(tuple(counts.tolist())), trials=35).converged
@@ -319,7 +339,7 @@ class TestFit:
         result = fit(CountSample(tuple(counts.tolist())), trials=m, tol=tol)
         assume(result.converged)
         p, theta = result.dist.p, result.dist.theta
-        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
+        t = stats._tails(np.bincount(counts).tolist(), m)
         (gp, gt), (hpp, hpt, htt) = stats._derivatives(t, p, theta)
         if theta == 0.0:
             assert abs(gp) <= 1e-12 * k * m / min(p, 1 - p)
@@ -360,8 +380,7 @@ class TestHistogramEvaluators:
         p, theta = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-2, 1)
         alpha, beta = p / theta, (1 - p) / theta
         hist = np.bincount(counts).tolist()
-        # A scan's one ln k! table is built for its largest M.
-        t = stats._tails(hist, m, stats._log_factorials(m + 60))
+        t = stats._tails(hist, m)
         n, s, c = counts.size, alpha + beta, counts.astype(float)
 
         ll = np.sum(
@@ -385,7 +404,7 @@ class TestHistogramEvaluators:
         counts = rng.integers(0, m + 1, size=int(rng.integers(2, 500)))
         p = rng.uniform(0.05, 0.95)
         q = 1 - p
-        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
+        t = stats._tails(np.bincount(counts).tolist(), m)
         n, s1 = counts.size, int(counts.sum())
         s2 = int((counts.astype(np.int64) ** 2).sum())
         tail_sum = n * m * m - 2 * m * s1 + s2 - n * m + s1  # sum (M - c)(M - c - 1)
@@ -403,16 +422,15 @@ class TestHistogramEvaluators:
 
 # The fit's sums replaced by the numpy reference, behind the interface of stats.
 _REFERENCE_SUMS = {
-    "_tails": lambda hist, m, log_fact: stats_reference._tails(
-        np.asarray(hist), m, np.asarray(log_fact)
-    ),
+    "_tails": stats_reference._tails,
     "_log_likelihood": stats_reference._log_likelihood,
     "_derivatives": stats_reference._derivatives,
 }
 
 
 class TestNumpyReference:
-    """The exactly rounded sums against the numpy array sums they replace."""
+    """The fit's log-step sums against the numpy reference's A/B/S tail sums,
+    an independent form of the same likelihood with its own ln C(M, c)."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -428,22 +446,22 @@ class TestNumpyReference:
     def test_sums_agree_within_ulps_times_m(self, alpha, beta, m, k, seed, at):
         counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
-        log_fact = stats._log_factorials(m)
-        t = stats._tails(np.bincount(counts).tolist(), m, log_fact)
-        ref = stats_reference._tails(np.bincount(counts), m, np.asarray(log_fact))
+        t = stats._tails(np.bincount(counts).tolist(), m)
+        ref = stats_reference._tails(np.bincount(counts), m)
         assert (t.n, t.s1, t.s2) == (ref.n, ref.s1, ref.s2)
         p, theta = at
         n = counts.size
 
         def within(value, reference, term):
-            # Both sum M terms of magnitude at most `term`, in different orders.
+            # Both sum O(M) terms of magnitude at most `term`, in different
+            # forms and orders.
             assert abs(value - reference) <= 16 * m * math.ulp(term)
 
         largest_log = max(abs(math.log(x)) for x in (p, 1 - p, 1 + m * theta))
         within(
             stats._log_likelihood(t, p, theta),
             stats_reference._log_likelihood(ref, p, theta),
-            n * largest_log + abs(t.const) / m,
+            n * largest_log + abs(ref.const) / m,
         )
         g, h = stats._derivatives(t, p, theta)
         g_ref, h_ref = stats_reference._derivatives(ref, p, theta)
@@ -480,7 +498,7 @@ class TestNumpyReference:
         slack = tol * k
         assert abs(result.log_likelihood - reference.log_likelihood) <= slack
         p, theta = result.dist.p, result.dist.theta
-        t = stats._tails(np.bincount(counts).tolist(), m, stats._log_factorials(m))
+        t = stats._tails(np.bincount(counts).tolist(), m)
         _, (hpp, hpt, htt) = stats._derivatives(t, p, theta)
         spread = np.diag(np.linalg.inv(-np.array([[hpp, hpt], [hpt, htt]])))
         radius = 2 * np.sqrt(2 * slack * spread)
