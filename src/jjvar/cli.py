@@ -13,10 +13,11 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from . import stats
 from .config import SHIFT_WINDOW, ConfigError, PipelineConfig, energy_grid, load_config
@@ -127,14 +128,19 @@ def _json_number(payload, path: Path, *keys: str) -> float:
 
 
 class _StructurePass(NamedTuple):
-    """One read of a structure directory.  `counts` and `rows` hold, per file
-    in name order, the census count and the analyze row, or the error message
-    (str) that rejected the file; each is None when not asked for.  Parsed
+    """One read of a structure directory.  Per file in name order, `counts`
+    holds the census count or the message (str) that rejects the file, and
+    `errors` None for a file analyze accepts or the message that rejects it.
+    The accepted files are analyze's samples, in name order: `census` holds
+    their (n_al, n_o, n_h) rows and `table` the motif rows of their H, its
+    `structure` column the sample.  A field not asked for is None.  Parsed
     structures are kept only while their batch is analysed."""
 
     files: list[Path]
     counts: list | None
-    rows: list | None
+    errors: list | None
+    census: Any
+    table: Any
 
 
 # Most atoms analysed together: each batch of files gets one cell-list index,
@@ -147,34 +153,53 @@ _BATCH_ATOMS = 6144
 
 def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _StructurePass:
     """Read and parse each structure file once, and analyse them in batches."""
+    import numpy as np  # loaded already: structure parses the files
+
     files = sorted(
         p for p in Path(cfg.structures).iterdir() if p.suffix.lower() in (".xyz", ".extxyz")
     )
     if not files:
         raise FileNotFoundError(f"no .xyz structures in {cfg.structures}")
     counts = [] if census else None
-    rows = [] if analyze else None
+    errors = [] if analyze else None
+    found, tables = [], []
     for outcomes, batch in _read_batches(files):
-        regions, members = structure.oxide_regions(batch)
-        regions = iter(regions)
-        tables = iter(
-            motifs.classify_batch(
-                batch,
-                cutoffs=cfg.cutoff_overrides() or None,
-                members=members,
-                surface_depth=cfg.surface_depth,
-                surface_bin=cfg.surface_bin,
-            ).split()
-            if analyze
-            else []
+        regions, tally, members = structure.oxide_regions(batch)
+        if counts is not None:
+            n_h = tally[:, 2].tolist()
+            counts += _merge(outcomes, [n if r is None else r for r, n in zip(regions, n_h)])
+        if errors is None:
+            continue
+        table = motifs.classify_batch(
+            batch,
+            cutoffs=cfg.cutoff_overrides() or None,
+            members=members,
+            surface_depth=cfg.surface_depth,
+            surface_bin=cfg.surface_bin,
         )
-        for message in outcomes:
-            region = next(regions) if message is None else message
-            if counts is not None:
-                counts.append(region if isinstance(region, str) else region.n_h)
-            if rows is not None:
-                rows.append(_analyze_row(region, next(tables)) if message is None else message)
-    return _StructurePass(files, counts, rows)
+        # A bond-query error first, then the region's message, then no Al.
+        rejects = [
+            bond or region or (None if n_al else structure.NO_AL_MESSAGE)
+            for bond, region, n_al in zip(table.errors, regions, tally[:, 0].tolist())
+        ]
+        errors += _merge(outcomes, rejects)
+        keep = np.array([r is None for r in rejects], dtype=bool)
+        sample = np.cumsum(keep) - 1 + sum(map(len, found))
+        held = keep[table.structure]
+        tables.append((sample[table.structure[held]], *(c[held] for c in table[1:-1])))
+        found.append(tally[keep])
+    if errors is None:
+        return _StructurePass(files, counts, None, None, None)
+    found = np.concatenate(found)
+    table = motifs.MotifTable(*map(np.concatenate, zip(*tables)), [None] * len(found))
+    return _StructurePass(files, counts, errors, found, table)
+
+
+def _merge(outcomes: list, results: list) -> list:
+    """Per file, the message that rejected it when read, or else the next
+    of `results`, which hold one entry per parsed structure."""
+    results = iter(results)
+    return [next(results) if m is None else m for m in outcomes]
 
 
 def _read_batches(files: list[Path]):
@@ -210,22 +235,6 @@ def _read(path: Path):
         return exc.strerror or str(exc)
     except ValueError as exc:  # ParseError included
         return str(exc)
-
-
-def _analyze_row(region, table):
-    """((n_al, n_o, n_h, x, h_atpct), motif table) of one structure, or the
-    error message that rejects it; `region` and `table` are its oxide region
-    and the motif table of its H, or the message that stands in for each.  A
-    bond-query error is reported first."""
-    if isinstance(table, str):
-        return table
-    if isinstance(region, str):
-        return region
-    try:
-        x, h_pct = structure.stoichiometry(region)
-    except ValueError as exc:
-        return str(exc)
-    return (region.n_al, region.n_o, region.n_h, float(x), float(h_pct)), table
 
 
 def _skipped(files: list[Path], outcomes: list) -> list[dict]:
@@ -301,22 +310,19 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = 
 
 def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = None) -> list[Path]:
     """Stoichiometry and motif analysis; `scan` is a pass over cfg.structures
-    that already holds the analyze rows, if the caller made one."""
+    that already holds the analyze results, if the caller made one."""
     if cfg.structures is None:
         raise FileNotFoundError("analyze needs a structure directory")
     if scan is None:
         scan = _structure_pass(cfg, census=False, analyze=True)
-    results, failures = _collect(scan.files, scan.rows, warned=scan.counts)
+    results, failures = _collect(scan.files, scan.errors, warned=scan.counts)
 
-    import numpy as np  # loaded already: structure made the rows
+    import numpy as np  # loaded already: structure made the pass
 
     names = [name for name, _ in results]
-    n_al, n_o, n_h, xs, hs = (np.array(c) for c in zip(*(row for _, (row, _) in results)))
-    tables = [table for _, (_, table) in results]
-    # One row per H over all samples, and the sample of each.
-    columns = zip(*((t.h_index, t.label, t.surface) for t in tables))
-    h_index, label, surface = (np.concatenate(c) for c in columns)
-    sample = np.repeat(np.arange(len(tables)), [len(t.label) for t in tables])
+    n_al, n_o, n_h = scan.census.T
+    xs, hs = structure.stoichiometry(scan.census)
+    table = scan.table
 
     stoich_path = out / "stoichiometry.csv"
     _write_csv(
@@ -337,13 +343,14 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
     )
 
     motif_csv_path = out / "motifs.csv"
+    labels = np.array(motifs.MOTIF_CLASSES)[table.label]
     _write_csv(
         motif_csv_path,
         ["sample", "h_index", "class", "surface"],
-        [np.array(names)[sample], h_index, np.array(motifs.MOTIF_CLASSES)[label], surface.astype(int)],
+        [np.array(names)[table.structure], table.h_index, labels, table.surface.astype(int)],
     )
 
-    stats_table = motifs.motif_statistics(label, surface, sample, len(tables))
+    stats_table = motifs.motif_statistics(table.label, table.surface, table.structure, len(names))
     motif_json_path = out / "motif_table.json"
     _write_json(
         motif_json_path,
@@ -486,7 +493,7 @@ def cmd_pipeline(cfg: PipelineConfig, out: Path) -> tuple[int, Path]:
         if handed is None and cfg.structures is not None:
             handed = _structure_pass(cfg, census=False, analyze=True)
         if handed is not None:
-            skipped = _skipped(handed.files, handed.rows)
+            skipped = _skipped(handed.files, handed.errors)
         return cmd_analyze(cfg, out, handed)
 
     stages = [
@@ -576,6 +583,11 @@ def _apply_cli_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> Pipel
 
 
 def main(argv: list[str] | None = None) -> int:
+    # jjvar makes no multi-threaded BLAS call, yet an OpenBLAS worker started
+    # with numpy spins for about 0.1 s of CPU per run.  A value set by the
+    # user wins; numpy reads it once, when it loads.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

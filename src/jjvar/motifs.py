@@ -27,8 +27,10 @@ Al-H cutoff.  Host O lists keep the nearest O atoms (lowest index on ties).
 atom of a batch of structures with array operations on the bond graph's CSR
 rows, the O-O chain walk included, flags a motif as a surface motif when the
 H or one of its host O atoms is a surface site, and returns the batch's H as
-the rows of one `MotifTable`.  `motif_statistics` counts the classes of
-those rows per sample with one `np.bincount`.
+the rows of one `MotifTable`; the `structure` column tells whose rows they
+are, so a caller selects rows with a mask over it rather than a table per
+structure.  `motif_statistics` counts the classes of those rows per sample
+with one `np.bincount`.
 
 The chain walk of an Al-O2-H is breadth-first, level by level: each level is
 the O bonds of the level before, ordered by the parent's place in its level,
@@ -86,14 +88,6 @@ class MotifTable(NamedTuple):
     host_o: np.ndarray
     surface: np.ndarray
     errors: list[str | None]
-
-    def split(self) -> list[MotifTable | str]:
-        """Per structure, the table of its rows alone, or its error."""
-        bounds = np.searchsorted(self.structure, np.arange(len(self.errors) + 1)).tolist()
-        return [
-            error or MotifTable(*(column[a:b] for column in self[:-1]), [None])
-            for error, a, b in zip(self.errors, bounds, bounds[1:])
-        ]
 
 
 def _o_bonds(graph: BondGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

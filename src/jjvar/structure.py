@@ -1,10 +1,13 @@
 """Periodic atomic structures and their analysis.
 
 Extended-XYZ parsing, minimum-image bond graphs from species-pair distance
-cutoffs, oxide-region identification with stoichiometry, lateral-grid surface
-detection, and the effective oxidation time of the gas-exposure
-bookkeeping.  The analyses take a `StructureBatch`, several
-structures laid end to end; a single structure is a batch of one.
+cutoffs, oxide-region identification with an Al/O/H census, stoichiometry
+of census rows, lateral-grid surface detection, and the effective oxidation
+time of the gas-exposure bookkeeping.  The analyses take a `StructureBatch`,
+several structures laid end to end; a single structure is a batch of one.
+They return arrays over the batch's structures or atoms, and a list of
+per-structure messages where a structure can be rejected; no per-structure
+record is built.
 
 Minimum-image handling is restricted to orthorhombic cells; triclinic
 periodic cells are rejected.
@@ -22,12 +25,12 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_CUTOFFS",
+    "NO_AL_MESSAGE",
     "SPECIES",
     "AtomicStructure",
     "BondGraph",
     "CellList",
     "ConfigurationError",
-    "OxideRegion",
     "ParseError",
     "StructureBatch",
     "effective_time",
@@ -520,36 +523,28 @@ class CellList:
         return BondGraph(self.batch, indptr, cols[order], dist[order], bridge_o)
 
 
-@dataclass(frozen=True)
-class OxideRegion:
-    """z-interval holding the oxide and its composition."""
-
-    z_lo: float
-    z_hi: float
-    n_al: int
-    n_o: int
-    n_h: int
-
-    def __post_init__(self) -> None:
-        if not self.z_lo < self.z_hi:
-            raise ValueError(f"empty z-interval [{self.z_lo}, {self.z_hi}]")
-
-
 # Padding of the oxide z-interval beyond its lowest and highest O atom, A.
 _OXIDE_PADDING = 0.5
 
+# Why a census row has no stoichiometry.
+NO_AL_MESSAGE = "oxide region contains no Al; stoichiometry undefined"
 
-def oxide_regions(batch: StructureBatch) -> tuple[list[OxideRegion | str], np.ndarray]:
-    """Each structure's oxide region, or the message that says why it has
-    none, and the mask of the batch atoms inside a region.
+
+def oxide_regions(batch: StructureBatch) -> tuple[list[str | None], np.ndarray, np.ndarray]:
+    """Per structure, None or the message that says why it has no oxide
+    region; the (count, 3) census of the Al, O and H atoms inside each
+    region (zeros for a structure without one); and the mask of the batch
+    atoms inside a region.
 
     The oxide is the z-interval spanning all O atoms plus `_OXIDE_PADDING`.
     Membership is interval-based (robust against under-coordinated amorphous
     edges).  On a periodic z axis the O atoms must not straddle the boundary:
     if the widest gap between consecutive O heights is wider than the gap
     across the boundary, the interval would span the cell's empty part, so
-    the structure has none.  The O heights of all structures are sorted at
-    once; the extremes and widest gaps are reductions over their runs.
+    the structure has none.  Padding lost to rounding at huge heights leaves
+    an empty interval, and no region either.  The O heights of all
+    structures are sorted at once; the extremes and widest gaps are
+    reductions over their runs.
     """
     z = batch.positions[:, 2]
     o = np.flatnonzero(batch.kind == _O)
@@ -568,37 +563,30 @@ def oxide_regions(batch: StructureBatch) -> tuple[list[OxideRegion | str], np.nd
     straddles = batch.pbc[:, 2] & (widest > across)
     z_lo, z_hi = lowest - _OXIDE_PADDING, highest + _OXIDE_PADDING
     located = has_o & ~straddles & (z_lo < z_hi)
-    regions: list = []
-    for c in range(batch.count):
+    messages: list[str | None] = [None] * batch.count
+    for c in np.flatnonzero(~located).tolist():
         if not has_o[c]:
-            regions.append("structure contains no O atoms; cannot locate an oxide region")
+            messages[c] = "structure contains no O atoms; cannot locate an oxide region"
         elif straddles[c]:
-            regions.append(
+            messages[c] = (
                 f"O atoms straddle the periodic z boundary: a {widest[c]:.6g} A gap between "
                 f"O heights is wider than the {across[c]:.6g} A gap across the boundary"
             )
         else:
-            regions.append((float(z_lo[c]), float(z_hi[c])))
+            messages[c] = f"empty z-interval [{float(z_lo[c])}, {float(z_hi[c])}]"
     z_lo[~located], z_hi[~located] = np.inf, -np.inf
     inside = (z >= z_lo[batch.cell_of]) & (z <= z_hi[batch.cell_of])
     census = np.bincount(batch.cell_of[inside] * 3 + batch.kind[inside], minlength=3 * batch.count)
-    for c, region in enumerate(regions):
-        if isinstance(region, tuple):
-            try:
-                counts = census[3 * c : 3 * c + 3].tolist()
-                regions[c] = OxideRegion(*region, *counts)
-            except ValueError as exc:
-                regions[c] = str(exc)
-    return regions, inside
+    return messages, census.reshape(-1, 3), inside
 
 
-def stoichiometry(region: OxideRegion) -> tuple[float, float]:
-    """(x, h_at%) with x = N_O / N_Al and at.% counting H in the denominator."""
-    if region.n_al < 1:
-        raise ValueError("oxide region contains no Al; stoichiometry undefined")
-    x = region.n_o / region.n_al
-    total = region.n_al + region.n_o + region.n_h
-    return x, 100.0 * region.n_h / total
+def stoichiometry(census: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, h_at%) per row of an (n, 3) Al/O/H census, with x = N_O / N_Al
+    and at.% counting H in the denominator."""
+    n_al, n_o, n_h = np.asarray(census).T
+    if (n_al < 1).any():
+        raise ValueError(NO_AL_MESSAGE)
+    return n_o / n_al, 100.0 * n_h / (n_al + n_o + n_h)
 
 
 def surface_mask(

@@ -60,7 +60,7 @@ def neighbors(graph: BondGraph, i: int, species: str | None = None) -> list[tupl
 def sites_of(structure: AtomicStructure, depth=2.0, bin_width=4.0) -> frozenset[int]:
     """The surface sites among the oxide members of one structure."""
     batch = StructureBatch([structure])
-    mask = surface_mask(batch, oxide_regions(batch)[1], depth, bin_width)
+    mask = surface_mask(batch, oxide_regions(batch)[2], depth, bin_width)
     return frozenset(np.flatnonzero(mask).tolist())
 
 

@@ -7,7 +7,8 @@ bonds, and walks the O-O chain of an Al-O2-H with a FIFO queue: children are
 pushed in (distance, index) order and an O seen before is dropped when it is
 popped.  It reads the same rows of the bond graph as `classify_batch`, so it
 can be given either that graph or the full one.  Both references work on
-`MotifRecord`s, one per H; `table_records` reads a `MotifTable` as records.
+`MotifRecord`s, one per H; `table_split` cuts a `MotifTable` into the rows of
+each structure, and `table_records` reads those as records.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,16 @@ class MotifRecord:
             )
 
 
+def table_split(table: MotifTable) -> list[MotifTable | str]:
+    """Per structure of the table's batch, the table of its rows alone, or
+    the error that rejects it."""
+    bounds = np.searchsorted(table.structure, np.arange(len(table.errors) + 1)).tolist()
+    return [
+        error or MotifTable(*(column[a:b] for column in table[:-1]), [None])
+        for error, a, b in zip(table.errors, bounds, bounds[1:])
+    ]
+
+
 def table_records(table: MotifTable) -> list[list[MotifRecord] | str]:
     """Per structure of the table's batch, the records of its rows, or the
     error that rejects it."""
@@ -64,7 +75,7 @@ def table_records(table: MotifTable) -> list[list[MotifRecord] | str]:
                 part.h_index.tolist(), part.label.tolist(), part.host_o.tolist(), part.surface.tolist()
             )
         ]
-        for part in table.split()
+        for part in table_split(table)
     ]
 
 

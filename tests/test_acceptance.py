@@ -174,8 +174,9 @@ def test_criterion_09_motif_fixtures_and_surface_flags():
     fixtures = nine_motif_fixtures()
     table = classify_batch(StructureBatch([structure for _, structure, _ in fixtures]))
     correct = 0
-    for (label, _, h_indices), part in zip(fixtures, table.split()):
-        labels = dict(zip(part.h_index.tolist(), (MOTIF_CLASSES[c] for c in part.label.tolist())))
+    for c, (label, _, h_indices) in enumerate(fixtures):
+        rows = table.structure == c
+        labels = dict(zip(table.h_index[rows].tolist(), (MOTIF_CLASSES[k] for k in table.label[rows])))
         correct += int(all(labels[h] == label for h in h_indices))
     assert correct == 9
 
@@ -185,8 +186,11 @@ def test_criterion_09_motif_fixtures_and_surface_flags():
         ["Al", "O", "O", "H"], [(0, 0, 0), (0, 0, 1.8), (0, 0, 5.0), (0.95, 0, 1.6)]
     )
     batch = StructureBatch([top, buried])
-    flags = classify_batch(batch, members=oxide_regions(batch)[1])
-    found = [list(zip(part.h_index.tolist(), part.surface.tolist())) for part in flags.split()]
+    flags = classify_batch(batch, members=oxide_regions(batch)[2])
+    found = [
+        list(zip(flags.h_index[rows].tolist(), flags.surface[rows].tolist()))
+        for rows in (flags.structure == c for c in range(batch.count))
+    ]
     surface_ok = int(found[0] == [(len(top) - 1, True)]) + int(found[1] == [(3, False)])
     assert surface_ok == 2
     report(9, f"motif fixtures {correct}/9, surface flags {surface_ok}/2")
@@ -210,8 +214,9 @@ def test_criterion_10_engineered_stoichiometry():
             positions=np.column_stack([xy, z]),
         )
         structures.append(s)
-    regions, _ = oxide_regions(StructureBatch(structures))
-    xs, hs = zip(*(stoichiometry(region) for region in regions))
+    messages, census, _ = oxide_regions(StructureBatch(structures))
+    assert messages == [None] * 5
+    xs, hs = stoichiometry(census)
     assert all(x == 1.25 for x in xs)
     assert all(h == pytest.approx(2.56, rel=1e-15) for h in hs)
     report(10, "engineered ensemble: x = 1.25 and 2.56 at.% H reproduced exactly (5/5 samples)")

@@ -587,10 +587,11 @@ def _write_cell(kind: str):
             path.write_text(to_xyz(s)[:-40])
         elif kind == "subdir":
             path.mkdir()
-        elif kind == "no_o":
-            al = [k for k, x in enumerate(s.species) if x != "O"]
-            species = tuple(s.species[k] for k in al)
-            path.write_text(to_xyz(dataclasses.replace(s, species=species, positions=s.positions[al])))
+        elif kind in ("no_o", "no_al"):
+            drop = "O" if kind == "no_o" else "Al"
+            kept = [k for k, x in enumerate(s.species) if x != drop]
+            species = tuple(s.species[k] for k in kept)
+            path.write_text(to_xyz(dataclasses.replace(s, species=species, positions=s.positions[kept])))
         elif kind == "straddle":
             pos = s.positions.copy()
             pos[:, 2] = np.mod(pos[:, 2] - 2.0, s.cell[2, 2])
@@ -611,7 +612,9 @@ def _write_cell(kind: str):
 
 _CELL_KINDS = {
     kind: _write_cell(kind)
-    for kind in ("good", "fixture", "corrupt", "subdir", "no_o", "straddle", "triclinic", "short")
+    for kind in (
+        "good", "fixture", "corrupt", "subdir", "no_o", "no_al", "straddle", "triclinic", "short"
+    )
 }
 
 
@@ -631,6 +634,8 @@ class TestStructurePass:
     @pytest.mark.parametrize("corrupt", [0, 1], ids=["good", "malformed"])
     def test_subcommands_write_identical_artifacts(self, tmp_path, corrupt):
         directory = write_structure_dir(tmp_path, h_counts=(0, 0, 1, 2, 3, 5, 6, 6), corrupt=corrupt)
+        # The census counts the H of a cell with O but no Al; analyze skips it.
+        _CELL_KINDS["no_al"](directory / "no_al.xyz", 3, 2, 0)
         runs = {
             "analyze": ["analyze", "--structures", str(directory)],
             "fit": ["fit-stats", "--structures", str(directory), "--m", "fixed=8"],
@@ -644,7 +649,10 @@ class TestStructurePass:
             assert sorted(alone) == sorted(files)
             assert {f: pipeline[f] for f in files} == alone
         summary = json.loads(pipeline["ensemble_summary.json"])
-        assert len(summary["failures"]) == corrupt
+        assert len(summary["failures"]) == corrupt + 1
+        assert {"file": "no_al.xyz", "error": structure.NO_AL_MESSAGE} in summary["failures"]
+        fit_report = json.loads(pipeline["fit_report.json"])
+        assert (fit_report["n_samples"], fit_report["skipped"]) == (9, summary["failures"][:corrupt])
 
     def test_pipeline_reads_each_file_once_and_warns_once(self, tmp_path, capsys, monkeypatch):
         directory = write_structure_dir(tmp_path, h_counts=(0, 0, 1, 2, 3, 5, 6, 6))
@@ -700,20 +708,39 @@ class TestStructurePass:
             for budget in (1, cli._BATCH_ATOMS):
                 with mock.patch.object(cli, "_BATCH_ATOMS", budget):
                     passes.append(cli._structure_pass(cfg, census=True, analyze=True))
-        assert passes[0].files == passes[1].files
-        assert passes[0].counts == passes[1].counts
-        assert [_comparable(row) for row in passes[0].rows] == [_comparable(row) for row in passes[1].rows]
-        for row, (kind, _, _) in zip(passes[0].rows, entries):
-            assert isinstance(row, str) == (kind not in ("good", "fixture")) or kind == "fixture"
+        first, second = passes
+        assert first.files == second.files
+        assert first.counts == second.counts
+        assert first.errors == second.errors
+        assert first.census.tolist() == second.census.tolist()
+        assert _columns(first.table) == _columns(second.table)
+        accepted = [error is None for error in first.errors]
+        assert len(first.census) == sum(accepted) == len(first.table.errors)
+        assert set(first.table.structure.tolist()) <= set(range(sum(accepted)))
+        for count, error, (kind, _, _) in zip(first.counts, first.errors, entries):
+            assert (error is not None) == (kind not in ("good", "fixture")) or kind == "fixture"
+            if kind == "no_al":
+                assert isinstance(count, int) and error == structure.NO_AL_MESSAGE
+
+    @pytest.mark.parametrize("command", [["analyze"], ["fit-stats", "--m", "fixed=8"]], ids=["analyze", "fit"])
+    def test_empty_z_interval_skipped_with_its_message(self, tmp_path, capsys, command):
+        # At z = 1e17 the 0.5 A padding rounds away: the interval is one point.
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        (directory / "a.xyz").write_text(
+            '3\nLattice="10 0 0 0 10 0 0 0 1e18"\nAl 0 0 1e17\nO 1.8 0 1e17\nH 2.8 0 1e17\n'
+        )
+        argv = ["--out", str(tmp_path / "o"), command[0], "--structures", str(directory), *command[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "warning: skipping a.xyz: empty z-interval [1e+17, 1e+17]\n"
+            "error: all 1 structure files failed to parse\n"
+        )
 
 
-def _comparable(row):
-    """An analyze row of a structure pass with its motif table as lists, all
-    but the structure's place in its batch."""
-    if isinstance(row, str):
-        return row
-    stoichiometry, table = row
-    return stoichiometry, [c.tolist() for c in (table.h_index, table.label, table.host_o, table.surface)]
+def _columns(table):
+    """The columns of a motif table as lists."""
+    return [c.tolist() for c in table[:-1]] + [table.errors]
 
 
 class TestPathArguments:
@@ -1722,6 +1749,25 @@ def test_cli_binds_the_stage_modules_imported_around_it():
         "print(cli.structure is before, cli.transport is after, cli.motifs is motifs)"
     )
     assert _run_fresh(probe) == "True True True"
+
+
+@pytest.mark.parametrize(
+    "setup, expected",
+    [
+        ("os.environ.pop('OPENBLAS_NUM_THREADS', None)", "1"),
+        ("os.environ['OPENBLAS_NUM_THREADS'] = '4'", "4"),
+        ("os.environ.pop('OPENBLAS_NUM_THREADS', None); import numpy", "None"),
+    ],
+    ids=["unset", "preset", "numpy-first"],
+)
+def test_main_limits_openblas_to_one_thread_unless_set(setup, expected):
+    probe = (
+        f"import contextlib, io, os\n{setup}\nimport jjvar.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    jjvar.cli.main(['--help'])\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert _run_fresh(probe) == expected
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():

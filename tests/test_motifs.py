@@ -163,7 +163,7 @@ def classify_one(s, cutoffs=None):
     """The rows `classify_batch` gives `s` alone, as records, with surface
     flags from its oxide region."""
     batch = StructureBatch([s])
-    (records,) = table_records(classify_batch(batch, cutoffs=cutoffs, members=oxide_regions(batch)[1]))
+    (records,) = table_records(classify_batch(batch, cutoffs=cutoffs, members=oxide_regions(batch)[2]))
     return records
 
 
@@ -350,7 +350,7 @@ class TestPrecedenceAndStability:
             h_atoms = indices_of(s, "H")
             expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
-        _, members = oxide_regions(batch)
+        _, _, members = oxide_regions(batch)
         assert table_records(classify_batch(batch, cutoffs=overrides, members=members)) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -394,7 +394,7 @@ class TestPrecedenceAndStability:
             h_atoms = indices_of(s, "H")
             expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
-        _, members = oxide_regions(batch)
+        _, _, members = oxide_regions(batch)
         assert table_records(classify_batch(batch, members=members)) == expected
 
     def test_order_independence(self):

@@ -33,14 +33,15 @@ def edge_set(graph):
 
 
 def region_of(s):
-    """The oxide region of `s` alone, or the message that says why it has none."""
-    (region,), _ = oxide_regions(StructureBatch([s]))
-    return region
+    """For `s` alone: None or the message that says why it has no oxide
+    region, and the (1, 3) Al/O/H census of its region."""
+    (message,), census, _ = oxide_regions(StructureBatch([s]))
+    return message, census
 
 
 def members_of(s):
     """The indices of the atoms of `s` alone inside its oxide region."""
-    return np.flatnonzero(oxide_regions(StructureBatch([s]))[1])
+    return np.flatnonzero(oxide_regions(StructureBatch([s]))[2])
 
 
 def brute_force_edges(structure, cutoffs=None):
@@ -410,26 +411,30 @@ class TestNeighborGraph:
 
 class TestOxideRegion:
     def test_constructed_slab(self):
-        species = ["Al"] * 8 + ["O"] * 10 + ["Al"] * 8
+        # O from z = 5 to 8 makes the interval [4.5, 8.5]; the Al at its
+        # ends are members, those 0.01 A outside are not.
+        species = ["Al"] * 8 + ["O"] * 10 + ["Al"] * 8 + ["Al"] * 4
         z = [0.5 * i for i in range(8)] + list(np.linspace(5, 8, 10)) + list(np.linspace(5, 8, 8))
+        z += [4.49, 4.5, 8.5, 8.51]
         pos = [[i * 0.1, 0, zz] for i, zz in enumerate(z)]
         s = AtomicStructure(
             cell=np.diag([30.0, 30.0, 30.0]), pbc=(False,) * 3, species=tuple(species), positions=pos
         )
-        region = region_of(s)
-        assert region.z_lo == pytest.approx(4.5)
-        assert region.z_hi == pytest.approx(8.5)
-        assert region.n_o == 10
-        assert region.n_al == 8
+        message, census = region_of(s)
+        assert message is None
+        assert census.tolist() == [[10, 10, 0]]
+        assert members_of(s).tolist() == list(range(8, 26)) + [27, 28]
 
     def test_all_oxygen(self):
         s = make_molecule(["O", "O", "O"], [(0, 0, 0), (0, 0, 2), (0, 0, 4)])
-        assert region_of(s).n_o == 3
+        assert region_of(s)[1].tolist() == [[0, 3, 0]]
         assert members_of(s).tolist() == [0, 1, 2]
 
     def test_no_oxygen(self):
         s = make_molecule(["Al", "Al"], [(0, 0, 0), (0, 0, 2)])
-        assert region_of(s) == "structure contains no O atoms; cannot locate an oxide region"
+        message, census = region_of(s)
+        assert message == "structure contains no O atoms; cannot locate an oxide region"
+        assert census.tolist() == [[0, 0, 0]]
 
     def test_oxide_straddling_periodic_z_boundary_rejected(self):
         # O at z = 0.5 and 19.5 in a 20 A cell: on a periodic z axis the oxide
@@ -438,9 +443,23 @@ class TestOxideRegion:
         pos = [(0, 0, 1.0), (1, 0, 0.5), (1, 0, 19.5), (0, 0, 19.0), (0, 0, 10.0)]
         cell = np.diag([10.0, 10.0, 20.0])
         wrapped = AtomicStructure(cell=cell, pbc=(True,) * 3, species=species, positions=pos)
-        assert "O atoms straddle the periodic z boundary" in region_of(wrapped)
+        message, census = region_of(wrapped)
+        assert "O atoms straddle the periodic z boundary" in message
+        assert census.tolist() == [[0, 0, 0]] and not members_of(wrapped).size
         open_z = AtomicStructure(cell=cell, pbc=(True, True, False), species=species, positions=pos)
-        assert region_of(open_z).n_al == 3
+        assert region_of(open_z)[1].tolist() == [[3, 2, 0]]
+
+    def test_padding_lost_to_rounding_leaves_empty_interval(self):
+        # At z = 1e17 a float step is 16, so z -/+ 0.5 rounds back to z.
+        s = AtomicStructure(
+            cell=np.diag([10.0, 10.0, 1e18]),
+            pbc=(True,) * 3,
+            species=("Al", "O", "H"),
+            positions=[(0, 0, 1e17), (1.8, 0, 1e17), (2.8, 0, 1e17)],
+        )
+        message, census = region_of(s)
+        assert message == "empty z-interval [1e+17, 1e+17]"
+        assert census.tolist() == [[0, 0, 0]] and not members_of(s).size
 
 
 class TestStoichiometry:
@@ -450,7 +469,7 @@ class TestStoichiometry:
         s = AtomicStructure(
             cell=np.diag([40.0, 10.0, 10.0]), pbc=(False,) * 3, species=tuple(species), positions=pos
         )
-        x, h = stoichiometry(region_of(s))
+        (x,), (h,) = stoichiometry(region_of(s)[1])
         assert x == pytest.approx(1.25)
         assert h == 0.0
 
@@ -460,14 +479,22 @@ class TestStoichiometry:
         s = AtomicStructure(
             cell=np.diag([40.0, 10.0, 10.0]), pbc=(False,) * 3, species=tuple(species), positions=pos
         )
-        x, h = stoichiometry(region_of(s))
+        (x,), (h,) = stoichiometry(region_of(s)[1])
         assert x == pytest.approx(1.25)
         assert h == pytest.approx(100.0 * 2 / 92)
 
     def test_zero_al(self):
         s = make_molecule(["O", "O"], [(0, 0, 0), (1, 0, 0)])
+        with pytest.raises(ValueError, match="^oxide region contains no Al; stoichiometry undefined$"):
+            stoichiometry(region_of(s)[1])
         with pytest.raises(ValueError):
-            stoichiometry(region_of(s))
+            stoichiometry([[8, 10, 0], [0, 2, 0]])
+
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))))
+    def test_rows_are_the_per_row_formulas_bit_for_bit(self, rows):
+        x, h = stoichiometry(np.array(rows, dtype=np.int64).reshape(-1, 3))
+        assert x.tolist() == [n_o / n_al for n_al, n_o, _ in rows]
+        assert h.tolist() == [100.0 * n_h / (n_al + n_o + n_h) for n_al, n_o, n_h in rows]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
@@ -483,11 +510,13 @@ class TestStoichiometry:
             species=tuple(species[i] for i in order),
             positions=pos[order],
         )
-        assert stoichiometry(region_of(s1)) == stoichiometry(region_of(s2))
+        _, census, _ = oxide_regions(StructureBatch([s1, s2]))
+        x, h = stoichiometry(census)
+        assert x[0] == x[1] and h[0] == h[1]
 
     def test_ensemble_near_target(self):
         rng = np.random.default_rng(33)
-        xs = []
+        structures = []
         for _ in range(400):
             n_al, n_o = 40, 50 + int(rng.integers(-1, 2))
             species = ["Al"] * n_al + ["O"] * n_o
@@ -498,7 +527,8 @@ class TestStoichiometry:
                 species=tuple(species),
                 positions=pos,
             )
-            xs.append(stoichiometry(region_of(s))[0])
+            structures.append(s)
+        xs, _ = stoichiometry(oxide_regions(StructureBatch(structures))[1])
         assert 1.23 <= float(np.mean(xs)) <= 1.27
 
 
@@ -579,14 +609,14 @@ class TestSurfaceSites:
 
 
 def reference_region(s, padding=0.5):
-    """One structure's oxide region or its rejection message, and the indices
-    of its atoms inside the region, by the per-structure formulas: sorted O
-    heights, the widest gap against the gap across a periodic z boundary, and
-    an interval census."""
+    """One structure's rejection message (None if it has an oxide region),
+    its Al/O/H census and the indices of its atoms inside the region, by the
+    per-structure formulas: sorted O heights, the widest gap against the gap
+    across a periodic z boundary, and an interval census."""
     z = s.positions[:, 2]
     o = indices_of(s, "O")
     if not o.size:
-        return "structure contains no O atoms; cannot locate an oxide region", []
+        return "structure contains no O atoms; cannot locate an oxide region", [0, 0, 0], []
     z_o = np.sort(z[o])
     if s.pbc[2] and o.size > 1:
         across = z_o[0] + abs(s.cell[2, 2]) - z_o[-1]
@@ -595,11 +625,11 @@ def reference_region(s, padding=0.5):
             return (
                 f"O atoms straddle the periodic z boundary: a {widest:.6g} A gap between "
                 f"O heights is wider than the {across:.6g} A gap across the boundary"
-            ), []
+            ), [0, 0, 0], []
     lo, hi = float(z_o[0] - padding), float(z_o[-1] + padding)
     inside = (z >= lo) & (z <= hi)
     counts = [int(np.count_nonzero(inside[indices_of(s, k)])) for k in SPECIES]
-    return structure.OxideRegion(lo, hi, *counts), np.flatnonzero(inside).tolist()
+    return None, counts, np.flatnonzero(inside).tolist()
 
 
 def reference_surface(s, members, depth, bin_width):
@@ -648,15 +678,17 @@ class TestBatchReductions:
     def test_regions_and_surface_match_per_structure_reference(self, case):
         structures, depth, bin_width = case
         batch = structure.StructureBatch(structures)
-        regions, members = structure.oxide_regions(batch)
+        messages, census, members = structure.oxide_regions(batch)
         mask = structure.surface_mask(batch, members, depth, bin_width)
+        assert census.shape == (len(structures), 3)
         for c, s in enumerate(structures):
-            expected, inside = reference_region(s)
-            assert regions[c] == expected
+            expected, counts, inside = reference_region(s)
+            assert messages[c] == expected
+            assert census[c].tolist() == counts
             span = slice(batch.offsets[c], batch.offsets[c + 1])
             assert np.flatnonzero(members[span]).tolist() == inside
             local = mask[span]
-            if isinstance(expected, str):
+            if expected is not None:
                 assert not local.any()
             else:
                 assert frozenset(np.flatnonzero(local).tolist()) == reference_surface(
