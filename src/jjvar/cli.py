@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 input error, 3 numerical/convergence error.
 All emitted files are deterministic for a given (config, seed).  JSON floats
 are written as their shortest round-trip repr; CSV floats carry 12
-significant digits.
+significant digits.  Text is read and written as UTF-8 whatever the locale,
+file names included.
 """
 
 from __future__ import annotations
@@ -69,12 +70,17 @@ def _json_ready(obj):
         obj = obj.item()
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
+    if isinstance(obj, str):
+        # A file name the locale's encoding could not decode holds its bytes as
+        # surrogate escapes; those that are UTF-8 become the characters they encode.
+        return obj.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
     return obj
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 # Rows formatted per write.  Only one block of row strings exists at a time,
@@ -97,7 +103,8 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     template = ",".join("%.12g" if _is_float_column(c) else "%s" for c in columns) + "\n"
     width = len(columns)
-    with path.open("w") as fh:
+    # surrogateescape writes a file name that is not UTF-8 as its own bytes.
+    with path.open("w", encoding="utf-8", errors="surrogateescape") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
             rows = min(_CSV_BLOCK_ROWS, len(columns[0]) - start)
@@ -112,7 +119,7 @@ def _read_json(path: Path, what: str):
     if not path.exists():
         raise FileNotFoundError(f"{what} not found: {path}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(stats.read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
 
@@ -268,13 +275,13 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = 
     that already holds the census, if the caller made one."""
     skipped = []
     if cfg.counts is not None:
-        sample = stats.read_counts(cfg.counts, area=cfg.md_area)
+        sample = stats.read_counts(cfg.counts)
     elif cfg.structures is not None:
         # Per-structure hydrogen census inside the oxide region.
         if scan is None:
             scan = _structure_pass(cfg, census=True, analyze=False)
         census, skipped = _collect(scan.files, scan.counts)
-        sample = stats.CountSample(counts=tuple(n for _, n in census), area=cfg.md_area)
+        sample = stats.CountSample(counts=tuple(n for _, n in census))
     else:
         raise FileNotFoundError("fit-stats needs a counts file or a structure directory")
 
@@ -286,7 +293,7 @@ def cmd_fit_stats(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = 
             "iterations": result.iterations,
             "n_samples": len(sample.counts),
             "m_strategy": cfg.m_strategy,
-            "reference_area_a2": sample.area,
+            "reference_area_a2": cfg.md_area,
             "skipped": skipped,
         }
     )
@@ -377,7 +384,7 @@ def cmd_transmission(cfg: PipelineConfig, out: Path) -> list[Path]:
     model_jjh = transport.apply_defect(model_jj, delta_v)
 
     # The Fermi level is the lead on-site energy, the grid's centre.
-    e_f = model_jj.fermi_energy
+    e_f = model_jj.lead_onsite
     grid = energy_grid(e_f, cfg.grid_halfwidth, cfg.grid_points)
     curve_jj = transport.transmission(model_jj, grid)
     curve_jjh = transport.transmission(model_jjh, grid)
@@ -424,13 +431,17 @@ def cmd_ej(
     if fit_report is not None:
         payload = _read_json(fit_report, "fit report")
         trials = _json_number(payload, fit_report, "M")
-        if not trials.is_integer():
-            raise ValueError(f"{fit_report}: M must be an integer, got {trials}")
-        dist = stats.BetaBinomial(
-            _json_number(payload, fit_report, "p"),
-            _json_number(payload, fit_report, "theta"),
-            int(trials),
-        )
+        if not (trials.is_integer() and 0 <= trials <= stats.MAX_TRIALS):
+            raise ValueError(
+                f"{fit_report}: M must be an integer from 0 to {stats.MAX_TRIALS}, "
+                f"got {payload['M']!r}"
+            )
+        p = _json_number(payload, fit_report, "p")
+        theta = _json_number(payload, fit_report, "theta")
+        try:
+            dist = stats.BetaBinomial(p, theta, int(trials))
+        except ValueError as exc:  # its messages open with the key, p or theta
+            raise ValueError(f"{fit_report}: {exc}") from None
         counts = {"alpha": dist.alpha, "beta": dist.beta, "M": dist.trials}
     else:
         dist = stats.BetaBinomial.from_shapes(cfg.alpha, cfg.beta, cfg.trials)
@@ -441,6 +452,9 @@ def cmd_ej(
         payload = _read_json(calibration, "calibration sidecar")
         t_jj = _json_number(payload, calibration, "jj", "transmission")
         t_jjh = _json_number(payload, calibration, "jj_h", "transmission")
+        for key, t in (("jj", t_jj), ("jj_h", t_jjh)):
+            if t < 0:
+                raise ValueError(f"{calibration}: {key}.transmission must be non-negative, got {t}")
 
     e_jj = josephson.ej_single(t_jj, cfg.gap_mev, cfg.area, cfg.patch_area)
     e_jjh = josephson.ej_single(t_jjh, cfg.gap_mev, cfg.area, cfg.patch_area)

@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
-from .stats import MAX_TRIALS, BetaBinomial
+from .stats import MAX_TRIALS, BetaBinomial, read_text
 
 __all__ = [
     "MAX_BARRIER_SITES",
@@ -289,4 +289,4 @@ def load_config(path: str | Path, base: PipelineConfig | None = None) -> Pipelin
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), base=base)
+    return parse_config_text(read_text(path), base=base)

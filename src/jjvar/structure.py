@@ -208,7 +208,7 @@ def _atom_rows(lines: list[str], natoms: int) -> tuple[tuple[str, ...], np.ndarr
 def read_structure(path: str | Path) -> AtomicStructure:
     path = Path(path)
     try:
-        return parse_xyz(path.read_text())
+        return parse_xyz(path.read_text(encoding="utf-8-sig"))
     except ParseError as exc:
         raise ParseError(exc.line, f"{path.name}: {exc.message}") from None
 
@@ -247,9 +247,9 @@ class StructureBatch:
         sizes = [len(s) for s in structures]
         self.offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
         self.cell_of = np.repeat(np.arange(self.count), sizes)
-        self.species = tuple(itertools.chain.from_iterable(s.species for s in structures))
         # The labels are exactly SPECIES, so with "Al" cut to "A" each atom is one letter.
-        letters = "".join(self.species).replace("Al", "A").encode("ascii")
+        labels = itertools.chain.from_iterable(s.species for s in structures)
+        letters = "".join(labels).replace("Al", "A").encode("ascii")
         self.kind = _KIND_OF_LETTER[np.frombuffer(letters, dtype=np.uint8)]
         self.positions = np.concatenate([np.empty((0, 3))] + [s.positions for s in structures])
         cells = np.array([s.cell for s in structures]).reshape(-1, 3, 3)
@@ -260,7 +260,7 @@ class StructureBatch:
         self.orthorhombic = (off_diagonal < 1e-9 * scale[:, None, None]).all(axis=(1, 2))
 
     def __len__(self) -> int:
-        return len(self.species)
+        return len(self.kind)
 
     def runs(self, ufunc, values: np.ndarray, cells: np.ndarray, empty) -> np.ndarray:
         """`ufunc` reduced over each structure's values, for `values` ordered by

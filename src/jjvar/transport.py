@@ -19,7 +19,7 @@ the reference curve its shifted energies can reach.
 An independent transfer-matrix solver (Bloch-wave matching, computed via the
 numerically stable backward recurrence) cross-checks the NEGF results, and a
 bisection routine calibrates the barrier height to a target transmission at
-the Fermi energy.
+the Fermi energy, which is the lead on-site energy (the band centre).
 
 Default parameterization: lead half-bandwidth 2|t| with t = 3.0 eV (12 eV
 full bandwidth), Fermi level at the band center, and a 12-site barrier whose
@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,11 +72,8 @@ class NumericalError(ComputationError):
 
 
 class CalibrationError(ComputationError):
-    """Target transmission not bracketed; carries the endpoint transmissions."""
-
-    def __init__(self, message: str, endpoints: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.endpoints = endpoints
+    """Target transmission not bracketed; the message quotes the endpoint
+    transmissions."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +87,6 @@ class JunctionModel:
     )
     barrier_hopping: float = DEFAULT_LEAD_HOPPING
     coupling: float = DEFAULT_LEAD_HOPPING
-    fermi_energy: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "barrier_onsite", tuple(float(e) for e in self.barrier_onsite))
@@ -99,7 +95,6 @@ class JunctionModel:
             self.lead_hopping,
             self.barrier_hopping,
             self.coupling,
-            self.fermi_energy,
             *self.barrier_onsite,
         )
         if not all(math.isfinite(v) for v in values):
@@ -107,16 +102,9 @@ class JunctionModel:
         if len(self.barrier_onsite) < 1:
             raise ValueError("barrier must contain at least one site")
 
-    @property
-    def barrier_length(self) -> int:
-        return len(self.barrier_onsite)
-
     def onsite_profile(self) -> np.ndarray:
         """Barrier on-site energies as an array."""
         return np.array(self.barrier_onsite, dtype=float)
-
-    def band_halfwidth(self) -> float:
-        return 2.0 * abs(self.lead_hopping)
 
 
 def default_model(
@@ -125,13 +113,12 @@ def default_model(
     """Stand-in junction with a uniform barrier `height` above the lead on-site.
 
     Unless given, the barrier hopping and the lead-barrier coupling are the
-    lead hopping, and the Fermi level is the lead on-site (the band centre).
+    lead hopping.
     """
     lead_onsite = kwargs.pop("lead_onsite", 0.0)
     lead_hopping = kwargs.pop("lead_hopping", DEFAULT_LEAD_HOPPING)
     barrier_hopping = kwargs.pop("barrier_hopping", lead_hopping)
     kwargs.setdefault("coupling", lead_hopping)
-    kwargs.setdefault("fermi_energy", lead_onsite)
     if height is None:
         height = DEFAULT_BAND_OFFSET + 2.0 * abs(barrier_hopping)
     onsite = lead_onsite + height
@@ -312,7 +299,6 @@ def transfer_matrix_transmission(model: JunctionModel, energy: float) -> float:
 class CalibrationResult:
     height: float
     transmission: float
-    target: float
     iterations: int
     model: JunctionModel
 
@@ -321,7 +307,8 @@ def calibrate_barrier(
     target: float, *, base: JunctionModel, bounds: tuple[float, float] = (0.0, 30.0)
 ) -> CalibrationResult:
     """Bisect the uniform barrier height of `base` (above its lead on-site
-    energy, on all its barrier sites) until T(E_F) matches `target`.
+    energy, on all its barrier sites) until T(E_F) matches `target`; E_F is
+    the lead on-site energy.
 
     The transmission must be monotone decreasing in the height over
     `bounds`, verified by an endpoint check; an unbracketed target raises
@@ -334,11 +321,11 @@ def calibrate_barrier(
         raise ValueError(f"invalid bounds {bounds}")
 
     tol = _CALIBRATION_REL_TOL * target
-    e_fermi = base.fermi_energy
+    e_fermi = base.lead_onsite
 
     def build(height: float) -> JunctionModel:
         return dataclasses.replace(
-            base, barrier_onsite=(base.lead_onsite + height,) * base.barrier_length
+            base, barrier_onsite=(base.lead_onsite + height,) * len(base.barrier_onsite)
         )
 
     def evaluate(height: float) -> float:
@@ -347,21 +334,20 @@ def calibrate_barrier(
     t_lo = evaluate(lo)
     t_hi = evaluate(hi)
     if abs(t_lo - target) <= tol:
-        return CalibrationResult(lo, t_lo, target, 0, build(lo))
+        return CalibrationResult(lo, t_lo, 0, build(lo))
     if abs(t_hi - target) <= tol:
-        return CalibrationResult(hi, t_hi, target, 0, build(hi))
+        return CalibrationResult(hi, t_hi, 0, build(hi))
     if not (t_hi < target < t_lo):
         raise CalibrationError(
             f"target {target:.6g} not bracketed by heights {lo}..{hi} eV "
-            f"(endpoint transmissions {t_lo:.6g}, {t_hi:.6g})",
-            endpoints=(t_lo, t_hi),
+            f"(endpoint transmissions {t_lo:.6g}, {t_hi:.6g})"
         )
 
     for iteration in range(1, _CALIBRATION_MAX_ITER + 1):
         height = 0.5 * (lo + hi)
         t_mid = evaluate(height)
         if abs(t_mid - target) <= tol:
-            return CalibrationResult(height, t_mid, target, iteration, build(height))
+            return CalibrationResult(height, t_mid, iteration, build(height))
         if t_mid > target:
             lo = height
         else:
@@ -372,27 +358,13 @@ def calibrate_barrier(
     )
 
 
-def apply_defect(
-    model: JunctionModel, shift: float, sites: int | Iterable[int] | None = None
-) -> JunctionModel:
-    """Shift barrier on-site energies by `shift` eV on `sites` (default: all).
+def apply_defect(model: JunctionModel, shift: float) -> JunctionModel:
+    """Shift every barrier on-site energy by `shift` eV.
 
     Emulates the contamination-induced potential change; a negative shift
     lowers the barrier toward valence alignment and raises T(E_F).
     """
-    n = model.barrier_length
-    if sites is None:
-        selected = range(n)
-    elif isinstance(sites, int):
-        selected = [sites]
-    else:
-        selected = list(sites)
-    onsite = list(model.barrier_onsite)
-    for site in selected:
-        if not 0 <= site < n:
-            raise ValueError(f"defect site {site} outside barrier of length {n}")
-        onsite[site] += shift
-    return dataclasses.replace(model, barrier_onsite=tuple(onsite))
+    return dataclasses.replace(model, barrier_onsite=tuple(e + shift for e in model.barrier_onsite))
 
 
 # The shift scan's coarse pass evaluates every _SCAN_STRIDE-th point.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from jjvar.structure import (
+    SPECIES,
     AtomicStructure,
     BondGraph,
     CellList,
@@ -54,7 +55,7 @@ def neighbors(graph: BondGraph, i: int, species: str | None = None) -> list[tupl
     bonds to `species` when it is given."""
     lo, hi = graph.indptr[i], graph.indptr[i + 1]
     pairs = zip(graph.indices[lo:hi].tolist(), graph.distances[lo:hi].tolist())
-    return [(j, d) for j, d in pairs if species is None or graph.atoms.species[j] == species]
+    return [(j, d) for j, d in pairs if species is None or SPECIES[graph.atoms.kind[j]] == species]
 
 
 def sites_of(structure: AtomicStructure, depth=2.0, bin_width=4.0) -> frozenset[int]:

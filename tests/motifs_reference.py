@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jjvar.motifs import MOTIF_CLASSES, MotifEnsembleStats, MotifTable, motif_statistics
-from jjvar.structure import AtomicStructure, BondGraph, StructureBatch
+from jjvar.structure import AtomicStructure, BondGraph
 
 from conftest import neighbors
 
@@ -153,7 +153,7 @@ def _chain_reaches_al(graph: BondGraph, start_o: int) -> int | None:
     return None
 
 
-def classify_h(structure: AtomicStructure | StructureBatch, graph: BondGraph, h: int) -> MotifRecord:
+def classify_h(structure: AtomicStructure, graph: BondGraph, h: int) -> MotifRecord:
     """Classify hydrogen atom `h` from the bonds of H and O atoms in `graph`.
 
     An Al-bonded H with no O bond is Al-H-O when an O lies within the graph's

@@ -1,6 +1,7 @@
 """References for `jjvar.stats`: the count-fit sums as numpy array
-expressions, and the PMF's product form in 50-digit mpmath, with the
-log-likelihood's derivatives taken numerically from it.
+expressions, the PMF's product form in 50-digit mpmath, with the
+log-likelihood's derivatives taken numerically from it, and a seeded sampler
+of the distribution.
 
 `_tails`, `_log_likelihood` and `_derivatives` evaluate the log-likelihood
 in (p, theta) in a form of their own, with the tail counts A_j = #{c > j}
@@ -108,3 +109,11 @@ def derivatives(hist, p: float, theta: float, m: int, dps: int = 50):
         g = [mpmath.diff(ll, point, order) for order in ((1, 0), (0, 1))]
         h = [mpmath.diff(ll, point, order) for order in ((2, 0), (1, 1), (0, 2))]
         return g, h
+
+
+def sample(dist, seed: int, k: int) -> np.ndarray:
+    """`k` counts drawn from the beta-binomial `dist` for `seed` (beta, then
+    binomial; the binomial alone at theta = 0), as a numpy integer array."""
+    rng = np.random.default_rng(seed)
+    p = rng.beta(dist.alpha, dist.beta, size=k) if dist.theta else np.full(k, dist.p)
+    return rng.binomial(dist.trials, p)

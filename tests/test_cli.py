@@ -37,10 +37,11 @@ from jjvar.motifs import MOTIF_CLASSES
 from jjvar.stats import MAX_TRIALS, BetaBinomial
 
 from conftest import make_oxide_slab, nine_motif_fixtures, to_xyz, write_structure_dir
+from stats_reference import sample
 
 
 def write_counts_file(path: Path, seed=42, k=400) -> Path:
-    draws = BetaBinomial.from_shapes(17.69, 15.36, 40).sample(seed=seed, k=k)
+    draws = sample(BetaBinomial.from_shapes(17.69, 15.36, 40), seed=seed, k=k)
     path.write_text("\n".join(str(int(n)) for n in draws) + "\n")
     return path
 
@@ -246,7 +247,7 @@ class TestAnalyze:
         assert main(["--out", str(out), "analyze", "--structures", str(slab_dir)]) == 0
         (batch, centres), *_ = queries
         bondable = batch.cell_of < 3
-        h_atoms = [i for i, s in enumerate(batch.species) if s == "H" and bondable[i]]
+        h_atoms = [i for i, k in enumerate(batch.kind) if structure.SPECIES[k] == "H" and bondable[i]]
         assert len(h_atoms) == 1 + 2 + 3
         assert centres.tolist() == h_atoms
         # The hydride branch takes its O partner from the bond query, so no
@@ -473,6 +474,30 @@ class TestEjCommand:
         code = main(["--out", str(tmp_path / "o"), "ej", "--calibration", str(sidecar)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flag,payload,key",
+        [
+            ("--fit-report", {"p": 0, "theta": 0.03, "M": 40}, "p"),
+            ("--fit-report", {"p": 1.5, "theta": 0.03, "M": 40}, "p"),
+            ("--fit-report", {"p": 0.5, "theta": -1, "M": 10}, "theta"),
+            ("--fit-report", {"p": 0.5, "theta": 0.03, "M": 1e300}, "M"),
+            ("--fit-report", {"p": 0.5, "theta": 0.03, "M": MAX_TRIALS + 1}, "M"),
+            (
+                "--calibration",
+                {"jj": {"transmission": -1}, "jj_h": {"transmission": 1.74e-5}},
+                "jj.transmission",
+            ),
+        ],
+        ids=["p-0", "p-1.5", "theta-negative", "M-1e300", "M-above-bound", "T-negative"],
+    )
+    def test_value_error_names_the_file_and_key(self, tmp_path, capsys, flag, payload, key):
+        path = tmp_path / "upstream.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--out", str(tmp_path / "o"), "ej", flag, str(path)]) == 2
+        message = capsys.readouterr().err.removeprefix("error: ").rstrip("\n")
+        assert message.startswith(f"{path}: {key} ")
+        assert len(message) <= 200
 
     def test_consumes_upstream_artifacts(self, tmp_path):
         counts = write_counts_file(tmp_path / "counts.txt")
@@ -1803,3 +1828,92 @@ def test_analyze_run_loads_no_scipy(tmp_path):
         "print(code, [m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     assert _run_fresh(probe) == "0 []"
+
+
+@pytest.mark.parametrize("source", ["counts", "structures"])
+@pytest.mark.parametrize("md_area", [None, 900.0], ids=["default", "900"])
+def test_reference_area_is_the_configured_md_area(tmp_path, source, md_area):
+    config = tmp_path / "run.cfg"
+    config.write_text("" if md_area is None else f"junction.md_area = {md_area}\n")
+    if source == "counts":
+        inputs = ["--counts", str(write_counts_file(tmp_path / "counts.txt", k=50))]
+    else:
+        directory = write_structure_dir(tmp_path, h_counts=(0, 0, 1, 2, 3, 5, 6, 6))
+        inputs = ["--structures", str(directory)]
+    out = tmp_path / "out"
+    argv = ["--config", str(config), "--out", str(out), "fit-stats", *inputs, "--m", "fixed=40"]
+    assert main(argv) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["reference_area_a2"] == (PipelineConfig().md_area if md_area is None else md_area)
+
+
+def test_stats_runs_without_numpy(tmp_path):
+    path = write_counts_file(tmp_path / "counts.txt", k=50)
+    probe = (
+        "import sys, jjvar.stats as stats\n"
+        f"sample = stats.read_counts({str(path)!r})\n"
+        "fixed, scanned = stats.fit(sample, trials=40), stats.fit(sample)\n"
+        "print(len(fixed.dist.pmf_vector()), len(scanned.scan) > 1, 'numpy' in sys.modules)"
+    )
+    assert _run_fresh(probe) == "41 True False"
+
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("marked", ["counts", "config", "structure"])
+def test_byte_order_mark_changes_no_artifact(tmp_path, marked):
+    directory = write_structure_dir(tmp_path, h_counts=(0, 1, 2, 3))
+    counts = write_counts_file(tmp_path / "counts.txt", k=50)
+    config = tmp_path / "run.cfg"
+    config.write_text("stats.m = fixed=40\n")
+    command = ["analyze", "--structures", str(directory)]
+    if marked != "structure":
+        command = ["fit-stats", "--counts", str(counts)]
+    path = {"counts": counts, "config": config, "structure": sorted(directory.iterdir())[0]}[marked]
+    artifacts = []
+    for bom in (b"", _BOM):
+        path.write_bytes(bom + path.read_bytes().removeprefix(_BOM))
+        out = tmp_path / f"out{len(bom)}"
+        assert main(["--config", str(config), "--out", str(out), *command]) == 0
+        artifacts.append(read_dir_bytes(out))
+    assert artifacts[0] == artifacts[1]
+
+
+def _run_in_c_locale(argv: list[str], utf8_mode: bool) -> subprocess.CompletedProcess:
+    """`jjvar argv` in a fresh interpreter under LC_ALL=C, with Python's UTF-8
+    mode on or off (off: the locale's encoding is ASCII)."""
+    src = str(Path(jjvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8=str(int(utf8_mode)))
+    command = [sys.executable, "-m", "jjvar.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["fit-stats", "analyze"])
+def test_text_is_utf8_whatever_the_locale(tmp_path, command):
+    # A count file with a non-ASCII comment, structure files with non-ASCII
+    # names, one of them skipped: the same artifacts in an ASCII locale as in
+    # UTF-8 mode.
+    if command == "fit-stats":
+        counts = tmp_path / "counts.txt"
+        write_counts_file(counts, k=50)
+        counts.write_bytes("# généré\n".encode() + counts.read_bytes())
+        argv = ["fit-stats", "--counts", str(counts), "--m", "fixed=40"]
+    else:
+        directory = write_structure_dir(tmp_path, h_counts=(1, 2))
+        first = os.fsencode(sorted(directory.iterdir())[0])
+        os.rename(first, os.path.join(os.fsencode(directory), "é.xyz".encode()))
+        with open(os.path.join(os.fsencode(directory), "ü.xyz".encode()), "wb") as fh:
+            fh.write(b"not a structure\n")
+        argv = ["analyze", "--structures", str(directory)]
+    artifacts = []
+    for utf8_mode in (False, True):
+        out = tmp_path / f"out{int(utf8_mode)}"
+        result = _run_in_c_locale(["--out", str(out), *argv], utf8_mode)
+        assert result.returncode == 0, result.stderr
+        artifacts.append(read_dir_bytes(out))
+    assert artifacts[0] == artifacts[1]
+    if command == "analyze":
+        assert "\né,".encode() in artifacts[0]["stoichiometry.csv"]
+        failures = json.loads(artifacts[0]["ensemble_summary.json"])["failures"]
+        assert [f["file"] for f in failures] == ["ü.xyz"]

@@ -39,7 +39,7 @@ HEADLINE = BetaBinomial.from_shapes(17.69, 15.36, 40)
 
 
 def headline_counts(seed: int, k: int) -> CountSample:
-    return CountSample(tuple(int(x) for x in HEADLINE.sample(seed=seed, k=k)))
+    return CountSample(tuple(int(x) for x in stats_reference.sample(HEADLINE, seed=seed, k=k)))
 
 
 def log_likelihood(dist: BetaBinomial, counts) -> float:
@@ -153,7 +153,7 @@ class TestMoments:
 
     def test_monte_carlo_consistency(self):
         d = HEADLINE
-        draws = d.sample(seed=42, k=10**6)
+        draws = stats_reference.sample(d, seed=42, k=10**6)
         se_mean = d.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - d.mean()) < 3 * se_mean
         # variance of the sample variance ~ (mu4 - var^2)/k; bound loosely
@@ -163,29 +163,28 @@ class TestMoments:
 
 class TestSampling:
     def test_zero_trials(self):
-        draws = BetaBinomial.from_shapes(2.0, 5.0, 0).sample(seed=1, k=100)
+        draws = stats_reference.sample(BetaBinomial.from_shapes(2.0, 5.0, 0), seed=1, k=100)
         assert np.all(draws == 0)
 
     def test_seed_determinism(self):
-        np.testing.assert_array_equal(HEADLINE.sample(seed=9, k=1000), HEADLINE.sample(seed=9, k=1000))
+        np.testing.assert_array_equal(
+            stats_reference.sample(HEADLINE, seed=9, k=1000),
+            stats_reference.sample(HEADLINE, seed=9, k=1000),
+        )
 
     def test_ks_distance_below_critical(self):
         for d in (HEADLINE, BetaBinomial(0.3, 0.0, 40)):
-            draws = d.sample(seed=5, k=10**5)
+            draws = stats_reference.sample(d, seed=5, k=10**5)
             cdf = np.cumsum(d.pmf_vector())
             empirical = np.array([(draws <= n).mean() for n in range(d.trials + 1)])
             ks = float(np.max(np.abs(empirical - cdf)))
             critical_1pct = 1.628 / math.sqrt(draws.size)
             assert ks < critical_1pct
 
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            BetaBinomial(0.5, 0.5, 5).sample(seed=0, k=0)
-
 
 class TestFit:
     def test_recovers_generator_moments(self):
-        draws = HEADLINE.sample(seed=123, k=400)
+        draws = stats_reference.sample(HEADLINE, seed=123, k=400)
         result = fit(CountSample(tuple(int(x) for x in draws)), trials=40)
         assert result.converged
         assert abs(result.dist.mean() - HEADLINE.mean()) <= 0.5
@@ -213,7 +212,7 @@ class TestFit:
             fit(CountSample((1, 2, 50)), trials=40)
 
     def test_scan_covers_default_range(self):
-        draws = BetaBinomial.from_shapes(5.0, 4.0, 12).sample(seed=3, k=300)
+        draws = stats_reference.sample(BetaBinomial.from_shapes(5.0, 4.0, 12), seed=3, k=300)
         result = fit(CountSample(tuple(int(x) for x in draws)))
         cmax = int(max(draws))
         scanned = [m for m, _ in result.scan]
@@ -240,7 +239,7 @@ class TestFit:
         # the binomial.
         a, b = shapes
         generator = BetaBinomial(a, 0.0, m) if b is None else BetaBinomial.from_shapes(a, b, m)
-        counts = generator.sample(seed=seed, k=k).tolist()
+        counts = stats_reference.sample(generator, seed=seed, k=k).tolist()
         assume(len(set(counts)) >= 2)
         result = fit(counts, trials=m)
         direct = log_likelihood(result.dist, counts)
@@ -301,7 +300,7 @@ class TestFit:
         # At the moment estimate of these skewed counts -H is not positive
         # definite; the fit steps Newton in p and doubles or halves theta.
         generator = BetaBinomial.from_shapes(2.1237831462137717, 0.15214630257029785, 34)
-        counts = generator.sample(seed=102, k=351)
+        counts = stats_reference.sample(generator, seed=102, k=351)
         t = stats._tails(np.bincount(counts).tolist(), 35)
         _, (hpp, hpt, htt) = stats._derivatives(t, *stats._moment_estimate(t, 35))
         assert hpp * htt - hpt * hpt <= 0
@@ -316,7 +315,7 @@ class TestFit:
         st.integers(0, 2**32 - 1),
     )
     def test_fits_on_beta_binomial_samples_converge(self, alpha, beta, m, k, seed):
-        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
+        counts = stats_reference.sample(BetaBinomial.from_shapes(alpha, beta, m), seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         assert fit(CountSample(tuple(counts.tolist())), trials=m).converged
 
@@ -333,7 +332,7 @@ class TestFit:
         # A fit that reports convergence returns the point that passed the
         # stopping rule: a Newton decrement within tol per sample, or on the
         # boundary theta = 0 a zero p-gradient and a theta-gradient <= 0.
-        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
+        counts = stats_reference.sample(BetaBinomial.from_shapes(alpha, beta, m), seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         tol = 1e-9  # fit's default
         result = fit(CountSample(tuple(counts.tolist())), trials=m, tol=tol)
@@ -362,7 +361,7 @@ class TestFit:
             BetaBinomial(0.5, 0.0, MAX_TRIALS + 1)
 
     def test_report_fields(self):
-        draws = BetaBinomial.from_shapes(6.0, 3.0, 20).sample(seed=8, k=200)
+        draws = stats_reference.sample(BetaBinomial.from_shapes(6.0, 3.0, 20), seed=8, k=200)
         report = fit(CountSample(tuple(int(x) for x in draws)), trials=20).report()
         assert set(report) == {"p", "theta", "alpha", "beta", "M", "log_likelihood", "mean", "std"}
         assert report["alpha"] == report["p"] / report["theta"]
@@ -444,7 +443,7 @@ class TestNumpyReference:
         ),
     )
     def test_sums_agree_within_ulps_times_m(self, alpha, beta, m, k, seed, at):
-        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
+        counts = stats_reference.sample(BetaBinomial.from_shapes(alpha, beta, m), seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         t = stats._tails(np.bincount(counts).tolist(), m)
         ref = stats_reference._tails(np.bincount(counts), m)
@@ -479,7 +478,7 @@ class TestNumpyReference:
         st.integers(0, 2**32 - 1),
     )
     def test_fits_agree_within_tolerance(self, alpha, beta, m, k, seed):
-        counts = BetaBinomial.from_shapes(alpha, beta, m).sample(seed=seed, k=k)
+        counts = stats_reference.sample(BetaBinomial.from_shapes(alpha, beta, m), seed=seed, k=k)
         assume(np.unique(counts).size >= 2)
         sample = CountSample(tuple(counts.tolist()))
         tol = 1e-9  # fit's default
@@ -533,4 +532,17 @@ class TestCountIO:
         path = tmp_path / "counts.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="n_h"):
+            read_counts(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        for text in ("3\n5\n7\n", "n_h\n4\n6\n"):
+            plain, marked = tmp_path / "plain", tmp_path / "marked"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert read_counts(marked).counts == read_counts(plain).counts
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"3\n\xff5\n")
+        with pytest.raises(ValueError, match=r"counts\.txt: not UTF-8 text"):
             read_counts(path)

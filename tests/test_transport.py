@@ -1,6 +1,8 @@
 """NEGF engine vs analytic lead Green's functions and the transfer-matrix oracle."""
 
+import dataclasses
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -24,6 +26,8 @@ from jjvar.transport import (
     transfer_matrix_transmission,
     transmission,
 )
+
+from transport_reference import band_halfwidth, shift_sites
 
 
 def analytic_1d_gf(eps, t, energy, eta=0.0):
@@ -91,7 +95,7 @@ class TestLeadClosedForm:
 class TestTransmission:
     def test_uniform_chain_is_transparent(self):
         model = default_model(barrier_sites=12, height=0.0)
-        half = model.band_halfwidth()
+        half = band_halfwidth(model)
         grid = np.linspace(-0.9 * half, 0.9 * half, 201)
         curve = transmission(model, grid)
         assert np.max(np.abs(curve.values - 1.0)) < 1e-10
@@ -105,12 +109,11 @@ class TestTransmission:
     @settings(max_examples=40, deadline=None)
     def test_default_model_follows_configured_lead(self, onsite, magnitude, sign, sites):
         # At height 0 the barrier, the coupling and the leads form one perfect
-        # chain, and the Fermi level sits at the lead band centre.
+        # chain.
         model = default_model(
             barrier_sites=sites, height=0.0, lead_onsite=onsite, lead_hopping=sign * magnitude
         )
-        assert model.fermi_energy == onsite
-        grid = onsite + np.linspace(-0.9, 0.9, 37) * model.band_halfwidth()
+        grid = onsite + np.linspace(-0.9, 0.9, 37) * band_halfwidth(model)
         assert np.max(np.abs(transmission(model, grid).values - 1.0)) < 1e-10
 
     def test_calibration_height_ignores_lead_onsite(self):
@@ -120,6 +123,13 @@ class TestTransmission:
         }
         assert heights[1.0] == pytest.approx(heights[0.0], abs=1e-9)
         assert heights[-2.5] == pytest.approx(heights[0.0], abs=1e-9)
+
+    def test_calibration_evaluates_at_the_lead_onsite(self):
+        # The Fermi level of any model is its lead on-site energy.
+        built = calibrate_barrier(1.61e-5, base=JunctionModel(lead_onsite=1.0))
+        default = calibrate_barrier(1.61e-5, base=default_model(lead_onsite=1.0))
+        assert built.height == default.height
+        assert built.model == default.model
 
     def test_single_site_barrier_matches_oracle(self):
         model = JunctionModel(
@@ -150,7 +160,7 @@ class TestTransmission:
                 barrier_hopping=float(rng.uniform(0.5, 4.0)),
                 coupling=float(rng.uniform(0.5, 4.0)),
             )
-            half = model.band_halfwidth()
+            half = band_halfwidth(model)
             energies = model.lead_onsite + np.linspace(-0.9, 0.9, 21) * half
             curve = transmission(model, energies)
             for energy, t_negf in zip(energies, curve.values):
@@ -173,14 +183,14 @@ class TestTransmission:
         curve = transmission(model, grid)
         assert np.all(curve.values <= curve.channels + 1e-9)
         assert np.all(curve.values >= 0.0)
-        inside = np.abs(grid) < model.band_halfwidth()
+        inside = np.abs(grid) < band_halfwidth(model)
         assert np.array_equal(curve.channels, inside.astype(int))
 
     def test_continuity_on_fine_grid(self):
         model = calibrate_barrier(1.61e-5, base=default_model()).model
         grid = np.arange(-5.0, 5.0, 1e-3)
         curve = transmission(model, grid)
-        inside = np.abs(grid) < 0.98 * model.band_halfwidth()
+        inside = np.abs(grid) < 0.98 * band_halfwidth(model)
         values = curve.values[inside]
         ratio = values[1:] / values[:-1]
         assert np.all(ratio < 10.0) and np.all(ratio > 0.1)
@@ -236,7 +246,7 @@ class TestTransmissionBlocks:
         model = default_model(barrier_sites=6, height=3.0)
         grid = np.linspace(*span, blocks * transport._BLOCK + offset)
         curve = transmission(model, grid)
-        inside = np.abs(grid) < model.band_halfwidth()
+        inside = np.abs(grid) < band_halfwidth(model)
         np.testing.assert_array_equal(curve.channels, inside)
         assert curve.channels.dtype == bool
         np.testing.assert_array_equal(curve.values[~inside], 0.0)
@@ -290,7 +300,7 @@ def random_chains(draw):
         coupling=draw(_floats(0.5, 4.0)),
     )
     fractions = draw(st.lists(_floats(-0.9, 0.9), min_size=1, max_size=12))
-    energies = np.unique(model.lead_onsite + np.array(fractions) * model.band_halfwidth())
+    energies = np.unique(model.lead_onsite + np.array(fractions) * band_halfwidth(model))
     return model, energies
 
 
@@ -341,8 +351,13 @@ class TestCalibration:
     def test_unbracketed_target(self):
         with pytest.raises(CalibrationError) as err:
             calibrate_barrier(0.5, base=default_model(), bounds=(8.0, 20.0))
-        assert err.value.endpoints is not None
-        assert all(t < 0.5 for t in err.value.endpoints)
+        # The message quotes the endpoint transmissions, both below the target.
+        quoted = re.fullmatch(
+            r"target 0\.5 not bracketed by heights 8\.0\.\.20\.0 eV "
+            r"\(endpoint transmissions (\S+), (\S+)\)",
+            str(err.value),
+        )
+        assert quoted and all(float(t) < 0.5 for t in quoted.groups())
 
 
 class TestDefects:
@@ -361,16 +376,11 @@ class TestDefects:
         ]
         assert values[0] < values[1] < values[2]
 
-    def test_out_of_range_site(self):
-        model = default_model(barrier_sites=4)
-        with pytest.raises(ValueError):
-            apply_defect(model, -0.5, sites=4)
-
-    def test_single_site_defect(self):
-        model = default_model(barrier_sites=4, height=6.0)
-        shifted = apply_defect(model, -1.0, sites=2)
-        assert shifted.barrier_onsite[2] == pytest.approx(model.barrier_onsite[2] - 1.0)
-        assert shifted.barrier_onsite[0] == model.barrier_onsite[0]
+    def test_shift_moves_every_site(self):
+        model = JunctionModel(barrier_onsite=(6.0, 5.5, 7.25, 6.0))
+        shifted = apply_defect(model, -1.0)
+        assert shifted.barrier_onsite == (5.0, 4.5, 6.25, 5.0)
+        assert dataclasses.replace(shifted, barrier_onsite=model.barrier_onsite) == model
 
     def test_fitted_shift_tracks_applied_shift(self):
         model = calibrate_barrier(1.61e-5, base=default_model()).model
@@ -454,7 +464,11 @@ def shift_fit_cases(draw):
         barrier_sites=sites, height=draw(_floats(0.0, 10.0)), lead_onsite=onsite, lead_hopping=hopping
     )
     defect_sites = draw(st.none() | st.lists(st.integers(0, sites - 1), min_size=1, unique=True))
-    shifted_model = apply_defect(model, draw(_floats(-1.0, 1.0)), defect_sites)
+    shift = draw(_floats(-1.0, 1.0))
+    if defect_sites is None:
+        shifted_model = apply_defect(model, shift)
+    else:
+        shifted_model = shift_sites(model, shift, defect_sites)
     halfwidth = 2.0 * hopping * draw(_floats(0.2, 1.2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
