@@ -22,6 +22,7 @@ the offending key.
 from __future__ import annotations
 
 import math
+import os
 import re
 from bisect import bisect_left
 from dataclasses import Field, dataclass, field, fields, replace
@@ -237,7 +238,10 @@ class PipelineConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in ("structures", "counts") and value is not None and not Path(value).exists():
-                raise ConfigError(f"{f.metadata['key']} must be an existing path, got {value}")
+                # Quoted as written: a name the locale cannot encode holds its
+                # UTF-8 bytes as surrogate escapes.
+                written = os.fsencode(value).decode("utf-8", "surrogateescape")
+                raise ConfigError(f"{f.metadata['key']} must be an existing path, got {written}")
         self.m_fit_args()
         try:
             BetaBinomial.from_shapes(self.alpha, self.beta, self.trials)
@@ -250,6 +254,9 @@ _KEY_MAP = {f.metadata["key"]: f for f in fields(PipelineConfig)}
 
 def _parse_value(f: Field, raw: str, lineno: int):
     raw = raw.strip().strip('"').strip("'")
+    if f.metadata["key"].startswith("paths."):
+        # The file-system form of the name, as argv arrives in any locale.
+        return os.fsdecode(raw.encode("utf-8"))
     if "str" in f.type:
         return raw
     if "int" in f.type and "float" not in f.type:

@@ -190,14 +190,15 @@ class CountSample:
             raise ValueError("counts must be non-negative integers")
 
 
-def read_text(path: Path) -> str:
+def read_text(path: Path, *, named: bool = True) -> str:
     """The text of `path` read as UTF-8 whatever the locale, without a
     leading byte-order mark; a file that is not UTF-8 is a ValueError that
-    names it."""
+    names it, unless `named` is false because the caller names the file."""
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ValueError(f"{path}: {reason}" if named else reason) from None
 
 
 def read_counts(path: str | Path) -> CountSample:

@@ -23,6 +23,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .stats import read_text
+
 __all__ = [
     "DEFAULT_CUTOFFS",
     "NO_AL_MESSAGE",
@@ -206,9 +208,12 @@ def _atom_rows(lines: list[str], natoms: int) -> tuple[tuple[str, ...], np.ndarr
 
 
 def read_structure(path: str | Path) -> AtomicStructure:
+    """The structure in an extended-XYZ file.  A file that is not UTF-8 is a
+    ValueError whose message leaves the naming of the file to the caller."""
     path = Path(path)
+    text = read_text(path, named=False)
     try:
-        return parse_xyz(path.read_text(encoding="utf-8-sig"))
+        return parse_xyz(text)
     except ParseError as exc:
         raise ParseError(exc.line, f"{path.name}: {exc.message}") from None
 

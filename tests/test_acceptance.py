@@ -27,7 +27,7 @@ from jjvar.transport import (
 
 from conftest import make_molecule, make_oxide_slab, nine_motif_fixtures, write_structure_dir
 from stats_reference import sample
-from test_cli import read_dir_bytes, write_counts_file
+from test_cli import _run_cli, read_dir_bytes, write_counts_file
 from transport_reference import band_halfwidth
 
 
@@ -232,7 +232,7 @@ def test_criterion_11_effective_time():
     report(11, f"effective time = {t_eff_ns:.2f} ns (266±1 ns)")
 
 
-def test_criterion_12_pipeline_determinism(tmp_path):
+def _criterion_12_config(tmp_path: Path) -> Path:
     counts = write_counts_file(tmp_path / "counts.txt")
     structures = write_structure_dir(tmp_path, h_counts=(1, 2, 3))
     config = tmp_path / "pipeline.cfg"
@@ -242,6 +242,11 @@ def test_criterion_12_pipeline_determinism(tmp_path):
         "stats.m = fixed=40\n"
         "transport.grid_points = 101\n"
     )
+    return config
+
+
+def test_criterion_12_pipeline_determinism(tmp_path):
+    config = _criterion_12_config(tmp_path)
     outs = [tmp_path / f"out{i}" for i in range(3)]
     for out in outs:
         assert main(["--config", str(config), "--out", str(out), "--seed", "7", "pipeline"]) == 0
@@ -249,3 +254,15 @@ def test_criterion_12_pipeline_determinism(tmp_path):
     assert read_dir_bytes(outs[1]) == first
     assert read_dir_bytes(outs[2]) == first
     report(12, f"three pipeline reruns byte-identical across {len(first)} files")
+
+
+def test_pipeline_in_a_fresh_process_matches_in_process(tmp_path):
+    # A CLI process exits through the collector-freezing exit hook; the
+    # artifacts it leaves are the bytes an in-process main writes.
+    config = _criterion_12_config(tmp_path)
+    argv = ["--config", str(config), "--seed", "7", "pipeline"]
+    assert main(["--out", str(tmp_path / "in"), *argv]) == 0
+    result = _run_cli(["--out", str(tmp_path / "fresh"), *argv])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(f"manifest: {tmp_path / 'fresh' / 'manifest.json'}\n")
+    assert read_dir_bytes(tmp_path / "fresh") == read_dir_bytes(tmp_path / "in")

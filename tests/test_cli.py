@@ -1,8 +1,10 @@
 """CLI contract: artifacts, schemas, exit codes, determinism."""
 
+import atexit
 import contextlib
 import dataclasses
 import fnmatch
+import gc
 import io
 import json
 import math
@@ -1880,13 +1882,19 @@ def test_byte_order_mark_changes_no_artifact(tmp_path, marked):
     assert artifacts[0] == artifacts[1]
 
 
+def _run_cli(argv: list[str], text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """`python -m jjvar.cli argv` in a fresh interpreter that imports this
+    jjvar, with `env` added to the environment."""
+    src = str(Path(jjvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
+    command = [sys.executable, "-m", "jjvar.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=text, timeout=120)
+
+
 def _run_in_c_locale(argv: list[str], utf8_mode: bool) -> subprocess.CompletedProcess:
     """`jjvar argv` in a fresh interpreter under LC_ALL=C, with Python's UTF-8
-    mode on or off (off: the locale's encoding is ASCII)."""
-    src = str(Path(jjvar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8=str(int(utf8_mode)))
-    command = [sys.executable, "-m", "jjvar.cli", *argv]
-    return subprocess.run(command, env=env, capture_output=True, timeout=120)
+    mode on or off (off: the locale's encoding is ASCII); output as bytes."""
+    return _run_cli(argv, text=False, LC_ALL="C", PYTHONUTF8=str(int(utf8_mode)))
 
 
 @pytest.mark.parametrize("command", ["fit-stats", "analyze"])
@@ -1917,3 +1925,84 @@ def test_text_is_utf8_whatever_the_locale(tmp_path, command):
         assert "\né,".encode() in artifacts[0]["stoichiometry.csv"]
         failures = json.loads(artifacts[0]["ensemble_summary.json"])["failures"]
         assert [f["file"] for f in failures] == ["ü.xyz"]
+
+
+def _non_ascii_dir(parent: Path) -> Path:
+    """`parent`/sé, created whatever the file-system encoding of this process."""
+    path = Path(os.fsdecode(os.path.join(os.fsencode(parent), "sé".encode())))
+    path.mkdir()
+    return path
+
+
+@pytest.mark.parametrize("key", ["counts", "structures", "out"])
+def test_config_paths_resolve_whatever_the_locale(tmp_path, key):
+    # A non-ASCII name in paths.* gives the same artifacts in an ASCII locale
+    # as in UTF-8 mode, as the same name on the command line does.
+    here = _non_ascii_dir(tmp_path)
+    counts = write_counts_file(here / "c.txt" if key == "counts" else tmp_path / "c.txt", k=50)
+    directory = write_structure_dir(here if key == "structures" else tmp_path, h_counts=(1, 2))
+    artifacts = []
+    for utf8_mode in (False, True):
+        out = (here if key == "out" else tmp_path) / f"out{int(utf8_mode)}"
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"paths.counts = {counts}\npaths.structures = {directory}\npaths.out = {out}\n"
+            "stats.m = fixed=40\n",
+            encoding="utf-8",
+        )
+        command = "analyze" if key == "structures" else "fit-stats"
+        result = _run_in_c_locale(["--config", str(config), command], utf8_mode)
+        assert result.returncode == 0, result.stderr
+        artifacts.append(read_dir_bytes(out))
+    assert artifacts[0] and artifacts[0] == artifacts[1]
+
+
+def test_missing_config_path_is_quoted_as_written(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"paths.counts = {tmp_path}/sé/c.txt\n", encoding="utf-8")
+    # An ASCII stderr escapes the é; UTF-8 mode writes it.
+    for utf8_mode, name in ((False, b"s\\xe9/c.txt"), (True, "sé/c.txt".encode())):
+        result = _run_in_c_locale(["--config", str(config), "fit-stats"], utf8_mode)
+        assert result.returncode == 2
+        expected = b"paths.counts must be an existing path, got %s/%s\n" % (os.fsencode(tmp_path), name)
+        assert result.stderr == b"error: " + expected
+
+
+def test_structure_file_not_utf8_is_named_once(tmp_path, capsys):
+    directory = write_structure_dir(tmp_path, h_counts=(1, 2))
+    (directory / "bad.xyz").write_bytes(b"\xff\n")
+    message = "not UTF-8 text (invalid start byte at byte 0)"
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 0
+    assert capsys.readouterr().err == f"warning: skipping bad.xyz: {message}\n"
+    failures = json.loads((out / "ensemble_summary.json").read_text())["failures"]
+    assert failures == [{"file": "bad.xyz", "error": message}]
+    argv = ["--out", str(out), "fit-stats", "--structures", str(directory), "--m", "fixed=40"]
+    assert main(argv) == 0
+    assert json.loads((out / "fit_report.json").read_text())["skipped"] == failures
+
+
+def test_main_leaves_the_collector_as_it_was(tmp_path):
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    assert main(["--out", str(tmp_path / "out"), "ej"]) == 0
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_main_registers_one_exit_hook(tmp_path, monkeypatch):
+    # The hook freezes the collector's objects at exit; an earlier test's
+    # main may have registered it in this process already.
+    monkeypatch.setattr(cli, "_exit_hook_registered", False)
+    before = atexit._ncallbacks()
+    for k in range(5):
+        assert main(["--out", str(tmp_path / f"out{k}"), "ej"]) == 0
+    assert atexit._ncallbacks() == before + 1
+
+
+@pytest.mark.parametrize("code", [2, 3])
+def test_subprocess_error_exits_print_their_error(tmp_path, code):
+    config = tmp_path / "cfg.txt"
+    if code == 3:  # no barrier height in the bounds reaches the target
+        config.write_text("transport.target_jj = 0.5\ntransport.bounds_lo = 8\ntransport.bounds_hi = 20\n")
+    result = _run_cli(["--config", str(config), "--out", str(tmp_path / "o"), "transmission"])
+    assert result.returncode == code
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
