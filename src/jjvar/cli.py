@@ -179,7 +179,7 @@ def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _Str
             counts += _merge(outcomes, [n if r is None else r for r, n in zip(regions, n_h)])
         if errors is None:
             continue
-        table = motifs.classify_batch(
+        table, bond_errors = motifs.classify_batch(
             batch,
             cutoffs=cfg.cutoff_overrides() or None,
             members=members,
@@ -189,18 +189,18 @@ def _structure_pass(cfg: PipelineConfig, *, census: bool, analyze: bool) -> _Str
         # A bond-query error first, then the region's message, then no Al.
         rejects = [
             bond or region or (None if n_al else structure.NO_AL_MESSAGE)
-            for bond, region, n_al in zip(table.errors, regions, tally[:, 0].tolist())
+            for bond, region, n_al in zip(bond_errors, regions, tally[:, 0].tolist())
         ]
         errors += _merge(outcomes, rejects)
         keep = np.array([r is None for r in rejects], dtype=bool)
         sample = np.cumsum(keep) - 1 + sum(map(len, found))
         held = keep[table.structure]
-        tables.append((sample[table.structure[held]], *(c[held] for c in table[1:-1])))
+        tables.append((sample[table.structure[held]], *(c[held] for c in table[1:])))
         found.append(tally[keep])
     if errors is None:
         return _StructurePass(files, counts, None, None, None)
     found = np.concatenate(found)
-    table = motifs.MotifTable(*map(np.concatenate, zip(*tables)), [None] * len(found))
+    table = motifs.MotifTable(*map(np.concatenate, zip(*tables)))
     return _StructurePass(files, counts, errors, found, table)
 
 
@@ -256,15 +256,15 @@ def _collect(files: list[Path], outcomes: list, warned: list | None = None) -> t
 
     A rejected file is skipped with a warning and listed as {"file", "error"};
     the warning is left out when `warned` (an earlier stage's outcomes for the
-    same files) already carries the same message.  If every file fails, that
-    is an input error.
+    same files) already carries the same message.  If every file is
+    rejected, that is an input error.
     """
     for k, (path, outcome) in enumerate(zip(files, outcomes)):
         if isinstance(outcome, str) and (warned is None or warned[k] != outcome):
             print(f"warning: skipping {path.name}: {outcome}", file=sys.stderr)
     results = [(p.stem, o) for p, o in zip(files, outcomes) if not isinstance(o, str)]
     if not results:
-        raise FileNotFoundError(f"all {len(files)} structure files failed to parse")
+        raise FileNotFoundError(f"all {len(files)} structure files were skipped")
     return results, _skipped(files, outcomes)
 
 
@@ -359,15 +359,10 @@ def cmd_analyze(cfg: PipelineConfig, out: Path, scan: _StructurePass | None = No
         [np.array(names)[table.structure], table.h_index, labels, table.surface.astype(int)],
     )
 
-    stats_table = motifs.motif_statistics(table.label, table.surface, table.structure, len(names))
     motif_json_path = out / "motif_table.json"
     _write_json(
         motif_json_path,
-        {
-            "classes": stats_table.table(),
-            "samples": stats_table.samples,
-            "samples_with_h": stats_table.samples_with_h,
-        },
+        motifs.motif_statistics(table.label, table.surface, table.structure, len(names)),
     )
     return [stoich_path, summary_path, motif_csv_path, motif_json_path]
 

@@ -27,10 +27,11 @@ Al-H cutoff.  Host O lists keep the nearest O atoms (lowest index on ties).
 atom of a batch of structures with array operations on the bond graph's CSR
 rows, the O-O chain walk included, flags a motif as a surface motif when the
 H or one of its host O atoms is a surface site, and returns the batch's H as
-the rows of one `MotifTable`; the `structure` column tells whose rows they
-are, so a caller selects rows with a mask over it rather than a table per
-structure.  `motif_statistics` counts the classes of those rows per sample
-with one `np.bincount`.
+the rows of one `MotifTable`, beside the bond-query error of each structure;
+the `structure` column tells whose rows they are, so a caller selects rows
+with a mask over it rather than a table per structure.  `motif_statistics`
+counts the classes of those rows per sample with one `np.bincount` and
+returns the `motif_table.json` payload.
 
 The chain walk of an Al-O2-H is breadth-first, level by level: each level is
 the O bonds of the level before, ordered by the parent's place in its level,
@@ -41,7 +42,6 @@ is the first O in that order with an Al bond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -50,7 +50,6 @@ from .structure import SPECIES, BondGraph, CellList, StructureBatch, surface_mas
 
 __all__ = [
     "MOTIF_CLASSES",
-    "MotifEnsembleStats",
     "MotifTable",
     "classify_batch",
     "motif_statistics",
@@ -74,8 +73,7 @@ _AL, _O, _H = (SPECIES.index(s) for s in ("Al", "O", "H"))
 
 class MotifTable(NamedTuple):
     """The classified H atoms of a batch as columns, one row per H in batch
-    order, and per structure the message of the bond-query error that
-    rejects it (None for a classified structure; a rejected one has no rows).
+    order; a structure the bond query rejects has no rows.
 
     `structure` is the structure's place in the batch and `h_index` the H
     atom's index in its structure; `label` indexes MOTIF_CLASSES; `host_o`
@@ -87,7 +85,6 @@ class MotifTable(NamedTuple):
     label: np.ndarray
     host_o: np.ndarray
     surface: np.ndarray
-    errors: list[str | None]
 
 
 def _o_bonds(graph: BondGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,9 +144,10 @@ def classify_batch(
     members: np.ndarray | None = None,
     surface_depth: float = 2.0,
     surface_bin: float = 4.0,
-) -> MotifTable:
-    """The H atoms of `batch` as the rows of a `MotifTable`, with the
-    bond-query error of each structure it rejects.
+) -> tuple[MotifTable, list[str | None]]:
+    """The H atoms of `batch` as the rows of a `MotifTable`, and per
+    structure the message of the bond-query error that rejects it (None for
+    a structure that can be bonded).
 
     Bonds are made only for the rows the classes read: one `CellList` query
     over the batch (at the default cutoffs, overridden by `cutoffs`) on the H
@@ -210,36 +208,16 @@ def classify_batch(
     base = batch.offsets[cell]
     hosts = np.stack((first, second), axis=1)
     hosts = np.where(hosts >= 0, hosts - base[:, None], -1)
-    return MotifTable(cell, h - base, label, hosts, flagged, index.errors)
-
-
-@dataclass(frozen=True)
-class MotifEnsembleStats:
-    """Per-class percentage mean/std over samples plus pooled surface probabilities."""
-
-    mean_pct: dict[str, float]
-    std_pct: dict[str, float]
-    surface_prob: dict[str, float | None]
-    samples: int
-    samples_with_h: int
-
-    def table(self) -> dict[str, dict]:
-        return {
-            label: {
-                "mean_pct": self.mean_pct[label],
-                "std_pct": self.std_pct[label],
-                "surface_prob": self.surface_prob[label],
-            }
-            for label in MOTIF_CLASSES
-        }
+    return MotifTable(cell, h - base, label, hosts, flagged), index.errors
 
 
 def motif_statistics(
     label: np.ndarray, surface: np.ndarray, sample: np.ndarray, samples: int
-) -> MotifEnsembleStats:
-    """Aggregate the motifs of an ensemble of `samples` samples, given per H
-    its class (`label`, into MOTIF_CLASSES), its surface flag and its sample
-    (0 to samples - 1).
+) -> dict:
+    """The `motif_table.json` payload of an ensemble of `samples` samples,
+    given per H its class (`label`, into MOTIF_CLASSES), its surface flag and
+    its sample (0 to samples - 1): per class its `mean_pct`, `std_pct` and
+    `surface_prob`, and the counts of `samples` and `samples_with_h`.
 
     Percentages are per sample (summing to 100) and averaged with the
     population std convention; samples with zero H are excluded from the
@@ -259,10 +237,12 @@ def motif_statistics(
         mean = std = np.full(classes, np.nan)
     on_surface = np.bincount(label[surface], minlength=classes).tolist()
     total = counts.sum(axis=0).tolist()
-    return MotifEnsembleStats(
-        mean_pct=dict(zip(MOTIF_CLASSES, mean.tolist())),
-        std_pct=dict(zip(MOTIF_CLASSES, std.tolist())),
-        surface_prob={c: s / t if t else None for c, s, t in zip(MOTIF_CLASSES, on_surface, total)},
-        samples=samples,
-        samples_with_h=int(np.count_nonzero(held)),
-    )
+    columns = zip(MOTIF_CLASSES, mean.tolist(), std.tolist(), on_surface, total)
+    return {
+        "classes": {
+            c: {"mean_pct": m, "std_pct": d, "surface_prob": s / t if t else None}
+            for c, m, d, s, t in columns
+        },
+        "samples": samples,
+        "samples_with_h": int(np.count_nonzero(held)),
+    }

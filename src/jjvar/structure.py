@@ -19,7 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-        self.message = message
 
 
 class ConfigurationError(ValueError):
@@ -208,14 +207,10 @@ def _atom_rows(lines: list[str], natoms: int) -> tuple[tuple[str, ...], np.ndarr
 
 
 def read_structure(path: str | Path) -> AtomicStructure:
-    """The structure in an extended-XYZ file.  A file that is not UTF-8 is a
-    ValueError whose message leaves the naming of the file to the caller."""
-    path = Path(path)
-    text = read_text(path, named=False)
-    try:
-        return parse_xyz(text)
-    except ParseError as exc:
-        raise ParseError(exc.line, f"{path.name}: {exc.message}") from None
+    """The structure in an extended-XYZ file.  A file that is not UTF-8, or
+    does not parse, is a ValueError whose message leaves the naming of the
+    file to the caller."""
+    return parse_xyz(read_text(Path(path), named=False))
 
 
 def _normalize_cutoffs(cutoffs: Mapping | None) -> dict[tuple[str, str], float]:
@@ -277,7 +272,7 @@ class StructureBatch:
         return out
 
 
-class BondGraph:
+class BondGraph(NamedTuple):
     """Symmetric distance-cutoff adjacency under the minimum-image convention.
 
     `atoms` is the batch whose atoms it bonds.  Stored as CSR
@@ -290,19 +285,11 @@ class BondGraph:
     hydride branch reads it.
     """
 
-    def __init__(
-        self,
-        atoms: StructureBatch,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        distances: np.ndarray,
-        bridge_o: np.ndarray,
-    ):
-        self.atoms = atoms
-        self.indptr = indptr
-        self.indices = indices
-        self.distances = distances
-        self.bridge_o = bridge_o
+    atoms: StructureBatch
+    indptr: np.ndarray
+    indices: np.ndarray
+    distances: np.ndarray
+    bridge_o: np.ndarray
 
 
 # Most bins per axis.  On a wide axis the bins stay wide enough that

@@ -59,9 +59,8 @@ DEFAULT_BARRIER_SITES = 12
 # t_b the band bottom is onsite - 2|t_b|.
 DEFAULT_BAND_OFFSET = 2.85
 # Bisection stops at |T - target| <= _CALIBRATION_REL_TOL * target, or fails
-# after _CALIBRATION_MAX_ITER halvings.
+# once the bracket holds no float between its endpoints.
 _CALIBRATION_REL_TOL = 1e-3
-_CALIBRATION_MAX_ITER = 200
 # `transmission` sweeps the grid this many energies at a time.  At least the
 # default grid's 2001 points, so that grid is swept in one block.
 _BLOCK = 4096
@@ -312,7 +311,10 @@ def calibrate_barrier(
 
     The transmission must be monotone decreasing in the height over
     `bounds`, verified by an endpoint check; an unbracketed target raises
-    CalibrationError with the endpoint transmissions.
+    CalibrationError with the endpoint transmissions.  Bisection goes on
+    until the tolerance holds, however wide the bracket; only a bracket
+    whose midpoint rounds to an endpoint, so that no float lies between
+    them, raises NumericalError naming that bracket.
     """
     if not target > 0:
         raise ValueError(f"target transmission must be positive, got {target}")
@@ -343,8 +345,11 @@ def calibrate_barrier(
             f"(endpoint transmissions {t_lo:.6g}, {t_hi:.6g})"
         )
 
-    for iteration in range(1, _CALIBRATION_MAX_ITER + 1):
-        height = 0.5 * (lo + hi)
+    iteration = 0
+    # Halving each term keeps the midpoint finite for any finite bracket.
+    height = 0.5 * lo + 0.5 * hi
+    while lo < height < hi:
+        iteration += 1
         t_mid = evaluate(height)
         if abs(t_mid - target) <= tol:
             return CalibrationResult(height, t_mid, iteration, build(height))
@@ -352,9 +357,10 @@ def calibrate_barrier(
             lo = height
         else:
             hi = height
+        height = 0.5 * lo + 0.5 * hi
     raise NumericalError(
         f"barrier calibration did not reach |T - target|/target <= {_CALIBRATION_REL_TOL} "
-        f"within {_CALIBRATION_MAX_ITER} bisections"
+        f"before the bracket {lo!r}..{hi!r} eV held no midpoint"
     )
 
 

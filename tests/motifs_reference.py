@@ -7,15 +7,16 @@ bonds, and walks the O-O chain of an Al-O2-H with a FIFO queue: children are
 pushed in (distance, index) order and an O seen before is dropped when it is
 popped.  It reads the same rows of the bond graph as `classify_batch`, so it
 can be given either that graph or the full one.  Both references work on
-`MotifRecord`s, one per H; `table_split` cuts a `MotifTable` into the rows of
-each structure, and `table_records` reads those as records.
+`MotifRecord`s, one per H; `table_split` cuts what `classify_batch` returns,
+a `MotifTable` and its per-structure errors, into the rows of each
+structure, and `table_records` reads those as records.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from jjvar.motifs import MOTIF_CLASSES, MotifEnsembleStats, MotifTable, motif_statistics
+from jjvar.motifs import MOTIF_CLASSES, MotifTable, motif_statistics
 from jjvar.structure import AtomicStructure, BondGraph
 
 from conftest import neighbors
@@ -53,17 +54,17 @@ class MotifRecord:
             )
 
 
-def table_split(table: MotifTable) -> list[MotifTable | str]:
+def table_split(table: MotifTable, errors: list[str | None]) -> list[MotifTable | str]:
     """Per structure of the table's batch, the table of its rows alone, or
     the error that rejects it."""
-    bounds = np.searchsorted(table.structure, np.arange(len(table.errors) + 1)).tolist()
+    bounds = np.searchsorted(table.structure, np.arange(len(errors) + 1)).tolist()
     return [
-        error or MotifTable(*(column[a:b] for column in table[:-1]), [None])
-        for error, a, b in zip(table.errors, bounds, bounds[1:])
+        error or MotifTable(*(column[a:b] for column in table))
+        for error, a, b in zip(errors, bounds, bounds[1:])
     ]
 
 
-def table_records(table: MotifTable) -> list[list[MotifRecord] | str]:
+def table_records(table: MotifTable, errors: list[str | None]) -> list[list[MotifRecord] | str]:
     """Per structure of the table's batch, the records of its rows, or the
     error that rejects it."""
     return [
@@ -75,11 +76,11 @@ def table_records(table: MotifTable) -> list[list[MotifRecord] | str]:
                 part.h_index.tolist(), part.label.tolist(), part.host_o.tolist(), part.surface.tolist()
             )
         ]
-        for part in table_split(table)
+        for part in table_split(table, errors)
     ]
 
 
-def statistics_of(per_sample_records: list[list[MotifRecord]]) -> MotifEnsembleStats:
+def statistics_of(per_sample_records: list[list[MotifRecord]]) -> dict:
     """`motif_statistics` on the columns of per-sample records."""
     records = [rec for recs in per_sample_records for rec in recs]
     return motif_statistics(
@@ -90,9 +91,9 @@ def statistics_of(per_sample_records: list[list[MotifRecord]]) -> MotifEnsembleS
     )
 
 
-def motif_statistics_reference(per_sample_records: list[list[MotifRecord]]) -> MotifEnsembleStats:
+def motif_statistics_reference(per_sample_records: list[list[MotifRecord]]) -> dict:
     """Aggregate motif records over an ensemble of samples, one sample and
-    one record at a time.
+    one record at a time, into the payload `motif_statistics` returns.
 
     Percentages are per sample (summing to 100) and averaged with the
     population std convention; samples with zero H are excluded from the
@@ -120,18 +121,16 @@ def motif_statistics_reference(per_sample_records: list[list[MotifRecord]]) -> M
         mean = np.full(len(MOTIF_CLASSES), np.nan)
         std = np.full(len(MOTIF_CLASSES), np.nan)
 
-    surface_prob: dict[str, float | None] = {}
-    for label in MOTIF_CLASSES:
+    classes = {}
+    for label, m, s in zip(MOTIF_CLASSES, mean, std):
         total = class_total[label]
-        surface_prob[label] = (class_surface[label] / total) if total else None
+        classes[label] = {
+            "mean_pct": float(m),
+            "std_pct": float(s),
+            "surface_prob": (class_surface[label] / total) if total else None,
+        }
 
-    return MotifEnsembleStats(
-        mean_pct={c: float(m) for c, m in zip(MOTIF_CLASSES, mean)},
-        std_pct={c: float(s) for c, s in zip(MOTIF_CLASSES, std)},
-        surface_prob=surface_prob,
-        samples=len(per_sample_records),
-        samples_with_h=len(rows),
-    )
+    return {"classes": classes, "samples": len(per_sample_records), "samples_with_h": len(rows)}
 
 
 def _by_distance(pairs: list[tuple[int, float]]) -> list[int]:

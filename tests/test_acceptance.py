@@ -174,7 +174,7 @@ def test_criterion_08_headline_ej_distribution():
 
 def test_criterion_09_motif_fixtures_and_surface_flags():
     fixtures = nine_motif_fixtures()
-    table = classify_batch(StructureBatch([structure for _, structure, _ in fixtures]))
+    table, _ = classify_batch(StructureBatch([structure for _, structure, _ in fixtures]))
     correct = 0
     for c, (label, _, h_indices) in enumerate(fixtures):
         rows = table.structure == c
@@ -188,7 +188,7 @@ def test_criterion_09_motif_fixtures_and_surface_flags():
         ["Al", "O", "O", "H"], [(0, 0, 0), (0, 0, 1.8), (0, 0, 5.0), (0.95, 0, 1.6)]
     )
     batch = StructureBatch([top, buried])
-    flags = classify_batch(batch, members=oxide_regions(batch)[2])
+    flags, _ = classify_batch(batch, members=oxide_regions(batch)[2])
     found = [
         list(zip(flags.h_index[rows].tolist(), flags.surface[rows].tolist()))
         for rows in (flags.structure == c for c in range(batch.count))

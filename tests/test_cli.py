@@ -25,7 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jjvar
-from jjvar import cli, config, structure, transport
+from jjvar import cli, config, motifs, structure, transport
 from jjvar.cli import _write_csv, _write_json, main
 from jjvar.config import (
     _KEY_MAP,
@@ -213,7 +213,7 @@ class TestAnalyze:
         assert main(["--out", str(tmp_path / "o"), "analyze", "--structures", str(directory)]) == 2
         assert capsys.readouterr().err == (
             "warning: skipping wide.xyz: cell must be a finite 3x3 matrix\n"
-            "error: all 1 structure files failed to parse\n"
+            "error: all 1 structure files were skipped\n"
         )
 
     def test_all_corrupt_exits_2(self, tmp_path):
@@ -266,7 +266,60 @@ class TestAnalyze:
         assert main(["--out", str(tmp_path / "o"), "analyze", "--structures", str(directory)]) == 2
         err = capsys.readouterr().err
         assert "warning: skipping short.xyz: cutoff 2.2 A >= half cell length 1.4 A" in err
-        assert err.endswith("error: all 1 structure files failed to parse\n")
+        assert err.endswith("error: all 1 structure files were skipped\n")
+
+    def test_parse_error_names_the_file_once(self, tmp_path, capsys):
+        directory = write_structure_dir(tmp_path, h_counts=(1, 2))
+        (directory / "short.xyz").write_text("3\ncomment\nAl 0 0 0\nO 1.8 0 0\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 0
+        message = "line 5: expected atom row 3 of 3"
+        assert capsys.readouterr().err == f"warning: skipping short.xyz: {message}\n"
+        failures = json.loads((out / "ensemble_summary.json").read_text())["failures"]
+        assert failures == [{"file": "short.xyz", "error": message}]
+
+    def test_pipeline_lists_the_parse_error_once(self, tmp_path, capsys):
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        (directory / "short.xyz").write_text("3\ncomment\nAl 0 0 0\nO 1.8 0 0\n")
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"paths.structures = {directory}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "pipeline"]) == 2
+        (fit, *_) = json.loads((out / "manifest.json").read_text())["stages"]
+        assert fit["error"] == "all 1 structure files were skipped"
+        assert fit["skipped"] == [{"file": "short.xyz", "error": "line 5: expected atom row 3 of 3"}]
+        assert "warning: skipping short.xyz: line 5: expected atom row 3 of 3\n" in capsys.readouterr().err
+
+    def test_file_without_oxide_al_is_skipped_not_unparsed(self, tmp_path, capsys):
+        directory = tmp_path / "structures"
+        directory.mkdir()
+        (directory / "s1.xyz").write_text(
+            '3\nLattice="10 0 0 0 10 0 0 0 10"\nO 0 0 5\nO 1.2 0 5\nH 0 0 6\n'
+        )
+        assert main(["--out", str(tmp_path / "o"), "analyze", "--structures", str(directory)]) == 2
+        assert capsys.readouterr().err == (
+            f"warning: skipping s1.xyz: {structure.NO_AL_MESSAGE}\n"
+            "error: all 1 structure files were skipped\n"
+        )
+
+    @pytest.mark.parametrize("h_counts", [(2, 0, 3), (0, 0)], ids=["with-h", "no-h"])
+    def test_motif_table_is_motif_statistics_of_the_written_columns(self, tmp_path, h_counts):
+        directory = write_structure_dir(tmp_path, h_counts=h_counts)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "analyze", "--structures", str(directory)]) == 0
+        names = [row.split(",")[0] for row in (out / "stoichiometry.csv").read_text().splitlines()[1:]]
+        rows = [row.split(",") for row in (out / "motifs.csv").read_text().splitlines()[1:]]
+        payload = motifs.motif_statistics(
+            np.array([MOTIF_CLASSES.index(row[2]) for row in rows], dtype=int),
+            np.array([row[3] == "1" for row in rows], dtype=bool),
+            np.array([names.index(row[0]) for row in rows], dtype=int),
+            len(names),
+        )
+        # _write_json writes NaN, the mean of no H, as null.
+        written = json.loads((out / "motif_table.json").read_text())
+        assert written == json.loads(json.dumps(cli._json_ready(payload)))
+        assert (written["samples"], written["samples_with_h"]) == (len(h_counts), sum(map(bool, h_counts)))
 
 
 class TestTransmissionCommand:
@@ -742,7 +795,9 @@ class TestStructurePass:
         assert first.census.tolist() == second.census.tolist()
         assert _columns(first.table) == _columns(second.table)
         accepted = [error is None for error in first.errors]
-        assert len(first.census) == sum(accepted) == len(first.table.errors)
+        assert len(first.census) == sum(accepted)
+        # The merged table holds per-H columns only; the errors are per file.
+        assert first.table._fields == ("structure", "h_index", "label", "host_o", "surface")
         assert set(first.table.structure.tolist()) <= set(range(sum(accepted)))
         for count, error, (kind, _, _) in zip(first.counts, first.errors, entries):
             assert (error is not None) == (kind not in ("good", "fixture")) or kind == "fixture"
@@ -761,13 +816,13 @@ class TestStructurePass:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "warning: skipping a.xyz: empty z-interval [1e+17, 1e+17]\n"
-            "error: all 1 structure files failed to parse\n"
+            "error: all 1 structure files were skipped\n"
         )
 
 
 def _columns(table):
     """The columns of a motif table as lists."""
-    return [c.tolist() for c in table[:-1]] + [table.errors]
+    return [c.tolist() for c in table]
 
 
 class TestPathArguments:

@@ -1,6 +1,7 @@
 """Motif classification: nine-class fixtures, totality, ensemble statistics."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jjvar.motifs import MOTIF_CLASSES, classify_batch
-from jjvar.structure import DEFAULT_CUTOFFS, AtomicStructure, CellList, StructureBatch, oxide_regions
+from jjvar.structure import (
+    DEFAULT_CUTOFFS,
+    AtomicStructure,
+    CellList,
+    ConfigurationError,
+    StructureBatch,
+    oxide_regions,
+)
 
 from conftest import (
     full_graph,
@@ -163,7 +171,8 @@ def classify_one(s, cutoffs=None):
     """The rows `classify_batch` gives `s` alone, as records, with surface
     flags from its oxide region."""
     batch = StructureBatch([s])
-    (records,) = table_records(classify_batch(batch, cutoffs=cutoffs, members=oxide_regions(batch)[2]))
+    members = oxide_regions(batch)[2]
+    (records,) = table_records(*classify_batch(batch, cutoffs=cutoffs, members=members))
     return records
 
 
@@ -328,7 +337,7 @@ class TestPrecedenceAndStability:
         s, overrides = case
         full = full_graph(s, overrides)
         rows = classifier_rows(s, overrides)
-        (records,) = table_records(classify_batch(StructureBatch([s]), cutoffs=overrides))
+        (records,) = table_records(*classify_batch(StructureBatch([s]), cutoffs=overrides))
         assert records == [classify_h(s, full, int(h)) for h in indices_of(s, "H")]
         assert rows.bridge_o.tolist() == full.bridge_o.tolist()
         assert full.bridge_o.tolist() == reference_bridge_o(s, full, overrides).tolist()
@@ -351,7 +360,7 @@ class TestPrecedenceAndStability:
             expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
         _, _, members = oxide_regions(batch)
-        assert table_records(classify_batch(batch, cutoffs=overrides, members=members)) == expected
+        assert table_records(*classify_batch(batch, cutoffs=overrides, members=members)) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(routed_batches())
@@ -395,7 +404,30 @@ class TestPrecedenceAndStability:
             expected.append([with_surface_flag(classify_h(s, graph, int(h)), sites) for h in h_atoms])
         batch = StructureBatch(structures)
         _, _, members = oxide_regions(batch)
-        assert table_records(classify_batch(batch, members=members)) == expected
+        assert table_records(*classify_batch(batch, members=members)) == expected
+
+    def test_one_error_per_structure_none_for_those_bonded(self):
+        slab = make_oxide_slab(n_h=2)
+        sheared = slab.cell.copy()
+        sheared[0, 1] = 0.5
+        structures = [
+            slab,
+            make_oxide_slab(n_h=1, lateral=1),  # shorter than twice the cutoff
+            dataclasses.replace(slab, cell=sheared),  # triclinic and periodic
+            make_molecule(["Al", "O", "H"], [(0, 0, 0), (1.8, 0, 0), (2.8, 0, 0)]),
+        ]
+        table, errors = classify_batch(StructureBatch(structures))
+        assert len(errors) == len(structures)
+        for c, (s, error) in enumerate(zip(structures, errors)):
+            one = CellList(StructureBatch([s]))
+            if error is None:
+                one.graph(indices_of(s, "H"))
+                assert np.count_nonzero(table.structure == c) == len(indices_of(s, "H"))
+            else:
+                with pytest.raises(ConfigurationError, match=re.escape(error)):
+                    one.graph(indices_of(s, "H"))
+                assert c not in table.structure
+        assert [e is None for e in errors] == [True, False, False, True]
 
     def test_order_independence(self):
         rng = np.random.default_rng(29)
@@ -445,22 +477,22 @@ class TestEnsembleStatistics:
     def test_single_sample_split(self):
         records = self._records(["Al-OH", "Al-OH", "Al-OH-Al", "Al-OH-Al"])
         stats = statistics_of([records])
-        assert stats.mean_pct["Al-OH"] == pytest.approx(50.0)
-        assert stats.mean_pct["Al-OH-Al"] == pytest.approx(50.0)
-        assert stats.std_pct["Al-OH"] == pytest.approx(0.0)
+        assert stats["classes"]["Al-OH"]["mean_pct"] == pytest.approx(50.0)
+        assert stats["classes"]["Al-OH-Al"]["mean_pct"] == pytest.approx(50.0)
+        assert stats["classes"]["Al-OH"]["std_pct"] == pytest.approx(0.0)
 
     def test_population_std_convention(self):
         stats = statistics_of(
             [self._records(["Al-OH"]), self._records(["Al-OH-Al"])]
         )
-        assert stats.mean_pct["Al-OH"] == pytest.approx(50.0)
-        assert stats.std_pct["Al-OH"] == pytest.approx(50.0)
+        assert stats["classes"]["Al-OH"]["mean_pct"] == pytest.approx(50.0)
+        assert stats["classes"]["Al-OH"]["std_pct"] == pytest.approx(50.0)
 
     def test_zero_h_samples_excluded(self):
         stats = statistics_of([self._records(["Al-OH"]), [], []])
-        assert stats.samples == 3
-        assert stats.samples_with_h == 1
-        assert stats.mean_pct["Al-OH"] == pytest.approx(100.0)
+        assert stats["samples"] == 3
+        assert stats["samples_with_h"] == 1
+        assert stats["classes"]["Al-OH"]["mean_pct"] == pytest.approx(100.0)
 
     def test_pooled_surface_probability(self):
         samples = [
@@ -468,8 +500,8 @@ class TestEnsembleStatistics:
             self._records(["Al-OH", "Al-OH"], surface={0, 1}),
         ]
         stats = statistics_of(samples)
-        assert stats.surface_prob["Al-OH"] == pytest.approx(3 / 4)
-        assert stats.surface_prob["Al-H"] is None
+        assert stats["classes"]["Al-OH"]["surface_prob"] == pytest.approx(3 / 4)
+        assert stats["classes"]["Al-H"]["surface_prob"] is None
 
     def test_percentages_sum_to_100(self):
         rng = np.random.default_rng(31)
@@ -478,7 +510,8 @@ class TestEnsembleStatistics:
             labels = list(rng.choice(MOTIF_CLASSES, size=int(rng.integers(1, 12))))
             samples.append(self._records(labels))
         stats = statistics_of(samples)
-        assert sum(stats.mean_pct.values()) == pytest.approx(100.0, abs=1e-9)
+        total = sum(row["mean_pct"] for row in stats["classes"].values())
+        assert total == pytest.approx(100.0, abs=1e-9)
 
     def test_generator_recovery(self):
         rng = np.random.default_rng(37)
@@ -492,8 +525,9 @@ class TestEnsembleStatistics:
             samples.append(self._records(labels))
         stats = statistics_of(samples)
         for label, p in zip(MOTIF_CLASSES, probs):
-            se = stats.std_pct[label] / np.sqrt(n_samples)
-            assert abs(stats.mean_pct[label] - 100 * p) <= 2 * se + 1e-9
+            row = stats["classes"][label]
+            se = row["std_pct"] / np.sqrt(n_samples)
+            assert abs(row["mean_pct"] - 100 * p) <= 2 * se + 1e-9
 
     def test_requires_samples(self):
         with pytest.raises(ValueError):

@@ -359,6 +359,35 @@ class TestCalibration:
         )
         assert quoted and all(float(t) < 0.5 for t in quoted.groups())
 
+    def test_default_heights_and_bisections(self):
+        results = [calibrate_barrier(t, base=default_model()) for t in (1.61e-5, 1.74e-5)]
+        assert [(r.height, r.iterations) for r in results] == [
+            (6.60369873046875, 15),
+            (6.5929412841796875, 17),
+        ]
+
+    @pytest.mark.parametrize("hi", [1e30, 1e308])
+    def test_wide_bracket_meets_the_tolerance(self, hi):
+        result = calibrate_barrier(1.61e-5, base=default_model(), bounds=(0.0, hi))
+        assert abs(result.transmission - 1.61e-5) <= 1e-3 * 1.61e-5
+
+    def test_step_in_transmission_exhausts_the_bracket(self, monkeypatch):
+        # T jumps from 1 to 0 at height 5: no height meets the target, and
+        # bisection narrows the bracket to two adjacent floats around 5.
+        def step(model, energies):
+            height = model.barrier_onsite[0] - model.lead_onsite
+            value = np.array([float(height < 5.0)])
+            return TransmissionCurve(np.asarray(energies), value, np.ones(1, dtype=bool))
+
+        monkeypatch.setattr(transport, "transmission", step)
+        with pytest.raises(NumericalError) as err:
+            calibrate_barrier(0.5, base=default_model(), bounds=(0.0, 10.0))
+        lo = math.nextafter(5.0, 0.0)
+        assert str(err.value) == (
+            "barrier calibration did not reach |T - target|/target <= 0.001 "
+            f"before the bracket {lo!r}..5.0 eV held no midpoint"
+        )
+
 
 class TestDefects:
     def test_zero_shift_identity(self):
